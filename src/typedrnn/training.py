@@ -9,6 +9,14 @@ boundaries within an epoch, gradients do not. Inverted dropout is applied
 only on vertical connections (between layers and before the projection),
 never on the recurrent path and never on the raw model input.
 
+The output head (projection, softmax cross-entropy and its gradients) walks
+the window's (T*B, hidden) top-layer rows in fixed blocks of about 2 MiB of
+logits in one reused buffer, so training and evaluation never allocate a
+(T, B, K) logit array and at most one block of logits exists at a time (a
+small vocabulary fits all rows in one block). Training and evaluation share
+that one head; the rows per block depend only on K, so the sums it groups
+are the same on every machine.
+
 The optimizer is plain SGD with optional global-norm clipping and a
 multiplicative per-epoch learning-rate decay that starts after a configured
 epoch. Runs are deterministic for a fixed seed when ``threads`` is 1; the
@@ -195,26 +203,62 @@ def cross_entropy(logits: np.ndarray, target: int) -> float:
     return lse - float(v[target])
 
 
-def _ce_batch(logits: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and gradient over a (T, B, K) logit block.
+# Bytes of float64 logits the output head holds at once. The rows per block
+# follow from this and K alone, never from the machine, so the grouping of
+# the gradient sums (and with it every trained bit) is the same everywhere.
+_HEAD_BLOCK_BYTES = 2 * 2**20
 
-    The returned loss is the per-token mean (what the metrics report). The
-    gradient is of the per-stream summed loss averaged over the batch, the
-    usual truncated-backprop objective, whose scale matches unit-order
-    learning rates and a clip threshold of a few.
+
+def _output_head(
+    top: np.ndarray,
+    Y: np.ndarray,
+    w_out: np.ndarray,
+    b_out: np.ndarray,
+    grad_scale: float | None = None,
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """Summed cross-entropy of the projection ``top @ w_out.T + b_out``.
+
+    ``top`` is (N, h) and ``Y`` holds N target ids. The logits are computed
+    a block of rows at a time in one reused buffer of about
+    ``_HEAD_BLOCK_BYTES``. Returns the loss in nats summed over the N rows
+    and, when ``grad_scale`` is given, the gradients ``(gW, gb, d_top)`` of
+    ``grad_scale`` times that sum with respect to ``w_out``, ``b_out`` and
+    ``top``; otherwise None.
     """
-    T, B, K = logits.shape
-    m = logits.max(axis=-1, keepdims=True)
-    ex = np.exp(logits - m)
-    se = ex.sum(axis=-1, keepdims=True)
-    lse = (m + np.log(se))[..., 0]
-    tgt = np.take_along_axis(logits, Y[..., None], axis=-1)[..., 0]
-    loss = float((lse - tgt).sum() / (T * B))
-    dlogits = ex / se
-    ti, bi = np.meshgrid(np.arange(T), np.arange(B), indexing="ij")
-    dlogits[ti, bi, Y] -= 1.0
-    dlogits /= B
-    return loss, dlogits
+    n = len(top)
+    k = w_out.shape[0]
+    rows = min(n, max(1, _HEAD_BLOCK_BYTES // (8 * k)))
+    buf = np.empty((rows, k))
+    total = 0.0
+    if grad_scale is not None:
+        gW = np.zeros_like(w_out)
+        gW_block = np.empty_like(w_out)
+        gb = np.zeros_like(b_out)
+        d_top = np.empty_like(top)
+    for lo in range(0, n, rows):
+        x = top[lo : lo + rows]
+        y = Y[lo : lo + rows]
+        z = buf[: len(x)]
+        r = np.arange(len(x))
+        np.matmul(x, w_out.T, out=z)
+        z += b_out
+        z -= z.max(axis=1, keepdims=True)
+        tgt = z[r, y]
+        np.exp(z, out=z)
+        se = z.sum(axis=1)
+        total += float((np.log(se) - tgt).sum())
+        if grad_scale is None:
+            continue
+        # softmax minus one-hot, times the scale: the logit gradient
+        z *= (grad_scale / se)[:, None]
+        z[r, y] -= grad_scale
+        np.matmul(z.T, x, out=gW_block)
+        gW += gW_block
+        gb += z.sum(axis=0)
+        np.matmul(z, w_out, out=d_top[lo : lo + len(x)])
+    if grad_scale is None:
+        return total, None
+    return total, (gW, gb, d_top)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +294,17 @@ def _window_pass(
         top_mask = (rng.random(top.shape) < keep) / keep
         top = top * top_mask
     T, B, h = top.shape
-    logits = (top.reshape(T * B, h) @ model.w_out.T).reshape(T, B, -1) + model.b_out
-    loss, dlogits = _ce_batch(logits, Y_ids)
-
-    k = model.vocab.size
-    d2 = dlogits.reshape(T * B, k)
-    grads: dict[str, np.ndarray] = {}
-    grads["out.W"] = d2.T @ top.reshape(T * B, h)
-    grads["out.b"] = d2.sum(axis=0)
-    d_top = (d2 @ model.w_out).reshape(T, B, h)
+    # The loss reported is the per-token mean; the gradient is of the
+    # per-stream summed loss averaged over the batch, the usual truncated
+    # backprop objective, whose scale suits unit-order learning rates and a
+    # clip threshold of a few.
+    total, (gW, gb, d_top) = _output_head(
+        top.reshape(T * B, h), Y_ids.reshape(T * B), model.w_out, model.b_out,
+        grad_scale=1.0 / B,
+    )
+    loss = total / (T * B)
+    grads: dict[str, np.ndarray] = {"out.W": gW, "out.b": gb}
+    d_top = d_top.reshape(T, B, h)
     if top_mask is not None:
         d_top = d_top * top_mask
     layer_grads, dX = stack_backward(model.layers, tape, d_top)
@@ -360,6 +406,12 @@ def _step(
 # ---------------------------------------------------------------------------
 
 
+def _perplexity(loss: float) -> float:
+    """``exp(loss)``, clamped to inf where exp would overflow float64 (just
+    above 709 nats) so that a huge but finite loss is reported, not raised."""
+    return math.exp(loss) if loss < 709.0 else math.inf
+
+
 @dataclass
 class MetricsRow:
     epoch: int
@@ -390,9 +442,7 @@ class Metrics:
         grad_norm: float,
         wall_ms: float,
     ) -> None:
-        # exp overflows float64 just above 709 nats; clamp to inf rather
-        # than letting a huge-but-finite loss crash the logger.
-        ppl = math.exp(loss) if loss < 709.0 else math.inf
+        ppl = _perplexity(loss)
         self.rows.append(
             MetricsRow(epoch, step, split, loss, ppl, grad_norm, wall_ms)
         )
@@ -508,15 +558,15 @@ def evaluate(
         carry = stack_carry_out(model.layers, tape)
         top = outs[-1]
         T, B, h = top.shape
-        logits = (top.reshape(T * B, h) @ model.w_out.T).reshape(T, B, -1)
-        logits += model.b_out
-        loss, _ = _ce_batch(logits, Y_ids)
-        loss_sum += loss * T * B
+        total, _ = _output_head(
+            top.reshape(T * B, h), Y_ids.reshape(T * B), model.w_out, model.b_out
+        )
+        loss_sum += total
         count += T * B
     if count == 0:
         raise DataError(f"split {split!r} yields no evaluation windows")
     mean = loss_sum / count
-    return mean, math.exp(mean)
+    return mean, _perplexity(mean)
 
 
 def sample(

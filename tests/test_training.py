@@ -3,17 +3,28 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from typedrnn.data import DataError, build_vocab, encode_and_split, synthetic_corpus
+from typedrnn import training
+from typedrnn.cells import stack_carry_out, stack_forward
+from typedrnn.data import (
+    UNK,
+    DataError,
+    Vocab,
+    batch_iter,
+    build_vocab,
+    encode_and_split,
+    synthetic_corpus,
+)
 from typedrnn.training import (
     METRICS_HEADER,
     Metrics,
     TrainConfig,
     TrainingDiverged,
-    _ce_batch,
+    _output_head,
     _window_pass,
     build_model,
     cross_entropy,
@@ -57,11 +68,30 @@ def test_lr_schedule():
     assert flat.lr_for_epoch(10) == pytest.approx(0.3)
 
 
+def _head_reference(top, Y, w_out, b_out, grad_scale):
+    """Summed loss and (gW, gb, d_top) from one whole-array log-softmax."""
+    logits = top @ w_out.T + b_out
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    rows = np.arange(len(Y))
+    dlogits = np.exp(logp)
+    dlogits[rows, Y] -= 1.0
+    dlogits *= grad_scale
+    return -logp[rows, Y].sum(), (dlogits.T @ top, dlogits.sum(axis=0), dlogits @ w_out)
+
+
 def test_cross_entropy_matches_batch_loss():
     rng = np.random.default_rng(0)
     logits = rng.uniform(-2, 2, size=(3, 2, 5))
     Y = rng.integers(0, 5, size=(3, 2))
-    loss, dlogits = _ce_batch(logits, Y)
+    # With top = I and a zero bias the head's projection is exactly
+    # ``logits``, and gW is exactly the transposed logit gradient.
+    w_out = logits.reshape(6, 5).T.copy()
+    total, (gW, gb, d_top) = _output_head(
+        np.eye(6), Y.reshape(6), w_out, np.zeros(5), grad_scale=1.0 / 2
+    )
+    loss = total / 6
+    dlogits = gW.T.reshape(3, 2, 5)
     per_token = [
         cross_entropy(logits[t, b], int(Y[t, b]))
         for t in range(3)
@@ -71,6 +101,12 @@ def test_cross_entropy_matches_batch_loss():
     # gradient of the time-summed batch-mean objective: rows sum to zero and
     # finite differences on one logit agree
     assert np.max(np.abs(dlogits.sum(axis=-1))) < 1e-12
+    assert abs(gb.sum()) < 1e-12
+    _, (_, ref_gb, ref_d_top) = _head_reference(
+        np.eye(6), Y.reshape(6), w_out, np.zeros(5), 1.0 / 2
+    )
+    assert np.max(np.abs(gb - ref_gb)) < 1e-12
+    assert np.max(np.abs(d_top - ref_d_top)) < 1e-12
     eps = 1e-6
     bumped = logits.copy()
     bumped[1, 1, 3] += eps
@@ -88,16 +124,7 @@ def test_cross_entropy_matches_batch_loss():
         cross_entropy(np.zeros(3), 5)
 
 
-def test_window_pass_gradients_match_finite_differences():
-    text = "the quick brown fox jumps over the lazy dog " * 4
-    corpus = _tiny_corpus(text)
-    cfg = TrainConfig(arch="t_lstm", layers=2, hidden=5, seq_len=6, batch=2, seed=3)
-    rng = np.random.default_rng(cfg.seed)
-    model = build_model(cfg, corpus.vocab, rng)
-    X = corpus.train[:13]
-    X_ids = np.stack([X[:6], X[6:12]], axis=1)
-    Y_ids = np.stack([X[1:7], X[7:13]], axis=1)
-
+def _assert_window_grads_match_fd(model, X_ids, Y_ids, names):
     loss, grads, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
     tensors = model.tensors()
     assert set(grads) == set(tensors)
@@ -105,7 +132,7 @@ def test_window_pass_gradients_match_finite_differences():
     T, B = X_ids.shape
     eps = 1e-6
     rng2 = np.random.default_rng(0)
-    for name in ("layer0.W_z", "layer1.V_f", "out.W", "out.b", "layer0.b_o"):
+    for name in names:
         arr = tensors[name]
         flat = arr.reshape(-1)
         for k in map(int, rng2.integers(0, flat.size, size=3)):
@@ -120,6 +147,86 @@ def test_window_pass_gradients_match_finite_differences():
             fd = T * (lp - lm) / (2 * eps)
             got = grads[name].reshape(-1)[k]
             assert got == pytest.approx(fd, rel=1e-4, abs=1e-7), name
+
+
+def test_window_pass_gradients_match_finite_differences():
+    text = "the quick brown fox jumps over the lazy dog " * 4
+    corpus = _tiny_corpus(text)
+    cfg = TrainConfig(arch="t_lstm", layers=2, hidden=5, seq_len=6, batch=2, seed=3)
+    rng = np.random.default_rng(cfg.seed)
+    model = build_model(cfg, corpus.vocab, rng)
+    X = corpus.train[:13]
+    X_ids = np.stack([X[:6], X[6:12]], axis=1)
+    Y_ids = np.stack([X[1:7], X[7:13]], axis=1)
+    _assert_window_grads_match_fd(
+        model, X_ids, Y_ids, ("layer0.W_z", "layer1.V_f", "out.W", "out.b", "layer0.b_o")
+    )
+
+
+def test_output_head_row_blocks_match_whole_array(monkeypatch):
+    rng = np.random.default_rng(1)
+    n, h, k = 11, 4, 7
+    top = rng.standard_normal((n, h))
+    w_out = rng.uniform(-1, 1, size=(k, h))
+    b_out = rng.uniform(-1, 1, size=k)
+    Y = rng.integers(0, k, size=n)
+    # 3 rows per block: blocks of 3, 3, 3 and a ragged 2
+    monkeypatch.setattr(training, "_HEAD_BLOCK_BYTES", 8 * k * 3)
+    total, grads = _output_head(top, Y, w_out, b_out, grad_scale=0.25)
+    ref_total, ref_grads = _head_reference(top, Y, w_out, b_out, 0.25)
+    assert total == pytest.approx(ref_total, rel=1e-12)
+    for got, want in zip(grads, ref_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the loss-only call walks the same blocks
+    assert _output_head(top, Y, w_out, b_out) == (total, None)
+
+    # a word-level window of 6 x 2 rows spans blocks of 5, 5 and 2 rows
+    words = np.random.default_rng(2).choice(["ka", "lo", "mi", "nu", "pe"], 1000)
+    corpus = _tiny_corpus(" ".join(words), level="word")
+    cfg = TrainConfig(
+        arch="t_lstm", level="word", layers=2, hidden=5, seq_len=6, batch=2, seed=4
+    )
+    model = build_model(cfg, corpus.vocab, np.random.default_rng(cfg.seed))
+    monkeypatch.setattr(training, "_HEAD_BLOCK_BYTES", 8 * corpus.vocab.size * 5)
+    X = corpus.train[:13]
+    X_ids = np.stack([X[:6], X[6:12]], axis=1)
+    Y_ids = np.stack([X[1:7], X[7:13]], axis=1)
+    _assert_window_grads_match_fd(
+        model, X_ids, Y_ids, ("embed.E", "layer1.W_z", "out.W", "out.b")
+    )
+
+    # evaluate scores 6 x 4 rows per window in blocks of 5
+    per_token = []
+    carry = None
+    for X_ids, Y_ids in batch_iter(corpus.valid, 6, 4):
+        outs, tape = stack_forward(model.layers, model.embed[X_ids], carry=carry)
+        carry = stack_carry_out(model.layers, tape)
+        logits = outs[-1] @ model.w_out.T + model.b_out
+        per_token.extend(
+            cross_entropy(logits[t, b], int(Y_ids[t, b]))
+            for t in range(6)
+            for b in range(4)
+        )
+    loss, _ = evaluate(model, corpus, "valid", seq_len=6, batch=4)
+    assert loss == pytest.approx(np.mean(per_token), rel=1e-12)
+
+
+def test_window_pass_never_holds_a_full_logit_block():
+    K, T, B = 4000, 50, 32
+    vocab = Vocab("word", [UNK] + [f"w{i}" for i in range(K - 1)])
+    cfg = TrainConfig(arch="t_lstm", level="word", layers=2, hidden=64,
+                      seq_len=T, batch=B)
+    rng = np.random.default_rng(0)
+    model = build_model(cfg, vocab, rng)
+    X_ids = rng.integers(0, K, size=(T, B))
+    Y_ids = rng.integers(0, K, size=(T, B))
+    tracemalloc.start()
+    try:
+        _window_pass(model, X_ids, Y_ids, None, 0.0, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < T * B * K * 8  # one (T*B, K) float64 logit block, 51.2 MB
 
 
 def test_untrained_model_scores_near_uniform():
@@ -269,6 +376,17 @@ def test_evaluate_handles_short_splits():
     assert math.isfinite(loss) and ppl == pytest.approx(math.exp(loss))
     with pytest.raises(ValueError):
         evaluate(model, corpus, "future")
+
+
+def test_evaluate_clamps_perplexity_of_a_huge_loss():
+    corpus = _tiny_corpus(synthetic_corpus(4_000, seed=7))
+    cfg = TrainConfig(arch="rnn", hidden=6, seed=0)
+    rng = np.random.default_rng(0)
+    model = build_model(cfg, corpus.vocab, rng)
+    model.w_out[...] = rng.uniform(-1e5, 1e5, size=model.w_out.shape)
+    loss, ppl = evaluate(model, corpus, "valid", seq_len=20, batch=4)
+    assert math.isfinite(loss) and loss > 709.0
+    assert ppl == math.inf
 
 
 def test_threaded_training_matches_single_thread():
