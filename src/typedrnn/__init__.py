@@ -23,7 +23,6 @@ from .autodiff import (
 from .cells import (
     CellKind,
     CellParams,
-    CellState,
     LayerCarry,
     T_CELL_KINDS,
     TRAINABLE_KINDS,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellKind",
     "CellParams",
-    "CellState",
     "Checkpoint",
     "CheckpointError",
     "DataError",

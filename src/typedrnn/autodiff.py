@@ -5,6 +5,14 @@ Every cell's backward pass is derived by hand from the update rules in
 are exact reverse-mode derivatives of the float64 forward computation, which
 is what the central-difference oracle ``finite_diff`` checks them against.
 
+T-RNN, T-LSTM and T-GRU share one backward, the mirror of their shared
+forward: one reverse scan ``G[t] = dS[t] + F[t] (*) G[t+1]`` for the gradient
+on the scanned state, one coordinatewise pass back through the gate maps into
+the stacked pre-activation gradient ``DP``, and one matrix multiply each for
+the stacked-learnware gradient and the input gradient. ``_split_learnware``
+then hands the stacked gradient back to the named tensors. The classical
+cells and T-MR keep their own loops, as in the forward.
+
 Conventions: upstream gradients arrive per output step as dH (T, B, h);
 ``dh_final`` / ``dc_final`` inject gradient on the state carried out of the
 window (used for Jacobian probes and window chaining). Gradients with respect
@@ -23,8 +31,8 @@ from .cells import (
     CellKind,
     CellParams,
     LayerTape,
+    SCAN_KINDS,
     StackTape,
-    T_CELL_KINDS,
     sequence_forward,
     stacked_learnware,
 )
@@ -65,6 +73,23 @@ class Grads:
         return total, self.dX_prev[0].copy()
 
 
+def _split_learnware(
+    params: CellParams, gU: np.ndarray, gbias: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Inverse of ``cells.stacked_learnware``: gradients on the stacked block
+    and bias, split back onto the named tensors in canonical order."""
+    h, d = params.hidden_dim, params.input_dim
+    if params.kind == CellKind.T_RNN:
+        return {"W": gU[:h].copy(), "V": gU[h:].copy(), "b": gbias[h:]}
+    grads = {}
+    for i, g in enumerate(("z", "f", "o")):
+        rows = slice(i * h, (i + 1) * h)
+        grads[f"V_{g}"] = gU[rows, :d].copy()
+        grads[f"W_{g}"] = gU[rows, d:].copy()
+        grads[f"b_{g}"] = gbias[rows]
+    return {k: grads[k] for k in params.tensors}
+
+
 def _fold(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Sum of per-step outer products: (T,B,h),(T,B,d) -> (h,d)."""
     T, B, h = D.shape
@@ -95,85 +120,46 @@ def sequence_backward(
     gh = zero if dh_final is None else np.asarray(dh_final, dtype=np.float64)
     gc = zero if dc_final is None else np.asarray(dc_final, dtype=np.float64)
 
-    if kind == CellKind.T_RNN:
-        H, F, Z, X = tape.H, tape.F, tape.Z, tape.X
-        G = np.empty_like(F)  # accumulated output gradient at each step
-        g = gh.copy()
+    if kind in SCAN_KINDS:
+        F, Z, O = tape.F, tape.Z, tape.O
+        lstm = kind == CellKind.T_LSTM
+        S = tape.C if lstm else tape.H
+        dS = dH * O if lstm else dH
+        G = np.empty((T, B, h))  # gradient on s_t at each step
+        g = (gc if lstm else gh).copy()
         for t in range(T - 1, -1, -1):
-            np.add(dH[t], g, out=G[t])
+            np.add(dS[t], g, out=G[t])
             np.multiply(G[t], F[t], out=g)
-        d = params.input_dim
-        DP = np.empty((T, B, 2 * h))
+        DP = np.empty((T, B, (2 if O is None else 3) * h))
         dZ = DP[..., :h]
-        dPf = DP[..., h:]
-        np.subtract(1.0, F, out=dZ)
-        dZ *= G
-        np.subtract(H[:-1], Z, out=dPf)
-        dPf *= G
-        dPf *= F
-        dPf *= 1.0 - F
-        U, _ = stacked_learnware(params)
-        D2 = DP.reshape(T * B, 2 * h)
-        gU = D2.T @ X.reshape(T * B, d)
-        grads = {
-            "W": gU[:h].copy(),
-            "V": gU[h:].copy(),
-            "b": dPf.sum(axis=(0, 1)),
-        }
-        dX = (D2 @ U).reshape(T, B, d)
-        return Grads(grads, dX, dh0=g)
-
-    if kind in T_CELL_KINDS:
-        F, Z, O, XX = tape.F, tape.Z, tape.O, tape.XX
-        DP = np.empty((T, B, 3 * h))
-        dPz = DP[..., :h]
         dPf = DP[..., h : 2 * h]
-        dPo = DP[..., 2 * h :]
-        if kind == CellKind.T_LSTM:
-            C = tape.C
-            DC = np.empty_like(F)  # gradient on c_t at each step
-            DHO = dH * O
-            dc = gc.copy()
-            for t in range(T - 1, -1, -1):
-                np.add(DHO[t], dc, out=DC[t])
-                np.multiply(DC[t], F[t], out=dc)
-            np.subtract(1.0, F, out=dPz)
-            dPz *= DC
-            np.subtract(C[:-1], Z, out=dPf)
-            dPf *= DC
-            np.multiply(dH, C[1:], out=dPo)
-            boundary = {"dc0": dc}
+        if kind == CellKind.T_GRU:
+            np.multiply(G, O, out=dZ)
+            np.multiply(G, S[:-1], out=dPf)
         else:
-            H = tape.H
-            G = np.empty_like(F)  # accumulated output gradient at each step
-            g = gh.copy()
-            for t in range(T - 1, -1, -1):
-                np.add(dH[t], g, out=G[t])
-                np.multiply(G[t], F[t], out=g)
-            np.multiply(G, O, out=dPz)
-            np.multiply(G, H[:-1], out=dPf)
-            np.multiply(G, Z, out=dPo)
-            boundary = {"dh0": g}
+            np.subtract(1.0, F, out=dZ)
+            dZ *= G
+            np.subtract(S[:-1], Z, out=dPf)
+            dPf *= G
         dPf *= F
         dPf *= 1.0 - F
-        dPo *= 1.0 - O * O
-        d = params.input_dim
+        if O is not None:
+            dPo = DP[..., 2 * h :]
+            if lstm:
+                np.multiply(dH, S[1:], out=dPo)
+            else:
+                np.multiply(G, Z, out=dPo)
+            dPo *= 1.0 - O * O
         U, _ = stacked_learnware(params)
-        D2 = DP.reshape(T * B, 3 * h)
-        gU = D2.T @ XX.reshape(T * B, 2 * d)
-        grads = {}
-        for i, g_name in enumerate(("z", "f", "o")):
-            block = gU[i * h : (i + 1) * h]
-            grads[f"V_{g_name}"] = block[:, :d].copy()
-            grads[f"W_{g_name}"] = block[:, d:].copy()
-        grads["b_z"] = dPz.sum(axis=(0, 1))
-        grads["b_f"] = dPf.sum(axis=(0, 1))
-        grads["b_o"] = dPo.sum(axis=(0, 1))
-        dXX = (D2 @ U).reshape(T, B, 2 * d)
-        dXp = np.ascontiguousarray(dXX[..., :d])
-        dX = np.ascontiguousarray(dXX[..., d:])
-        grads = {k: grads[k] for k in params.tensors}
-        return Grads(grads, dX, dX_prev=dXp, **boundary)
+        D2 = DP.reshape(T * B, -1)
+        gU = D2.T @ tape.XX.reshape(T * B, -1)
+        grads = _split_learnware(params, gU, DP.sum(axis=(0, 1)))
+        dXX = (D2 @ U).reshape(T, B, -1)
+        boundary = {"dc0": g} if lstm else {"dh0": g}
+        if kind == CellKind.T_RNN:
+            return Grads(grads, dXX, **boundary)
+        d = params.input_dim
+        return Grads(grads, dXX[..., d:], dX_prev=dXX[..., :d], **boundary)
 
     if kind == CellKind.RNN:
         H, X = tape.H, tape.X

@@ -37,13 +37,27 @@ matrices inside the step. Update rules, writing s for sigmoid, tau for tanh,
 
     SCRN     s' = alpha * s + (1 - alpha) * (W_s x_t) (alpha a scalar in (0,1))
 
-Single-step functions below are the reference semantics and accept either a
-single vector (d,) or a batch (B, d). ``sequence_forward`` runs a whole
-time-major batch (T, B, d) with the input-side products done in one matrix
-multiply, recording a tape for the hand-written backward pass in
-``autodiff``. ``stack_forward`` runs a multi-layer stack with dropout applied
-only on vertical connections between layers, never on the recurrent path and
-never on the raw model input.
+Every typed cell except T-MR splits into stateless learnware and
+state-dependent firmware. The learnware is one matrix multiply of the stacked
+matrices (``stacked_learnware``) against the whole window's inputs at once:
+``x_t`` for T-RNN, ``[x_{t-1}; x_t]`` for T-LSTM and T-GRU. Its result maps
+coordinatewise to a forget gate F and an increment A, and the firmware is one
+diagonal linear scan, the same for all three kinds:
+
+    s_t = f_t (*) s_{t-1} + a_t
+
+    T-RNN    a = (1 - f) (*) z      s = h, output s
+    T-LSTM   a = (1 - f) (*) z      s = c, output s (*) o
+    T-GRU    a = z (*) o            s = h, output s
+
+``sequence_forward`` runs a whole time-major batch (T, B, d) this way and
+records a tape for the hand-written backward pass in ``autodiff``, which runs
+the same scan in reverse. The classical cells and T-MR have their own loops,
+because their state passes through a matrix or a relu. ``stack_forward`` runs
+a multi-layer stack with dropout applied only on vertical connections between
+layers, never on the recurrent path and never on the raw model input. The DSL
+interpreter (``dsl.interp``) is the independent per-step reference for every
+update rule above.
 """
 
 from __future__ import annotations
@@ -58,24 +72,18 @@ from .linalg import ShapeError, sigmoid
 __all__ = [
     "CellKind",
     "CellParams",
-    "CellState",
     "LayerCarry",
     "LayerTape",
+    "SCAN_KINDS",
     "StackTape",
-    "StepActivations",
     "TRAINABLE_KINDS",
     "T_CELL_KINDS",
-    "classical_step",
     "init_params",
     "param_shapes",
     "scrn_state_step",
     "sequence_forward",
     "stack_carry_out",
     "stack_forward",
-    "tgru_step",
-    "tlstm_step",
-    "tmr_step",
-    "trnn_step",
 ]
 
 
@@ -103,6 +111,9 @@ TRAINABLE_KINDS = (
 
 #: Kinds whose step consumes the previous raw input x_{t-1}.
 T_CELL_KINDS = (CellKind.T_LSTM, CellKind.T_GRU)
+
+#: Kinds run as one learnware product followed by one diagonal scan.
+SCAN_KINDS = (CellKind.T_RNN, CellKind.T_LSTM, CellKind.T_GRU)
 
 _GATED = (CellKind.LSTM, CellKind.GRU, CellKind.T_LSTM, CellKind.T_GRU)
 
@@ -203,109 +214,17 @@ def init_params(
     return CellParams(kind, input_dim, hidden_dim, tensors)
 
 
-@dataclass
-class CellState:
-    """Recurrent state: hidden vector h, and cell vector c for LSTM kinds."""
-
-    h: np.ndarray
-    c: np.ndarray | None = None
-
-
-@dataclass
-class StepActivations:
-    """Gate values produced by one step (used by tests and the backward pass)."""
-
-    f: np.ndarray | None = None
-    z: np.ndarray | None = None
-    o: np.ndarray | None = None
-    relu_mask: np.ndarray | None = None
-
-
-def _aff(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m.T for x of shape (d,) or (B, d); strict inner-dimension check."""
-    if x.shape[-1] != m.shape[1]:
-        raise ShapeError(
-            f"affine input has dim {x.shape[-1]}, matrix expects {m.shape[1]}"
-        )
-    return x @ m.T
-
-
-def trnn_step(params: CellParams, h_prev, x_t):
-    """One T-RNN step; returns (h_next, StepActivations)."""
-    z = _aff(x_t, params["W"])
-    f = sigmoid(_aff(x_t, params["V"]) + params["b"])
-    h = f * h_prev + (1.0 - f) * z
-    return h, StepActivations(f=f, z=z)
-
-
-def tlstm_step(params: CellParams, state: CellState, x_prev, x_t):
-    """One T-LSTM step; returns (CellState, StepActivations)."""
-    z = _aff(x_prev, params["V_z"]) + _aff(x_t, params["W_z"]) + params["b_z"]
-    f = sigmoid(_aff(x_prev, params["V_f"]) + _aff(x_t, params["W_f"]) + params["b_f"])
-    o = np.tanh(_aff(x_prev, params["V_o"]) + _aff(x_t, params["W_o"]) + params["b_o"])
-    c = f * state.c + (1.0 - f) * z
-    h = c * o
-    return CellState(h=h, c=c), StepActivations(f=f, z=z, o=o)
-
-
-def tgru_step(params: CellParams, h_prev, x_prev, x_t):
-    """One T-GRU step; returns (h_next, StepActivations)."""
-    z = _aff(x_prev, params["V_z"]) + _aff(x_t, params["W_z"]) + params["b_z"]
-    f = sigmoid(_aff(x_prev, params["V_f"]) + _aff(x_t, params["W_f"]) + params["b_f"])
-    o = np.tanh(_aff(x_prev, params["V_o"]) + _aff(x_t, params["W_o"]) + params["b_o"])
-    h = f * h_prev + z * o
-    return h, StepActivations(f=f, z=z, o=o)
-
-
-def tmr_step(params: CellParams, h_prev, x_t):
-    """One T-MR step; returns (h_next, StepActivations with the relu mask)."""
-    pre = params["b"] * h_prev + _aff(x_t, params["W"]) + params["c"]
-    h = np.maximum(pre, 0.0)
-    return h, StepActivations(relu_mask=(pre > 0.0))
-
-
 def scrn_state_step(params: CellParams, s_prev, x_t):
     """One SCRN context-layer step; alpha must lie strictly inside (0, 1)."""
     alpha = float(params["alpha"])
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"scrn alpha must lie in (0, 1), got {alpha}")
-    return alpha * s_prev + (1.0 - alpha) * _aff(x_t, params["W_s"])
-
-
-def classical_step(params: CellParams, state: CellState, x_t):
-    """One step of the classical RNN / LSTM / GRU; returns (CellState, acts)."""
-    kind = params.kind
-    if kind == CellKind.RNN:
-        h = np.tanh(
-            _aff(state.h, params["V"]) + _aff(x_t, params["W"]) + params["b"]
+    W_s = params["W_s"]
+    if np.shape(x_t)[-1] != W_s.shape[1]:
+        raise ShapeError(
+            f"affine input has dim {np.shape(x_t)[-1]}, matrix expects {W_s.shape[1]}"
         )
-        return CellState(h=h), StepActivations()
-    if kind == CellKind.LSTM:
-        z = np.tanh(
-            _aff(state.h, params["V_z"]) + _aff(x_t, params["W_z"]) + params["b_z"]
-        )
-        f = sigmoid(
-            _aff(state.h, params["V_f"]) + _aff(x_t, params["W_f"]) + params["b_f"]
-        )
-        o = np.tanh(
-            _aff(state.h, params["V_o"]) + _aff(x_t, params["W_o"]) + params["b_o"]
-        )
-        c = f * state.c + (1.0 - f) * z
-        h = np.tanh(c) * o
-        return CellState(h=h, c=c), StepActivations(f=f, z=z, o=o)
-    if kind == CellKind.GRU:
-        z = sigmoid(
-            _aff(state.h, params["V_z"]) + _aff(x_t, params["W_z"]) + params["b_z"]
-        )
-        f = sigmoid(
-            _aff(state.h, params["V_f"]) + _aff(x_t, params["W_f"]) + params["b_f"]
-        )
-        o = np.tanh(
-            _aff(z * state.h, params["V_o"]) + _aff(x_t, params["W_o"]) + params["b_o"]
-        )
-        h = f * state.h + (1.0 - f) * o
-        return CellState(h=h), StepActivations(f=f, z=z, o=o)
-    raise ValueError(f"classical_step does not handle kind {kind!r}")
+    return alpha * s_prev + (1.0 - alpha) * (x_t @ W_s.T)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +238,17 @@ class LayerTape:
 
     Arrays are time-major. ``H`` and ``C`` have T+1 rows including the initial
     state; gate arrays have T rows. ``X`` is the (possibly dropout-masked)
-    input the W-side matrices saw; ``X_prev`` the undropped shifted input the
-    V-side matrices of T-LSTM / T-GRU saw, and ``XX`` their concatenation:
-    the single block all of a T-cell's learned matrices multiply at once.
+    input the W-side matrices saw. ``XX`` is the block the stacked learnware
+    of a scan cell multiplied: ``X`` itself for T-RNN, and for T-LSTM / T-GRU
+    the undropped previous input beside ``X``. The scanned state is ``C`` for
+    T-LSTM and ``H`` for every other kind; ``Z``, ``F`` and ``O`` of a scan
+    cell are views of its one learnware product.
     """
 
     kind: CellKind
     X: np.ndarray
     H: np.ndarray | None = None
     C: np.ndarray | None = None
-    X_prev: np.ndarray | None = None
     XX: np.ndarray | None = None
     xp_last: np.ndarray | None = None
     F: np.ndarray | None = None
@@ -397,8 +317,8 @@ def sequence_forward(
     ``x_prev_src`` is the sequence the V-side of T-LSTM / T-GRU reads at t-1
     (defaults to ``X``; differs when dropout masks the W-side input). ``xp0``
     is the previous-window input at the left boundary (zeros by default).
-    All learnable input-side products are computed in one matrix multiply;
-    only the coordinatewise scan is sequential.
+    For T-RNN, T-LSTM and T-GRU all learnable products are one matrix
+    multiply; only the coordinatewise scan is sequential.
     """
     kind = params.kind
     X = np.asarray(X, dtype=np.float64)
@@ -407,66 +327,48 @@ def sequence_forward(
     T, B, _ = X.shape
     hdim = params.hidden_dim
 
-    if kind == CellKind.T_RNN:
-        if X.shape[2] != params.input_dim:
-            raise ShapeError(
-                f"input has dim {X.shape[2]}, cell expects {params.input_dim}"
-            )
-        U, bias = stacked_learnware(params)
-        P = X.reshape(T * B, -1) @ U.T
-        P += bias
-        P = P.reshape(T, B, 2 * hdim)
-        Z = np.ascontiguousarray(P[..., :hdim])
-        F = sigmoid(P[..., hdim:])
-        A = 1.0 - F
-        A *= Z
-        H = np.empty((T + 1, B, hdim))
-        H[0] = _zeros_state(B, hdim, h0)
-        for t in range(T):
-            np.multiply(F[t], H[t], out=H[t + 1])
-            H[t + 1] += A[t]
-        return H[1:], LayerTape(kind, X, H=H, F=F, Z=Z)
-
-    if kind in T_CELL_KINDS:
-        src = X if x_prev_src is None else np.asarray(x_prev_src, dtype=np.float64)
-        if X.shape[2] != params.input_dim or src.shape != X.shape:
-            raise ShapeError(
-                f"inputs have shape {X.shape} / {src.shape}, cell expects "
-                f"(T, B, {params.input_dim})"
-            )
-        Xp = np.empty_like(src)
-        Xp[0] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
-        Xp[1:] = src[:-1]
-        XX = np.concatenate([Xp, X], axis=2)
+    if kind in SCAN_KINDS:
+        d = params.input_dim
+        if X.shape[2] != d:
+            raise ShapeError(f"input has dim {X.shape[2]}, cell expects {d}")
+        if kind == CellKind.T_RNN:
+            XX, xp_last = X, None
+        else:
+            src = X if x_prev_src is None else np.asarray(x_prev_src, dtype=np.float64)
+            if src.shape != X.shape:
+                raise ShapeError(
+                    f"x_prev_src has shape {src.shape}, input has {X.shape}"
+                )
+            XX = np.empty((T, B, 2 * d))
+            XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
+            XX[1:, :, :d] = src[:-1]
+            XX[:, :, d:] = X
+            xp_last = src[-1].copy()
         U, bias = stacked_learnware(params)
         P = XX.reshape(T * B, -1) @ U.T
         P += bias
-        P = P.reshape(T, B, 3 * hdim)
-        Z = np.ascontiguousarray(P[..., :hdim])
-        F = sigmoid(P[..., hdim : 2 * hdim])
-        O = np.tanh(P[..., 2 * hdim :])
-        xp_last = src[-1].copy()
-        if kind == CellKind.T_LSTM:
+        P = P.reshape(T, B, -1)
+        Z = P[..., :hdim]
+        F = sigmoid(P[..., hdim : 2 * hdim], out=P[..., hdim : 2 * hdim])
+        O = None
+        if kind in T_CELL_KINDS:
+            O = np.tanh(P[..., 2 * hdim :], out=P[..., 2 * hdim :])
+        if kind == CellKind.T_GRU:
+            A = Z * O
+        else:
             A = 1.0 - F
             A *= Z
-            C = np.empty((T + 1, B, hdim))
-            C[0] = _zeros_state(B, hdim, c0)
-            for t in range(T):
-                np.multiply(F[t], C[t], out=C[t + 1])
-                C[t + 1] += A[t]
-            out = C[1:] * O
-            return out, LayerTape(
-                kind, X, C=C, X_prev=Xp, XX=XX, xp_last=xp_last, F=F, Z=Z, O=O
-            )
-        A = Z * O
-        H = np.empty((T + 1, B, hdim))
-        H[0] = _zeros_state(B, hdim, h0)
+        S = np.empty((T + 1, B, hdim))
+        S[0] = _zeros_state(B, hdim, c0 if kind == CellKind.T_LSTM else h0)
         for t in range(T):
-            np.multiply(F[t], H[t], out=H[t + 1])
-            H[t + 1] += A[t]
-        return H[1:], LayerTape(
-            kind, X, H=H, X_prev=Xp, XX=XX, xp_last=xp_last, F=F, Z=Z, O=O
-        )
+            np.multiply(F[t], S[t], out=S[t + 1])
+            S[t + 1] += A[t]
+        tape = LayerTape(kind, X, XX=XX, xp_last=xp_last, F=F, Z=Z, O=O)
+        if kind == CellKind.T_LSTM:
+            tape.C = S
+            return S[1:] * O, tape
+        tape.H = S
+        return S[1:], tape
 
     if kind == CellKind.RNN:
         pre_in = _seq_aff(X, params["W"]) + params["b"]

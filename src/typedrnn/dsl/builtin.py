@@ -3,9 +3,10 @@
 Each native architecture has a ``.cell`` file under ``cells/`` expressing the
 same one-step dataflow; ``interp_params`` rewraps a native ``CellParams``
 into the interpreter's per-affine-node keying so spec execution can be
-cross-checked against the native step functions. ``rnn_symmetric`` exists
-only for the checker (a vanilla recurrence whose recurrent matrix is declared
-symmetric); it has no native counterpart.
+cross-checked against ``cells.sequence_forward`` (and, for ``scrn_state``,
+``cells.scrn_state_step``). ``rnn_symmetric`` exists only for the checker (a
+vanilla recurrence whose recurrent matrix is declared symmetric); it has no
+native counterpart.
 """
 
 from __future__ import annotations

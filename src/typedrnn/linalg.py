@@ -1,9 +1,9 @@
 """Dense float64 primitives shared by every other module.
 
-Vectors are 1-d numpy arrays, matrices 2-d row-major, and everything runs in
-64-bit floats. Shape agreement is checked eagerly: silent broadcasting across
-mismatched dimensions is the classic source of untraceable bugs in recurrent
-code, so these helpers refuse it with a ShapeError instead.
+Everything runs in 64-bit floats. ``spectral_norm`` refuses anything but a
+matrix with a ShapeError, the error the cells also raise when operand
+dimensions disagree: silent broadcasting across mismatched dimensions is the
+classic source of untraceable bugs in recurrent code.
 """
 
 from __future__ import annotations
@@ -12,18 +12,9 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
-    "as_matrix",
-    "as_vector",
-    "complement",
-    "coordwise",
-    "coordwise_bin",
-    "matvec",
-    "relu",
-    "scale",
     "sigmoid",
     "softmax",
     "spectral_norm",
-    "tanh",
 ]
 
 
@@ -31,110 +22,17 @@ class ShapeError(ValueError):
     """Raised when operand dimensions do not agree."""
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be 1-d, got shape {arr.shape}")
-    return arr
+def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function via its tanh identity, which never overflows.
 
-
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-d, got shape {arr.shape}")
-    return arr
-
-
-def matvec(m, v) -> np.ndarray:
-    """Matrix-vector product with strict shape checking (no broadcasting)."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ShapeError(
-            f"matvec dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return m @ v
-
-
-def sigmoid(x) -> np.ndarray:
-    """Logistic function via its tanh identity, which never overflows."""
+    With ``out`` (which may be ``x`` itself) the result is written there.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.tanh(0.5 * x)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
-
-
-def tanh(x) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def scale(a: float, x) -> np.ndarray:
-    return float(a) * np.asarray(x, dtype=np.float64)
-
-
-def complement(x) -> np.ndarray:
-    """The map x -> 1 - x, the only affine unary admitted on gated paths."""
-    return 1.0 - np.asarray(x, dtype=np.float64)
-
-
-#: Coordinatewise unary maps addressable by tag (used by the cell-description
-#: interpreter and by tests that enumerate the admissible op set).
-_UNARY = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "complement": complement,
-}
-
-
-def coordwise(tag: str, v, a: float | None = None) -> np.ndarray:
-    """Apply a named coordinatewise unary map to a vector.
-
-    ``tag`` is one of ``sigmoid``, ``tanh``, ``relu``, ``complement`` (1 - x)
-    or ``scale`` (requires the scalar ``a``). Output shape equals input shape.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if tag == "scale":
-        if a is None:
-            raise ValueError("coordwise 'scale' requires the scalar a")
-        return scale(a, v)
-    try:
-        fn = _UNARY[tag]
-    except KeyError:
-        raise ValueError(f"unknown coordinatewise map {tag!r}") from None
-    return fn(v)
-
-
-_BINARY = {
-    "+": np.add,
-    "-": np.subtract,
-    "max": np.maximum,
-    "min": np.minimum,
-    "mul": np.multiply,
-}
-
-
-def coordwise_bin(op: str, u, v) -> np.ndarray:
-    """Coordinatewise binary op on two equal-shape vectors.
-
-    ``op`` is one of ``+``, ``-``, ``max``, ``min``, ``mul`` (the gating
-    product). Shapes must match exactly; no broadcasting.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ShapeError(f"coordwise shapes differ: {u.shape} vs {v.shape}")
-    try:
-        fn = _BINARY[op]
-    except KeyError:
-        raise ValueError(f"unknown coordinatewise op {op!r}") from None
-    return fn(u, v)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:
@@ -147,4 +45,7 @@ def softmax(x, axis: int = -1) -> np.ndarray:
 
 def spectral_norm(m) -> float:
     """Largest singular value of a matrix."""
-    return float(np.linalg.norm(as_matrix(m), 2))
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"matrix must be 2-d, got shape {m.shape}")
+    return float(np.linalg.norm(m, 2))

@@ -16,8 +16,6 @@ from conftest import T_KINDS, TRAIN_KINDS, draw_instance, rand_params
 from typedrnn.autodiff import bptt, finite_diff, sequence_backward, state_jacobian
 from typedrnn.cells import (
     CellKind,
-    CellState,
-    classical_step,
     init_params,
     scrn_state_step,
     sequence_forward,
@@ -173,8 +171,8 @@ def _rnn_horizon_norms(seed: int) -> tuple[list[float], float]:
     norms: list[float] = []
     power_gap = 0.0
     for T in (5, 10, 20):
-        st, _ = classical_step(params, CellState(h=np.zeros((1, 16))), X[0][None, :])
-        _, tape = sequence_forward(params, X[1:T][:, None, :], h0=st.h)
+        h1, _ = sequence_forward(params, X[:1][:, None, :])
+        _, tape = sequence_forward(params, X[1:T][:, None, :], h0=h1[0])
         J = np.empty((16, 16))
         dH = np.zeros((T - 1, 1, 16))
         for i in range(16):

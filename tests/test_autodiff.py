@@ -44,7 +44,8 @@ def test_bptt_matches_finite_differences_per_kind():
 
 def test_bptt_with_per_step_upstream():
     rng = np.random.default_rng(1)
-    for kind in (CellKind.T_LSTM, CellKind.GRU, CellKind.RNN):
+    kinds = (CellKind.T_LSTM, CellKind.GRU, CellKind.RNN, CellKind.T_RNN, CellKind.T_GRU)
+    for kind in kinds:
         params, X = draw_instance(kind, rng, h_max=4, t_max=6, d_max=4)
         dH = rng.uniform(-1.0, 1.0, size=(X.shape[0], 1, params.hidden_dim))
 
@@ -83,7 +84,8 @@ def test_input_gradients_match_finite_differences():
 
 def test_initial_state_gradients():
     rng = np.random.default_rng(3)
-    for kind in (CellKind.T_RNN, CellKind.T_LSTM, CellKind.RNN, CellKind.LSTM):
+    kinds = (CellKind.T_RNN, CellKind.T_LSTM, CellKind.RNN, CellKind.LSTM, CellKind.T_GRU)
+    for kind in kinds:
         params, X = draw_instance(kind, rng, h_max=4, t_max=5, d_max=3)
         h = params.hidden_dim
         h0 = rng.uniform(-0.5, 0.5, size=(1, h))
@@ -156,38 +158,41 @@ def test_stack_backward_matches_finite_differences():
 
 def test_stack_backward_respects_dropout_masks():
     rng = np.random.default_rng(5)
-    layers = [
-        rand_params(CellKind.T_RNN, 3, 4, rng, lo=-0.4, hi=0.4),
-        rand_params(CellKind.T_RNN, 4, 4, rng, lo=-0.4, hi=0.4),
-    ]
-    X = rng.uniform(-1.0, 1.0, size=(5, 2, 3))
-    u = rng.uniform(-1.0, 1.0, size=(5, 2, 4))
-    outs, tape = stack_forward(layers, X, dropout=0.4, rng=np.random.default_rng(6))
-    per_layer, _ = stack_backward(layers, tape, u)
+    for kind in (CellKind.T_RNN, CellKind.T_LSTM):
+        layers = [
+            rand_params(kind, 3, 4, rng, lo=-0.4, hi=0.4),
+            rand_params(kind, 4, 4, rng, lo=-0.4, hi=0.4),
+        ]
+        X = rng.uniform(-1.0, 1.0, size=(5, 2, 3))
+        u = rng.uniform(-1.0, 1.0, size=(5, 2, 4))
+        outs, tape = stack_forward(layers, X, dropout=0.4, rng=np.random.default_rng(6))
+        per_layer, _ = stack_backward(layers, tape, u)
 
-    # With the recorded masks frozen, the pass is a fixed deterministic
-    # function; finite differences through a mask-replaying forward agree.
-    mask = tape.masks[1]
+        # With the recorded masks frozen, the pass is a fixed deterministic
+        # function; finite differences through a mask-replaying forward agree.
+        # For T-LSTM, layer 0's gradients reach it through both the masked
+        # W-side input of layer 1 and its unmasked previous-input stream.
+        mask = tape.masks[1]
 
-    def replay(ls):
-        o0, _ = sequence_forward(ls[0], X)
-        o1, _ = sequence_forward(ls[1], o0 * mask)
-        return o1
+        def replay(ls):
+            o0, _ = sequence_forward(ls[0], X)
+            o1, _ = sequence_forward(ls[1], o0 * mask, x_prev_src=o0)
+            return o1
 
-    eps = 1e-6
-    for li in (0, 1):
-        arr = layers[li].tensors["W"]
-        for k in (0, arr.size - 1):
-            flat = arr.reshape(-1)
-            orig = flat[k]
-            flat[k] = orig + eps
-            op = replay(layers)
-            flat[k] = orig - eps
-            om = replay(layers)
-            flat[k] = orig
-            fd = float(np.sum(u * (op - om))) / (2 * eps)
-            got = per_layer[li]["W"].reshape(-1)[k]
-            assert abs(got - fd) < 1e-5 * max(1.0, abs(fd)), li
+        eps = 1e-6
+        for li in (0, 1):
+            for name, arr in layers[li].tensors.items():
+                for k in (0, arr.size - 1):
+                    flat = arr.reshape(-1)
+                    orig = flat[k]
+                    flat[k] = orig + eps
+                    op = replay(layers)
+                    flat[k] = orig - eps
+                    om = replay(layers)
+                    flat[k] = orig
+                    fd = float(np.sum(u * (op - om))) / (2 * eps)
+                    got = per_layer[li][name].reshape(-1)[k]
+                    assert abs(got - fd) < 1e-5 * max(1.0, abs(fd)), (kind, li, name)
 
 
 def test_global_norm_and_clip():
@@ -215,7 +220,7 @@ def test_global_norm_and_clip():
 
 def test_state_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
-    for kind in (CellKind.T_RNN, CellKind.T_LSTM, CellKind.RNN):
+    for kind in (CellKind.T_RNN, CellKind.T_LSTM, CellKind.RNN, CellKind.T_GRU):
         params, X3 = draw_instance(kind, rng, h_max=4, t_max=5, d_max=3)
         X = X3[:, 0, :]
         h = params.hidden_dim

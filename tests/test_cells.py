@@ -1,4 +1,4 @@
-"""Cell updates: single steps, batched sequence runs, stacks, and carries."""
+"""Cell parameters, batched sequence runs, stacks, and carries."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from conftest import TRAIN_KINDS, rand_params
 
 from typedrnn.cells import (
     CellKind,
-    CellState,
     LayerCarry,
-    classical_step,
     init_params,
     param_shapes,
     scrn_state_step,
@@ -16,10 +14,6 @@ from typedrnn.cells import (
     stack_carry_out,
     stack_forward,
     stacked_learnware,
-    tgru_step,
-    tlstm_step,
-    tmr_step,
-    trnn_step,
 )
 from typedrnn.linalg import ShapeError
 
@@ -67,56 +61,6 @@ def test_init_params_identity_and_forget_bias():
     assert np.all(q["b_f"] == 1.0) and np.all(q["b_z"] == 0.0)
     r = init_params(CellKind.T_RNN, 4, 6, rng, forget_bias=2.0)
     assert np.all(r["b"] == 2.0)
-
-
-def _step_rollout(params, X):
-    """Drive the per-step functions over unbatched X (T, d)."""
-    kind = params.kind
-    T, d = X.shape
-    h = params.hidden_dim
-    outs = np.empty((T, h))
-    if kind == CellKind.T_RNN:
-        hv = np.zeros(h)
-        for t in range(T):
-            hv, _ = trnn_step(params, hv, X[t])
-            outs[t] = hv
-    elif kind == CellKind.T_LSTM:
-        st = CellState(h=np.zeros(h), c=np.zeros(h))
-        for t in range(T):
-            xp = X[t - 1] if t > 0 else np.zeros(d)
-            st, _ = tlstm_step(params, st, xp, X[t])
-            outs[t] = st.h
-    elif kind == CellKind.T_GRU:
-        hv = np.zeros(h)
-        for t in range(T):
-            xp = X[t - 1] if t > 0 else np.zeros(d)
-            hv, _ = tgru_step(params, hv, xp, X[t])
-            outs[t] = hv
-    elif kind == CellKind.T_MR:
-        hv = np.zeros(h)
-        for t in range(T):
-            hv, _ = tmr_step(params, hv, X[t])
-            outs[t] = hv
-    else:
-        st = CellState(h=np.zeros(h), c=np.zeros(h))
-        for t in range(T):
-            st, _ = classical_step(params, st, X[t])
-            outs[t] = st.h
-    return outs
-
-
-def test_sequence_forward_matches_step_functions():
-    rng = np.random.default_rng(2)
-    for kind in TRAIN_KINDS:
-        for _ in range(5):
-            h = int(rng.integers(2, 7))
-            d = int(rng.integers(2, 6))
-            T = int(rng.integers(1, 9))
-            params = rand_params(kind, d, h, rng)
-            X = rng.uniform(-1.0, 1.0, size=(T, d))
-            ref = _step_rollout(params, X)
-            out, _ = sequence_forward(params, X[:, None, :])
-            assert np.max(np.abs(out[:, 0] - ref)) < 1e-13, kind
 
 
 def test_sequence_forward_batch_matches_per_example():

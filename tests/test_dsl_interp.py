@@ -38,21 +38,22 @@ def _state_dim(params):
 
 @pytest.mark.parametrize("kind", TRAIN_KINDS)
 def test_interpreter_matches_native_cells(kind):
+    """The interpreter is the per-step reference for every native cell."""
     rng = np.random.default_rng(0)
     spec = builtin_spec(kind.value)
     states, inputs = port_names(kind)
     out_name = "h" if kind == CellKind.T_LSTM else states[0] + "'"
-    for _ in range(6):
+    for _ in range(11):
         h = int(rng.integers(2, 7))
         d = int(rng.integers(2, 6))
-        T = int(rng.integers(1, 8))
+        T = int(rng.integers(1, 9))
         params = rand_params(kind, d, h, rng)
         X = rng.uniform(-1.0, 1.0, size=(T, d))
         native, _ = sequence_forward(params, X[:, None, :])
         got = interp_rollout(
             spec, interp_params(params), X, states, inputs, out_name
         )
-        assert np.max(np.abs(got - native[:, 0])) < 1e-12
+        assert np.max(np.abs(got - native[:, 0])) < 1e-13
 
 
 def test_interpreter_matches_scrn_state_step():
