@@ -115,8 +115,6 @@ T_CELL_KINDS = (CellKind.T_LSTM, CellKind.T_GRU)
 #: Kinds run as one learnware product followed by one diagonal scan.
 SCAN_KINDS = (CellKind.T_RNN, CellKind.T_LSTM, CellKind.T_GRU)
 
-_GATED = (CellKind.LSTM, CellKind.GRU, CellKind.T_LSTM, CellKind.T_GRU)
-
 
 def param_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> dict[str, tuple]:
     """Tensor names and shapes for a cell, in canonical (serialization) order."""
@@ -176,7 +174,6 @@ def init_params(
     hidden_dim: int,
     rng: np.random.Generator,
     scheme: str = "uniform008",
-    forget_bias: float = 0.0,
 ) -> CellParams:
     """Initialize cell parameters.
 
@@ -184,9 +181,7 @@ def init_params(
     ``identity`` (classical RNN only) sets the recurrent matrix to I instead.
     Exceptions to the uniform rule: the T-MR multiplicative memory vector b
     starts at 1 (identity memory) and the SCRN leak alpha at 0.95, both of
-    which are ordinary trainable tensors afterwards. ``forget_bias`` is added
-    to the forget-gate bias of gated cells (the single bias of T-RNN plays
-    that role).
+    which are ordinary trainable tensors afterwards.
     """
     kind = CellKind(kind)
     if scheme not in ("uniform008", "identity"):
@@ -206,11 +201,6 @@ def init_params(
                 tensors[name] = rng.uniform(-0.08, 0.08, size=shape)
         else:
             tensors[name] = np.zeros(shape)
-    if forget_bias:
-        if kind in _GATED:
-            tensors["b_f"] = tensors["b_f"] + forget_bias
-        elif kind == CellKind.T_RNN:
-            tensors["b"] = tensors["b"] + forget_bias
     return CellParams(kind, input_dim, hidden_dim, tensors)
 
 

@@ -4,9 +4,10 @@ typecheck, and bench subcommands over the library.
 Exit codes: 0 success, 1 usage error, 2 check failure (a gradcheck/semcheck
 assertion failed, or a cell description is ill-typed / unparseable), 3
 runtime or data error (unreadable files, corpus too small, divergence,
-malformed checkpoints). Every subcommand is deterministic for a fixed
-``--seed`` when single-threaded; ``--threads`` opts train and bench into
-batch-parallel execution.
+malformed checkpoints). Every subcommand runs on one Python thread; the only
+parallelism is the BLAS library's threads inside the products (set
+``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``). With one BLAS thread every
+subcommand is bitwise deterministic for a fixed ``--seed``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=("uniform008", "identity"), default="uniform008",
                    help="weight init: uniform(-0.08, 0.08), or identity recurrence "
                    "for rnn (default uniform008)")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="batch-parallel worker threads (default 1, deterministic)")
     p.add_argument("--log-every", type=int, default=100, metavar="N",
                    help="steps between metrics rows (default 100)")
     p.add_argument("--out", metavar="CKPT", help="checkpoint output path")
@@ -286,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timed repetitions, after one warmup (default 20)")
     p.add_argument("--batch", type=int, default=32, metavar="N",
                    help="parallel sequences (default 32)")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="batch-parallel worker threads (default 1)")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="RNG seed (default 0)")
     p.set_defaults(func=_cmd_bench)
@@ -325,7 +321,6 @@ def _cmd_train(args) -> int:
         dropout=args.dropout,
         seed=args.seed,
         init=args.init,
-        threads=args.threads,
         log_every=args.log_every,
     )
     model, metrics = train(config, corpus)
@@ -499,47 +494,24 @@ def _bench_ms(
     batch: int,
     reps: int,
     seed: int,
-    threads: int,
 ) -> float:
     rng = np.random.default_rng(seed)
     params = _rand_params(kind, hidden, hidden, rng)
     X = rng.uniform(-1.0, 1.0, size=(steps, batch, hidden))
     dH = np.full((steps, batch, hidden), 1.0 / (steps * batch))
-
-    if threads > 1 and batch >= 2 * threads:
-        n = min(threads, batch)
-        bounds = [round(i * batch / n) for i in range(n + 1)]
-
-        def one_chunk(i: int) -> None:
-            lo, hi = bounds[i], bounds[i + 1]
-            _, tape = sequence_forward(params, X[:, lo:hi])
-            sequence_backward(params, tape, dH[:, lo:hi])
-
-        pool = ThreadPoolExecutor(max_workers=n)
-        try:
-            list(pool.map(one_chunk, range(n)))  # warmup
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                list(pool.map(one_chunk, range(n)))
-            elapsed = time.perf_counter() - t0
-        finally:
-            pool.shutdown()
-    else:
+    _, tape = sequence_forward(params, X)
+    sequence_backward(params, tape, dH)  # warmup
+    t0 = time.perf_counter()
+    for _ in range(reps):
         _, tape = sequence_forward(params, X)
-        sequence_backward(params, tape, dH)  # warmup
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            _, tape = sequence_forward(params, X)
-            sequence_backward(params, tape, dH)
-        elapsed = time.perf_counter() - t0
-    return elapsed / (reps * steps) * 1000.0
+        sequence_backward(params, tape, dH)
+    return (time.perf_counter() - t0) / (reps * steps) * 1000.0
 
 
 def _cmd_bench(args) -> int:
     kind = _kind(args.arch)
     ms = _bench_ms(
-        kind, args.hidden, args.steps, args.batch, args.reps,
-        args.seed, args.threads,
+        kind, args.hidden, args.steps, args.batch, args.reps, args.seed
     )
     setup = (
         f"hidden={args.hidden} steps={args.steps} batch={args.batch} "
@@ -549,7 +521,7 @@ def _cmd_bench(args) -> int:
     if kind == CellKind.T_LSTM:
         ms_lstm = _bench_ms(
             CellKind.LSTM, args.hidden, args.steps, args.batch, args.reps,
-            args.seed, args.threads,
+            args.seed,
         )
         print(f"lstm: {ms_lstm:.4f} ms/step forward+backward ({setup})")
         print(f"t-lstm:lstm speedup {ms_lstm / ms:.2f}x")

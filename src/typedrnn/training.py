@@ -19,10 +19,10 @@ are the same on every machine.
 
 The optimizer is plain SGD with optional global-norm clipping and a
 multiplicative per-epoch learning-rate decay that starts after a configured
-epoch. Runs are deterministic for a fixed seed when ``threads`` is 1; the
-thread-parallel mode splits each batch into stream chunks, processes them
-concurrently, and reduces gradients in fixed chunk order (losses still exact,
-scheduling nondeterminism may change dropout draws).
+epoch. Each window is one forward and backward pass over the whole batch;
+the only parallelism is the BLAS library's own threads inside the large
+products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``). With one BLAS
+thread a run is bitwise deterministic for a fixed config, corpus and seed.
 
 A non-finite loss or gradient norm aborts training with a diagnostic
 recording the epoch, step, loss, and gradient norm.
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,6 +100,8 @@ class TrainConfig:
     dropout: float = 0.0
     seed: int = 0
     init: str = "uniform008"
+    # Only 1 is accepted. The field stays because the benchmark harness
+    # passes ``threads=1``; drop both together when the benchmark changes.
     threads: int = 1
     log_every: int = 100
 
@@ -110,9 +111,14 @@ class TrainConfig:
             raise ValueError(f"architecture {self.arch.value!r} is not trainable")
         if self.level not in ("char", "word"):
             raise ValueError(f"level must be 'char' or 'word', got {self.level!r}")
-        for name in ("layers", "hidden", "seq_len", "batch", "epochs", "threads"):
+        for name in ("layers", "hidden", "seq_len", "batch", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.threads != 1:
+            raise ValueError(
+                "threads must be 1; set OPENBLAS_NUM_THREADS (or "
+                "OMP_NUM_THREADS) for parallel BLAS products instead"
+            )
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
@@ -318,89 +324,6 @@ def _window_pass(
     return loss, grads, stack_carry_out(model.layers, tape)
 
 
-def _slice_carry(
-    carry: list[LayerCarry] | None, lo: int, hi: int
-) -> list[LayerCarry] | None:
-    if carry is None:
-        return None
-    out = []
-    for c in carry:
-        out.append(
-            LayerCarry(
-                h=None if c.h is None else c.h[lo:hi],
-                c=None if c.c is None else c.c[lo:hi],
-                x_prev=None if c.x_prev is None else c.x_prev[lo:hi],
-            )
-        )
-    return out
-
-
-def _merge_carries(chunks: list[list[LayerCarry]]) -> list[LayerCarry]:
-    merged = []
-    for per_layer in zip(*chunks):
-        merged.append(
-            LayerCarry(
-                h=None
-                if per_layer[0].h is None
-                else np.concatenate([c.h for c in per_layer]),
-                c=None
-                if per_layer[0].c is None
-                else np.concatenate([c.c for c in per_layer]),
-                x_prev=None
-                if per_layer[0].x_prev is None
-                else np.concatenate([c.x_prev for c in per_layer]),
-            )
-        )
-    return merged
-
-
-def _step(
-    model: Model,
-    X_ids: np.ndarray,
-    Y_ids: np.ndarray,
-    carry: list[LayerCarry] | None,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    pool: ThreadPoolExecutor | None,
-) -> tuple[float, dict[str, np.ndarray], list[LayerCarry]]:
-    B = X_ids.shape[1]
-    if pool is None or config.threads <= 1 or B < 2 * config.threads:
-        drop_rng = rng if config.dropout > 0.0 else None
-        return _window_pass(model, X_ids, Y_ids, carry, config.dropout, drop_rng)
-
-    n = min(config.threads, B)
-    bounds = [round(i * B / n) for i in range(n + 1)]
-    seeds = [int(rng.integers(2**63)) for _ in range(n)]
-
-    def run(i: int):
-        lo, hi = bounds[i], bounds[i + 1]
-        chunk_rng = (
-            np.random.default_rng(seeds[i]) if config.dropout > 0.0 else None
-        )
-        return _window_pass(
-            model,
-            X_ids[:, lo:hi],
-            Y_ids[:, lo:hi],
-            _slice_carry(carry, lo, hi),
-            config.dropout,
-            chunk_rng,
-        )
-
-    results = list(pool.map(run, range(n)))
-    total = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for i, (loss_i, grads_i, _) in enumerate(results):
-        w = (bounds[i + 1] - bounds[i]) / B
-        total += w * loss_i
-        for name, g in grads_i.items():
-            if name in grads:
-                grads[name] += w * g
-            else:
-                grads[name] = w * g
-    carry_out = _merge_carries([r[2] for r in results])
-    return total, grads, carry_out
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -461,7 +384,8 @@ class Metrics:
 def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
     """Train a model on ``corpus.train``, validating once per epoch.
 
-    Deterministic for a fixed config and corpus when threads == 1. Raises
+    Bitwise deterministic for a fixed config and corpus when BLAS runs one
+    thread; more BLAS threads may reorder sums in the products. Raises
     TrainingDiverged if the loss or gradient norm becomes non-finite.
     """
     if corpus.level != config.level:
@@ -472,56 +396,48 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
     model = build_model(config, corpus.vocab, rng)
     metrics = Metrics()
     tensors = model.tensors()
-    pool = (
-        ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    )
-    try:
-        step = 0
-        for epoch in range(1, config.epochs + 1):
-            lr = config.lr_for_epoch(epoch)
-            carry: list[LayerCarry] | None = None
-            loss_sum = 0.0
-            norm_sum = 0.0
-            n_steps = 0
-            epoch_t0 = time.perf_counter()
-            for X_ids, Y_ids in batch_iter(
-                corpus.train, config.seq_len, config.batch
-            ):
-                t0 = time.perf_counter()
-                loss, grads, carry = _step(
-                    model, X_ids, Y_ids, carry, config, rng, pool
-                )
-                grads, grad_norm = clip_global_norm(grads, config.clip)
-                step += 1
-                if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-                    raise TrainingDiverged(epoch, step, loss, grad_norm)
-                for name, g in grads.items():
-                    tensors[name] -= lr * g
-                loss_sum += loss
-                norm_sum += grad_norm
-                n_steps += 1
-                if step % config.log_every == 0:
-                    wall = (time.perf_counter() - t0) * 1000.0
-                    metrics.log(epoch, step, "train", loss, grad_norm, wall)
-            if n_steps == 0:
-                raise DataError("training split yields no windows")
-            epoch_wall = (time.perf_counter() - epoch_t0) * 1000.0
-            metrics.log(
-                epoch, step, "train", loss_sum / n_steps, norm_sum / n_steps,
-                epoch_wall,
-            )
+    drop_rng = rng if config.dropout > 0.0 else None
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        lr = config.lr_for_epoch(epoch)
+        carry: list[LayerCarry] | None = None
+        loss_sum = 0.0
+        norm_sum = 0.0
+        n_steps = 0
+        epoch_t0 = time.perf_counter()
+        for X_ids, Y_ids in batch_iter(corpus.train, config.seq_len, config.batch):
             t0 = time.perf_counter()
-            val_loss, _ = evaluate(
-                model, corpus, "valid",
-                seq_len=config.seq_len, batch=config.batch,
+            loss, grads, carry = _window_pass(
+                model, X_ids, Y_ids, carry, config.dropout, drop_rng
             )
-            metrics.log(
-                epoch, step, "val", val_loss, 0.0,
-                (time.perf_counter() - t0) * 1000.0,
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            grads, grad_norm = clip_global_norm(grads, config.clip)
+            step += 1
+            if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+                raise TrainingDiverged(epoch, step, loss, grad_norm)
+            for name, g in grads.items():
+                tensors[name] -= lr * g
+            loss_sum += loss
+            norm_sum += grad_norm
+            n_steps += 1
+            if step % config.log_every == 0:
+                wall = (time.perf_counter() - t0) * 1000.0
+                metrics.log(epoch, step, "train", loss, grad_norm, wall)
+        if n_steps == 0:
+            raise DataError("training split yields no windows")
+        epoch_wall = (time.perf_counter() - epoch_t0) * 1000.0
+        metrics.log(
+            epoch, step, "train", loss_sum / n_steps, norm_sum / n_steps,
+            epoch_wall,
+        )
+        t0 = time.perf_counter()
+        val_loss, _ = evaluate(
+            model, corpus, "valid",
+            seq_len=config.seq_len, batch=config.batch,
+        )
+        metrics.log(
+            epoch, step, "val", val_loss, 0.0,
+            (time.perf_counter() - t0) * 1000.0,
+        )
     return model, metrics
 
 

@@ -377,7 +377,7 @@ def test_criterion_08_training_matrix(smoke_corpus):
             arch=kind, layers=2, hidden=64, level="char", seq_len=50,
             batch=32, epochs=5, lr=0.25, lr_decay=0.7, decay_start=1,
             clip=2.5, dropout=0.0, seed=0, init="uniform008",
-            threads=1, log_every=500,
+            log_every=500,
         )
         _, metrics = train(config, corpus)
         finals[kind] = _final_train_losses(metrics)[-1]
@@ -395,7 +395,7 @@ def test_criterion_09_tlstm_stable_without_clipping(smoke_corpus):
         arch=CellKind.T_LSTM, layers=2, hidden=64, level="char", seq_len=50,
         batch=32, epochs=1, lr=0.1, lr_decay=1.0, decay_start=1,
         clip=None, dropout=0.0, seed=0, init="uniform008",
-        threads=1, log_every=25,
+        log_every=25,
     )
     _, metrics = train(config, corpus)
     losses = np.array([r.loss_nats for r in metrics.rows])

@@ -49,7 +49,7 @@ def test_init_params_uniform008():
     assert float(s["alpha"]) == 0.95
 
 
-def test_init_params_identity_and_forget_bias():
+def test_init_params_identity_scheme():
     rng = np.random.default_rng(1)
     p = init_params(CellKind.RNN, 4, 6, rng, scheme="identity")
     assert np.array_equal(p["V"], np.eye(6))
@@ -57,10 +57,6 @@ def test_init_params_identity_and_forget_bias():
         init_params(CellKind.T_RNN, 4, 6, rng, scheme="identity")
     with pytest.raises(ValueError):
         init_params(CellKind.RNN, 4, 6, rng, scheme="xavier")
-    q = init_params(CellKind.LSTM, 4, 6, rng, forget_bias=1.0)
-    assert np.all(q["b_f"] == 1.0) and np.all(q["b_z"] == 0.0)
-    r = init_params(CellKind.T_RNN, 4, 6, rng, forget_bias=2.0)
-    assert np.all(r["b"] == 2.0)
 
 
 def test_sequence_forward_batch_matches_per_example():

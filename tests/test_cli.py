@@ -42,6 +42,7 @@ def test_no_command_is_a_usage_error(capsys):
 
 def test_unknown_flag_is_a_usage_error(capsys):
     assert main(["train", "--arch", "rnn", "--frobnicate"]) == 1
+    assert main(["train", "--arch", "rnn", "--threads", "2"]) == 1
     capsys.readouterr()
 
 

@@ -59,6 +59,8 @@ def test_train_config_validation():
         TrainConfig(arch="t_rnn", clip=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(arch="t_rnn", init="he")
+    with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):
+        TrainConfig(arch="t_rnn", threads=2)
 
 
 def test_lr_schedule():
@@ -257,12 +259,18 @@ def test_training_learns_an_alternating_corpus():
 def test_training_is_deterministic_under_seed():
     text = synthetic_corpus(8_000, seed=2)
     corpus = _tiny_corpus(text)
-    cfg = TrainConfig(arch="t_gru", hidden=10, seq_len=20, batch=4, epochs=1, seed=5)
-    m1, k1 = train(cfg, corpus)
-    m2, k2 = train(cfg, corpus)
-    for (n1, t1), (n2, t2) in zip(m1.tensors().items(), m2.tensors().items()):
-        assert n1 == n2 and np.array_equal(t1, t2)
-    assert [r.loss_nats for r in k1.rows] == [r.loss_nats for r in k2.rows]
+    base = dict(hidden=10, seq_len=20, batch=4, epochs=1, seed=5)
+    # the 2-layer dropout run covers the x_prev carry and the mask draws
+    for cfg in (
+        TrainConfig(arch="t_gru", **base),
+        TrainConfig(arch="t_lstm", layers=2, dropout=0.25, log_every=10, **base),
+    ):
+        m1, k1 = train(cfg, corpus)
+        m2, k2 = train(cfg, corpus)
+        for (n1, t1), (n2, t2) in zip(m1.tensors().items(), m2.tensors().items()):
+            assert n1 == n2 and np.array_equal(t1, t2), n1
+        assert [r.loss_nats for r in k1.rows] == [r.loss_nats for r in k2.rows]
+        assert [r.grad_norm for r in k1.rows] == [r.grad_norm for r in k2.rows]
 
 
 def test_training_diverges_loudly_at_huge_lr():
@@ -387,21 +395,3 @@ def test_evaluate_clamps_perplexity_of_a_huge_loss():
     loss, ppl = evaluate(model, corpus, "valid", seq_len=20, batch=4)
     assert math.isfinite(loss) and loss > 709.0
     assert ppl == math.inf
-
-
-def test_threaded_training_matches_single_thread():
-    text = synthetic_corpus(8_000, seed=6)
-    corpus = _tiny_corpus(text)
-    base = dict(arch="t_rnn", hidden=8, seq_len=20, batch=4, epochs=1, seed=2)
-    m1, k1 = train(TrainConfig(**base), corpus)
-    m2, k2 = train(TrainConfig(threads=2, **base), corpus)
-    # chunked reduction reorders float additions, so agreement is close but
-    # not bitwise
-    for (n1, t1), (n2, t2) in zip(m1.tensors().items(), m2.tensors().items()):
-        assert np.max(np.abs(t1 - t2)) < 1e-8, n1
-    l1 = [r.loss_nats for r in k1.rows]
-    l2 = [r.loss_nats for r in k2.rows]
-    assert np.max(np.abs(np.array(l1) - np.array(l2))) < 1e-8
-    m3, k3 = train(TrainConfig(threads=2, **base), corpus)
-    for (n2, t2), (n3, t3) in zip(m2.tensors().items(), m3.tensors().items()):
-        assert np.array_equal(t2, t3), n2
