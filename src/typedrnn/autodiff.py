@@ -9,8 +9,9 @@ T-RNN, T-LSTM and T-GRU share one backward, the mirror of their shared
 forward: one reverse scan ``G[t] = dS[t] + F[t] (*) G[t+1]`` for the gradient
 on the scanned state, one coordinatewise pass back through the gate maps into
 the stacked pre-activation gradient ``DP``, and one matrix multiply each for
-the stacked-learnware gradient and the input gradient. ``_split_learnware``
-then hands the stacked gradient back to the named tensors. The classical
+the gradient on the stacked learnware block ``CellParams.U`` and the input
+gradient. The named parameter gradients are views of the block gradient,
+laid out by ``cells.learnware_views`` as the parameters are. The classical
 cells and T-MR keep their own loops, as in the forward.
 
 Conventions: upstream gradients arrive per output step as dH (T, B, h);
@@ -33,8 +34,8 @@ from .cells import (
     LayerTape,
     SCAN_KINDS,
     StackTape,
+    learnware_views,
     sequence_forward,
-    stacked_learnware,
 )
 
 __all__ = [
@@ -71,23 +72,6 @@ class Grads:
         total = self.dX.copy()
         total[:-1] += self.dX_prev[1:]
         return total, self.dX_prev[0].copy()
-
-
-def _split_learnware(
-    params: CellParams, gU: np.ndarray, gbias: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Inverse of ``cells.stacked_learnware``: gradients on the stacked block
-    and bias, split back onto the named tensors in canonical order."""
-    h, d = params.hidden_dim, params.input_dim
-    if params.kind == CellKind.T_RNN:
-        return {"W": gU[:h].copy(), "V": gU[h:].copy(), "b": gbias[h:]}
-    grads = {}
-    for i, g in enumerate(("z", "f", "o")):
-        rows = slice(i * h, (i + 1) * h)
-        grads[f"V_{g}"] = gU[rows, :d].copy()
-        grads[f"W_{g}"] = gU[rows, d:].copy()
-        grads[f"b_{g}"] = gbias[rows]
-    return {k: grads[k] for k in params.tensors}
 
 
 def _fold(D: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -150,11 +134,10 @@ def sequence_backward(
             else:
                 np.multiply(G, Z, out=dPo)
             dPo *= 1.0 - O * O
-        U, _ = stacked_learnware(params)
         D2 = DP.reshape(T * B, -1)
         gU = D2.T @ tape.XX.reshape(T * B, -1)
-        grads = _split_learnware(params, gU, DP.sum(axis=(0, 1)))
-        dXX = (D2 @ U).reshape(T, B, -1)
+        grads = learnware_views(kind, gU, DP.sum(axis=(0, 1)), params.input_dim)
+        dXX = (D2 @ params.U).reshape(T, B, -1)
         boundary = {"dc0": g} if lstm else {"dh0": g}
         if kind == CellKind.T_RNN:
             return Grads(grads, dXX, **boundary)
@@ -352,7 +335,7 @@ def finite_diff(params, loss_fn, eps: float = 1e-5) -> dict[str, np.ndarray]:
     probe = CellParams(params.kind, params.input_dim, params.hidden_dim, work) \
         if is_cell else work
     grads: dict[str, np.ndarray] = {}
-    for name, arr in work.items():
+    for name, arr in (probe.tensors if is_cell else work).items():
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"], op_flags=["readwrite"])
         while not it.finished:

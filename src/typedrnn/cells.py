@@ -38,11 +38,11 @@ matrices inside the step. Update rules, writing s for sigmoid, tau for tanh,
     SCRN     s' = alpha * s + (1 - alpha) * (W_s x_t) (alpha a scalar in (0,1))
 
 Every typed cell except T-MR splits into stateless learnware and
-state-dependent firmware. The learnware is one matrix multiply of the stacked
-matrices (``stacked_learnware``) against the whole window's inputs at once:
-``x_t`` for T-RNN, ``[x_{t-1}; x_t]`` for T-LSTM and T-GRU. Its result maps
-coordinatewise to a forget gate F and an increment A, and the firmware is one
-diagonal linear scan, the same for all three kinds:
+state-dependent firmware. The learnware is one stacked block (``CellParams.U``;
+the named tensors are views of it), multiplied in one product with the whole
+window's inputs: ``x_t`` for T-RNN, ``[x_{t-1}; x_t]`` for T-LSTM and T-GRU. Its
+result maps coordinatewise to a forget gate F and an increment A, and the
+firmware is one diagonal linear scan, the same for all three kinds:
 
     s_t = f_t (*) s_{t-1} + a_t
 
@@ -79,6 +79,7 @@ __all__ = [
     "TRAINABLE_KINDS",
     "T_CELL_KINDS",
     "init_params",
+    "learnware_views",
     "param_shapes",
     "scrn_state_step",
     "sequence_forward",
@@ -146,12 +147,33 @@ def param_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> dict[str, t
 
 @dataclass
 class CellParams:
-    """Parameters of one cell layer. ``tensors`` preserves canonical order."""
+    """Parameters of one cell layer. ``tensors`` preserves canonical order.
+
+    A T-RNN, T-LSTM or T-GRU copies the given arrays into one stacked
+    learnware block ``U`` with bias ``bias`` (see ``learnware_views``), and
+    its ``tensors`` are views of that block: update them in place. Other
+    kinds keep the given arrays, with ``U`` and ``bias`` None.
+    """
 
     kind: CellKind
     input_dim: int
     hidden_dim: int
     tensors: dict[str, np.ndarray]
+    U: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    bias: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in SCAN_KINDS:
+            return
+        rows, cols = (2, 1) if self.kind == CellKind.T_RNN else (3, 2)
+        self.U = np.empty((rows * self.hidden_dim, cols * self.input_dim))
+        self.bias = np.zeros(rows * self.hidden_dim)
+        views = learnware_views(self.kind, self.U, self.bias, self.input_dim)
+        for name, view in views.items():
+            if np.shape(self.tensors[name]) != view.shape:
+                raise ShapeError(f"{name} must have shape {view.shape}")
+            view[...] = self.tensors[name]
+        self.tensors = views
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -166,6 +188,28 @@ class CellParams:
             self.hidden_dim,
             {k: v.copy() for k, v in self.tensors.items()},
         )
+
+
+def learnware_views(
+    kind: CellKind, U: np.ndarray, bias: np.ndarray, input_dim: int
+) -> dict[str, np.ndarray]:
+    """Named views, in canonical order, of a scan cell's stacked learnware
+    block (or of a gradient on it). T-LSTM / T-GRU: U is (3h, 2d), rows z, f,
+    o and columns [V | W] (previous input, current input); bias is (3h,).
+    T-RNN: U is (2h, d) over [W; V]; bias is (2h,), and its z half is no
+    tensor's (z carries no bias).
+    """
+    if kind == CellKind.T_RNN:
+        h = U.shape[0] // 2
+        return {"W": U[:h], "V": U[h:], "b": bias[h:]}
+    h, d = U.shape[0] // 3, input_dim
+    views = {}
+    for i, g in enumerate(("z", "f", "o")):
+        rows = slice(i * h, (i + 1) * h)
+        views[f"V_{g}"] = U[rows, :d]
+        views[f"W_{g}"] = U[rows, d:]
+        views[f"b_{g}"] = bias[rows]
+    return views
 
 
 def init_params(
@@ -258,33 +302,6 @@ def _seq_aff(X: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (X.reshape(T * B, d) @ m.T).reshape(T, B, m.shape[0])
 
 
-def stacked_learnware(params: CellParams) -> tuple[np.ndarray, np.ndarray]:
-    """Learned matrices of a T-cell fused into one block.
-
-    For T-LSTM / T-GRU returns U of shape (3h, 2d) whose rows are the z, f, o
-    blocks and whose columns split into the V (previous-input) and W
-    (current-input) halves, plus the stacked bias (3h,). For T-RNN the block
-    is (2h, d) over [W; V] with a zero bias on the z half (z carries no
-    bias). One matrix multiply against the stacked inputs then evaluates the
-    whole learnware.
-    """
-    if params.kind == CellKind.T_RNN:
-        U = np.concatenate([params["W"], params["V"]], axis=0)
-        bias = np.concatenate([np.zeros(params.hidden_dim), params["b"]])
-        return U, bias
-    if params.kind not in T_CELL_KINDS:
-        raise ValueError(f"no stacked learnware for kind {params.kind!r}")
-    U = np.concatenate(
-        [
-            np.concatenate([params[f"V_{g}"], params[f"W_{g}"]], axis=1)
-            for g in ("z", "f", "o")
-        ],
-        axis=0,
-    )
-    bias = np.concatenate([params[f"b_{g}"] for g in ("z", "f", "o")])
-    return U, bias
-
-
 def _zeros_state(B: int, h: int, like: np.ndarray | None) -> np.ndarray:
     if like is None:
         return np.zeros((B, h))
@@ -334,9 +351,8 @@ def sequence_forward(
             XX[1:, :, :d] = src[:-1]
             XX[:, :, d:] = X
             xp_last = src[-1].copy()
-        U, bias = stacked_learnware(params)
-        P = XX.reshape(T * B, -1) @ U.T
-        P += bias
+        P = XX.reshape(T * B, -1) @ params.U.T
+        P += params.bias
         P = P.reshape(T, B, -1)
         Z = P[..., :hdim]
         F = sigmoid(P[..., hdim : 2 * hdim], out=P[..., hdim : 2 * hdim])

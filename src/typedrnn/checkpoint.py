@@ -15,9 +15,9 @@ Layout, all integers little-endian:
             rank-0..n float64 data, little-endian, row-major
 
 There is no tensor-count field; the reader consumes records until EOF and
-rejects truncated files. Loading refuses unknown magic or version; shape
-validation against an architecture happens when a model is rebuilt from the
-checkpoint. Round-trips are bit-exact.
+rejects truncated files. Loading refuses unknown magic or version and names
+any tensor holding NaN or infinity; shape validation against an architecture
+happens when a model is rebuilt from the checkpoint. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             count *= dim
         raw = r.take(8 * count, f"data of {name}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
     return Checkpoint(
         arch=_ARCH_FROM_CODE[arch_code],
         level=_LEVEL_FROM_CODE[level_code],

@@ -488,43 +488,40 @@ def _cmd_typecheck(args) -> int:
 
 
 def _bench_ms(
-    kind: CellKind,
-    hidden: int,
-    steps: int,
-    batch: int,
-    reps: int,
-    seed: int,
-) -> float:
-    rng = np.random.default_rng(seed)
-    params = _rand_params(kind, hidden, hidden, rng)
-    X = rng.uniform(-1.0, 1.0, size=(steps, batch, hidden))
+    kinds: list[CellKind], hidden: int, steps: int, batch: int, reps: int, seed: int
+) -> list[float]:
+    """Median ms per step of forward plus backward for each kind, after one
+    untimed run each. The kinds take turns within every rep, in an order that
+    flips from rep to rep, so drift in machine speed falls on all alike."""
+    runs = []
+    for kind in kinds:
+        rng = np.random.default_rng(seed)
+        params = _rand_params(kind, hidden, hidden, rng)
+        runs.append((params, rng.uniform(-1.0, 1.0, size=(steps, batch, hidden)), []))
     dH = np.full((steps, batch, hidden), 1.0 / (steps * batch))
-    _, tape = sequence_forward(params, X)
-    sequence_backward(params, tape, dH)  # warmup
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        _, tape = sequence_forward(params, X)
-        sequence_backward(params, tape, dH)
-    return (time.perf_counter() - t0) / (reps * steps) * 1000.0
+    for rep in range(reps + 1):  # rep 0 is the warmup
+        for params, X, times in runs if rep % 2 else runs[::-1]:
+            t0 = time.perf_counter()
+            _, tape = sequence_forward(params, X)
+            sequence_backward(params, tape, dH)
+            times.append(time.perf_counter() - t0)
+    return [float(np.median(times[1:])) / steps * 1000.0 for _, _, times in runs]
 
 
 def _cmd_bench(args) -> int:
     kind = _kind(args.arch)
-    ms = _bench_ms(
-        kind, args.hidden, args.steps, args.batch, args.reps, args.seed
-    )
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    kinds = [kind, CellKind.LSTM] if kind == CellKind.T_LSTM else [kind]
+    ms = _bench_ms(kinds, args.hidden, args.steps, args.batch, args.reps, args.seed)
     setup = (
         f"hidden={args.hidden} steps={args.steps} batch={args.batch} "
         f"reps={args.reps}"
     )
-    print(f"{args.arch}: {ms:.4f} ms/step forward+backward ({setup})")
+    print(f"{args.arch}: {ms[0]:.4f} ms/step forward+backward ({setup})")
     if kind == CellKind.T_LSTM:
-        ms_lstm = _bench_ms(
-            CellKind.LSTM, args.hidden, args.steps, args.batch, args.reps,
-            args.seed,
-        )
-        print(f"lstm: {ms_lstm:.4f} ms/step forward+backward ({setup})")
-        print(f"t-lstm:lstm speedup {ms_lstm / ms:.2f}x")
+        print(f"lstm: {ms[1]:.4f} ms/step forward+backward ({setup})")
+        print(f"t-lstm:lstm speedup {ms[1] / ms[0]:.2f}x")
     return 0
 
 

@@ -133,8 +133,8 @@ def test_stack_backward_matches_finite_differences():
     eps = 1e-6
     for li, params in enumerate(layers):
         for name, arr in params.tensors.items():
-            flat = arr.reshape(-1)
-            for k in map(int, np.random.default_rng(li).integers(0, flat.size, 4)):
+            flat = arr.flat  # writes through to the cell's learnware block
+            for k in map(int, np.random.default_rng(li).integers(0, arr.size, 4)):
                 orig = flat[k]
                 flat[k] = orig + eps
                 op, _ = stack_forward(layers, X)
@@ -183,7 +183,7 @@ def test_stack_backward_respects_dropout_masks():
         for li in (0, 1):
             for name, arr in layers[li].tensors.items():
                 for k in (0, arr.size - 1):
-                    flat = arr.reshape(-1)
+                    flat = arr.flat
                     orig = flat[k]
                     flat[k] = orig + eps
                     op = replay(layers)

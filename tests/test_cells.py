@@ -6,6 +6,7 @@ from conftest import TRAIN_KINDS, rand_params
 
 from typedrnn.cells import (
     CellKind,
+    CellParams,
     LayerCarry,
     init_params,
     param_shapes,
@@ -13,7 +14,6 @@ from typedrnn.cells import (
     sequence_forward,
     stack_carry_out,
     stack_forward,
-    stacked_learnware,
 )
 from typedrnn.linalg import ShapeError
 
@@ -106,10 +106,10 @@ def test_scrn_state_step_is_a_leaky_average():
         scrn_state_step(params, s, X[0])
 
 
-def test_stacked_learnware_matches_split_matrices():
+def test_scan_cells_store_learnware_in_one_block():
     rng = np.random.default_rng(6)
     p = rand_params(CellKind.T_LSTM, 3, 4, rng)
-    U, bias = stacked_learnware(p)
+    U, bias = p.U, p.bias
     assert U.shape == (12, 6) and bias.shape == (12,)
     xp = rng.uniform(-1, 1, size=3)
     x = rng.uniform(-1, 1, size=3)
@@ -118,15 +118,33 @@ def test_stacked_learnware_matches_split_matrices():
         ref = p[f"V_{g}"] @ xp + p[f"W_{g}"] @ x + p[f"b_{g}"]
         assert np.max(np.abs(stacked[4 * i : 4 * (i + 1)] - ref)) < 1e-14
 
+    # named tensors are views of the block: an in-place edit shows in U
+    p["W_f"][1, 2] += 1.0
+    assert U[5, 5] == p["W_f"][1, 2]
+    # the constructor copies what it is given
+    given = {k: v.copy() for k, v in p.tensors.items()}
+    q = CellParams(CellKind.T_LSTM, 3, 4, given)
+    given["V_o"][0, 0] += 1.0
+    assert q["V_o"][0, 0] == p["V_o"][0, 0]
+    # a copy owns a separate block
+    c = p.copy()
+    assert not np.shares_memory(c.U, p.U) and not np.shares_memory(c.bias, p.bias)
+    c["b_z"][0] += 1.0
+    assert c.bias[0] != p.bias[0]
+    assert np.array_equal(c.U, p.U)
+
     q = rand_params(CellKind.T_RNN, 3, 4, rng)
-    U, bias = stacked_learnware(q)
+    U, bias = q.U, q.bias
     assert U.shape == (8, 3)
     stacked = U @ x + bias
     assert np.max(np.abs(stacked[:4] - q["W"] @ x)) < 1e-14
     assert np.max(np.abs(stacked[4:] - (q["V"] @ x + q["b"]))) < 1e-14
+    assert not bias[:4].any()
 
-    with pytest.raises(ValueError):
-        stacked_learnware(rand_params(CellKind.LSTM, 3, 4, rng))
+    lstm = rand_params(CellKind.LSTM, 3, 4, rng)
+    assert lstm.U is None and lstm.bias is None
+    with pytest.raises(ShapeError):
+        CellParams(CellKind.T_RNN, 3, 4, {**q.tensors, "V": np.zeros((4, 4))})
 
 
 def test_stack_forward_without_dropout_chains_layers():

@@ -14,6 +14,9 @@ from typedrnn.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from typedrnn.cli import main
+from typedrnn.data import build_vocab
+from typedrnn.training import TrainConfig, build_model, model_to_checkpoint
 
 
 def _sample_ckpt(rng):
@@ -115,3 +118,19 @@ def test_duplicate_tensor_names_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def test_non_finite_tensor_is_rejected(tmp_path, capsys):
+    text = "abc cab " * 40
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(text, encoding="utf-8")
+    config = TrainConfig(arch=CellKind.T_LSTM, hidden=4)
+    model = build_model(config, build_vocab(text, "char"), np.random.default_rng(0))
+    ckpt = model_to_checkpoint(model)
+    ckpt.tensors["layer0.W_f"][1, 2] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError, match="layer0.W_f"):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert "layer0.W_f" in capsys.readouterr().err

@@ -54,6 +54,7 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 def test_bad_clip_flag_rejected(capsys):
     assert main(["train", "--arch", "rnn", "--clip", "zero"]) == 1
     assert main(["train", "--arch", "rnn", "--clip", "-1"]) == 1
+    assert main(["bench", "--arch", "t-lstm", "--reps", "0"]) == 1
     capsys.readouterr()
 
 

@@ -136,8 +136,8 @@ def _assert_window_grads_match_fd(model, X_ids, Y_ids, names):
     rng2 = np.random.default_rng(0)
     for name in names:
         arr = tensors[name]
-        flat = arr.reshape(-1)
-        for k in map(int, rng2.integers(0, flat.size, size=3)):
+        flat = arr.flat  # writes through to the cell's learnware block
+        for k in map(int, rng2.integers(0, arr.size, size=3)):
             orig = flat[k]
             flat[k] = orig + eps
             lp, _, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
