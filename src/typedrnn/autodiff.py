@@ -14,6 +14,13 @@ gradient. The named parameter gradients are views of the block gradient,
 laid out by ``cells.learnware_views`` as the parameters are. The classical
 cells and T-MR keep their own loops, as in the forward.
 
+Given a ``cells.Workspace`` (``ws=``), the backward passes write parameter
+gradients into per-layer buffers, reuse scratch (the reverse-scan gradient,
+the stacked ``DP``, gate-derivative temporaries) shared by all layers, and
+pass the input gradient down through two shared buffers in turn, so a layer
+never writes the array it reads. ``input_grad=False`` skips the input
+gradient, which the trainer does for layer 0 at char level.
+
 Conventions: upstream gradients arrive per output step as dH (T, B, h);
 ``dh_final`` / ``dc_final`` inject gradient on the state carried out of the
 window (used for Jacobian probes and window chaining). Gradients with respect
@@ -29,11 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import (
+    FRESH,
     CellKind,
     CellParams,
     LayerTape,
     SCAN_KINDS,
     StackTape,
+    Workspace,
     learnware_views,
     sequence_forward,
 )
@@ -55,7 +64,7 @@ class Grads:
     """Result of one backward sweep over a layer."""
 
     params: dict[str, np.ndarray]
-    dX: np.ndarray
+    dX: np.ndarray | None
     dX_prev: np.ndarray | None = None
     dh0: np.ndarray | None = None
     dc0: np.ndarray | None = None
@@ -74,16 +83,18 @@ class Grads:
         return total, self.dX_prev[0].copy()
 
 
-def _fold(D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Sum of per-step outer products: (T,B,h),(T,B,d) -> (h,d)."""
+def _fold(D: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of per-step outer products: (T,B,h),(T,B,d) -> (h,d), into ``out``."""
     T, B, h = D.shape
-    return D.reshape(T * B, h).T @ X.reshape(T * B, -1)
+    return np.matmul(D.reshape(T * B, h).T, X.reshape(T * B, -1), out=out)
 
 
-def _unfold(D: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Push per-step deltas through a matrix: (T,B,h) @ (h,d) -> (T,B,d)."""
+def _unfold(D: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Push per-step deltas through a matrix: (T,B,h) @ (h,d) -> (T,B,d),
+    into ``out``."""
     T, B, h = D.shape
-    return (D.reshape(T * B, h) @ M).reshape(T, B, M.shape[1])
+    np.matmul(D.reshape(T * B, h), M, out=out.reshape(T * B, M.shape[1]))
+    return out
 
 
 def sequence_backward(
@@ -92,29 +103,42 @@ def sequence_backward(
     dH: np.ndarray,
     dh_final: np.ndarray | None = None,
     dc_final: np.ndarray | None = None,
+    ws: Workspace | None = None,
+    input_grad: bool = True,
 ) -> Grads:
     """Backward sweep of one layer. ``dH[t]`` is the upstream gradient on the
     layer's output at step t; gradients are truncated at the window boundary
     (nothing flows into the carried-in state except out through dh0 / dc0).
+
+    With ``input_grad=False`` the input gradient is skipped and ``dX`` /
+    ``dX_prev`` are None. With ``ws`` (a ``Workspace.layer`` view) the
+    parameter gradients live in the layer's own buffers, the input gradient
+    in the one of the two shared ones picked by ``ws.index``, and scratch in
+    buffers every layer shares; ``dH`` must not be that input-gradient
+    buffer.
     """
     kind = params.kind
+    ws = FRESH if ws is None else ws
     dH = np.asarray(dH, dtype=np.float64)
     T, B, h = dH.shape
+    seq = (T, B, h)
     zero = np.zeros((B, h))
     gh = zero if dh_final is None else np.asarray(dh_final, dtype=np.float64)
     gc = zero if dc_final is None else np.asarray(dc_final, dtype=np.float64)
+    dX_key = f"dX{ws.index % 2}"
 
     if kind in SCAN_KINDS:
         F, Z, O = tape.F, tape.Z, tape.O
         lstm = kind == CellKind.T_LSTM
         S = tape.C if lstm else tape.H
-        dS = dH * O if lstm else dH
-        G = np.empty((T, B, h))  # gradient on s_t at each step
+        dS = np.multiply(dH, O, out=ws.get("dS", seq)) if lstm else dH
+        G = ws.get("G", seq)  # gradient on s_t at each step
         g = (gc if lstm else gh).copy()
         for t in range(T - 1, -1, -1):
             np.add(dS[t], g, out=G[t])
             np.multiply(G[t], F[t], out=g)
-        DP = np.empty((T, B, (2 if O is None else 3) * h))
+        DP = ws.get("DP", (T, B, (2 if O is None else 3) * h))
+        tmp = ws.get("tmp", seq)
         dZ = DP[..., :h]
         dPf = DP[..., h : 2 * h]
         if kind == CellKind.T_GRU:
@@ -126,28 +150,51 @@ def sequence_backward(
             np.subtract(S[:-1], Z, out=dPf)
             dPf *= G
         dPf *= F
-        dPf *= 1.0 - F
+        dPf *= np.subtract(1.0, F, out=tmp)
         if O is not None:
             dPo = DP[..., 2 * h :]
             if lstm:
                 np.multiply(dH, S[1:], out=dPo)
             else:
                 np.multiply(G, Z, out=dPo)
-            dPo *= 1.0 - O * O
+            np.multiply(O, O, out=tmp)
+            dPo *= np.subtract(1.0, tmp, out=tmp)
         D2 = DP.reshape(T * B, -1)
-        gU = D2.T @ tape.XX.reshape(T * B, -1)
-        grads = learnware_views(kind, gU, DP.sum(axis=(0, 1)), params.input_dim)
-        dXX = (D2 @ params.U).reshape(T, B, -1)
+        gU = np.matmul(
+            D2.T, tape.XX.reshape(T * B, -1), out=ws.own("gU", params.U.shape)
+        )
+        gb = np.sum(DP, axis=(0, 1), out=ws.own("gb", params.bias.shape))
+        grads = learnware_views(kind, gU, gb, params.input_dim)
         boundary = {"dc0": g} if lstm else {"dh0": g}
+        if not input_grad:
+            return Grads(grads, None, **boundary)
+        dXX = _unfold(DP, params.U, ws.get(dX_key, (T, B, params.U.shape[1])))
         if kind == CellKind.T_RNN:
             return Grads(grads, dXX, **boundary)
         d = params.input_dim
         return Grads(grads, dXX[..., d:], dX_prev=dXX[..., :d], **boundary)
 
+    def fold(name: str, D: np.ndarray, side: np.ndarray) -> np.ndarray:
+        return _fold(D, side, ws.own(f"g.{name}", params[name].shape))
+
+    def bias_sum(name: str, D: np.ndarray) -> np.ndarray:
+        return np.sum(D, axis=(0, 1), out=ws.own(f"g.{name}", params[name].shape))
+
+    def input_sum(pairs) -> np.ndarray | None:
+        """Sum of ``_unfold(D, W)`` over (D, W) pairs, in pair order."""
+        if not input_grad:
+            return None
+        dX = ws.get(dX_key, tape.X.shape)
+        dX.fill(0.0)
+        tmp = ws.get("tmp", tape.X.shape)
+        for D, W in pairs:
+            dX += _unfold(D, W, tmp)
+        return dX
+
     if kind == CellKind.RNN:
         H, X = tape.H, tape.X
         V = params["V"]
-        dP = np.empty((T, B, h))
+        dP = ws.get("dP", seq)
         g = gh
         for t in range(T - 1, -1, -1):
             g = dH[t] + g
@@ -155,88 +202,72 @@ def sequence_backward(
             dP[t] = dp
             g = dp @ V
         grads = {
-            "V": _fold(dP, H[:-1]),
-            "W": _fold(dP, X),
-            "b": dP.sum(axis=(0, 1)),
+            "V": fold("V", dP, H[:-1]),
+            "W": fold("W", dP, X),
+            "b": bias_sum("b", dP),
         }
-        return Grads(grads, _unfold(dP, params["W"]), dh0=g)
+        return Grads(grads, input_sum([(dP, params["W"])]), dh0=g)
 
-    if kind == CellKind.LSTM:
-        H, C, F, Z, O, TC, X = tape.H, tape.C, tape.F, tape.Z, tape.O, tape.TC, tape.X
+    if kind in (CellKind.LSTM, CellKind.GRU):
+        H, F, Z, O, X = tape.H, tape.F, tape.Z, tape.O, tape.X
         Vz, Vf, Vo = params["V_z"], params["V_f"], params["V_o"]
-        dPz = np.empty((T, B, h))
-        dPf = np.empty((T, B, h))
-        dPo = np.empty((T, B, h))
+        dPs = dPz, dPf, dPo = [ws.get(f"dP{n}", seq) for n in "zfo"]
         g, dc = gh, gc
-        for t in range(T - 1, -1, -1):
-            g = dH[t] + g
-            dO = g * TC[t]
-            dct = g * O[t] * (1.0 - TC[t] * TC[t]) + dc
-            dF = dct * (C[t] - Z[t])
-            dZ = dct * (1.0 - F[t])
-            dc = dct * F[t]
-            dPz[t] = dZ * (1.0 - Z[t] * Z[t])
-            dPf[t] = dF * F[t] * (1.0 - F[t])
-            dPo[t] = dO * (1.0 - O[t] * O[t])
-            g = dPz[t] @ Vz + dPf[t] @ Vf + dPo[t] @ Vo
+        if kind == CellKind.LSTM:
+            C, TC = tape.C, tape.TC
+            for t in range(T - 1, -1, -1):
+                g = dH[t] + g
+                dO = g * TC[t]
+                dct = g * O[t] * (1.0 - TC[t] * TC[t]) + dc
+                dF = dct * (C[t] - Z[t])
+                dZ = dct * (1.0 - F[t])
+                dc = dct * F[t]
+                dPz[t] = dZ * (1.0 - Z[t] * Z[t])
+                dPf[t] = dF * F[t] * (1.0 - F[t])
+                dPo[t] = dO * (1.0 - O[t] * O[t])
+                g = dPz[t] @ Vz + dPf[t] @ Vf + dPo[t] @ Vo
+            sides = (H[:-1], H[:-1], H[:-1])
+            boundary = {"dh0": g, "dc0": dc}
+        else:
+            G = tape.G
+            for t in range(T - 1, -1, -1):
+                g = dH[t] + g
+                dF = g * (H[t] - O[t])
+                dO = g * (1.0 - F[t])
+                carry = g * F[t]
+                dPo[t] = dO * (1.0 - O[t] * O[t])
+                dG = dPo[t] @ Vo
+                dZ = dG * H[t]
+                carry = carry + dG * Z[t]
+                dPz[t] = dZ * Z[t] * (1.0 - Z[t])
+                dPf[t] = dF * F[t] * (1.0 - F[t])
+                g = carry + dPz[t] @ Vz + dPf[t] @ Vf
+            sides = (H[:-1], H[:-1], G)
+            boundary = {"dh0": g}
         grads = {}
-        dX = np.zeros_like(X)
-        for g_name, dP in (("z", dPz), ("f", dPf), ("o", dPo)):
-            grads[f"V_{g_name}"] = _fold(dP, H[:-1])
-            grads[f"W_{g_name}"] = _fold(dP, X)
-            grads[f"b_{g_name}"] = dP.sum(axis=(0, 1))
-            dX += _unfold(dP, params[f"W_{g_name}"])
+        for n, dP, side in zip("zfo", dPs, sides):
+            grads[f"V_{n}"] = fold(f"V_{n}", dP, side)
+            grads[f"W_{n}"] = fold(f"W_{n}", dP, X)
+            grads[f"b_{n}"] = bias_sum(f"b_{n}", dP)
         grads = {k: grads[k] for k in params.tensors}
-        return Grads(grads, dX, dh0=g, dc0=dc)
-
-    if kind == CellKind.GRU:
-        H, F, Z, O, G, X = tape.H, tape.F, tape.Z, tape.O, tape.G, tape.X
-        Vz, Vf, Vo = params["V_z"], params["V_f"], params["V_o"]
-        dPz = np.empty((T, B, h))
-        dPf = np.empty((T, B, h))
-        dPo = np.empty((T, B, h))
-        g = gh
-        for t in range(T - 1, -1, -1):
-            g = dH[t] + g
-            dF = g * (H[t] - O[t])
-            dO = g * (1.0 - F[t])
-            carry = g * F[t]
-            dPo[t] = dO * (1.0 - O[t] * O[t])
-            dG = dPo[t] @ Vo
-            dZ = dG * H[t]
-            carry = carry + dG * Z[t]
-            dPz[t] = dZ * Z[t] * (1.0 - Z[t])
-            dPf[t] = dF * F[t] * (1.0 - F[t])
-            g = carry + dPz[t] @ Vz + dPf[t] @ Vf
-        grads = {}
-        dX = np.zeros_like(X)
-        for g_name, dP, side in (
-            ("z", dPz, H[:-1]),
-            ("f", dPf, H[:-1]),
-            ("o", dPo, G),
-        ):
-            grads[f"V_{g_name}"] = _fold(dP, side)
-            grads[f"W_{g_name}"] = _fold(dP, X)
-            grads[f"b_{g_name}"] = dP.sum(axis=(0, 1))
-            dX += _unfold(dP, params[f"W_{g_name}"])
-        grads = {k: grads[k] for k in params.tensors}
-        return Grads(grads, dX, dh0=g)
+        dX = input_sum([(dP, params[f"W_{n}"]) for n, dP in zip("zfo", dPs)])
+        return Grads(grads, dX, **boundary)
 
     if kind == CellKind.T_MR:
         H, M, X = tape.H, tape.M, tape.X
         b = params["b"]
-        dP = np.empty((T, B, h))
+        dP = ws.get("dP", seq)
         g = gh
         for t in range(T - 1, -1, -1):
             g = dH[t] + g
             dP[t] = g * M[t]
             g = dP[t] * b
         grads = {
-            "W": _fold(dP, X),
-            "b": (dP * H[:-1]).sum(axis=(0, 1)),
-            "c": dP.sum(axis=(0, 1)),
+            "W": fold("W", dP, X),
+            "b": bias_sum("b", np.multiply(dP, H[:-1], out=ws.get("tmp", seq))),
+            "c": bias_sum("c", dP),
         }
-        return Grads(grads, _unfold(dP, params["W"]), dh0=g)
+        return Grads(grads, input_sum([(dP, params["W"])]), dh0=g)
 
     raise ValueError(f"sequence_backward does not handle kind {kind!r}")
 
@@ -298,22 +329,31 @@ def stack_backward(
     layers: list[CellParams],
     tape: StackTape,
     dH_top: np.ndarray,
-) -> tuple[list[dict[str, np.ndarray]], np.ndarray]:
+    ws: Workspace | None = None,
+    input_grad: bool = True,
+) -> tuple[list[dict[str, np.ndarray]], np.ndarray | None]:
     """Backward through a stack; returns per-layer grads and dX on the model
-    input. Dropout masks recorded in the tape gate the W-side path between
-    layers; the V-side (x_prev) path bypasses them, matching the forward.
+    input (None with ``input_grad=False``, which skips layer 0's input
+    gradient). Dropout masks recorded in the tape gate the W-side path
+    between layers; the V-side (x_prev) path bypasses them, matching the
+    forward. With ``ws`` the gradients live in the workspace.
     """
+    ws = FRESH if ws is None else ws
     upstream = np.asarray(dH_top, dtype=np.float64)
     per_layer: list[dict[str, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for l in range(len(layers) - 1, -1, -1):
-        res = sequence_backward(layers[l], tape.layer_tapes[l], upstream)
+        res = sequence_backward(
+            layers[l], tape.layer_tapes[l], upstream,
+            ws=ws.layer(l), input_grad=input_grad or l > 0,
+        )
         per_layer[l] = res.params
-        mask = tape.masks[l]
-        down = res.dX if mask is None else res.dX * mask
+        upstream = res.dX
+        if upstream is None:
+            break
+        if tape.masks[l] is not None:
+            upstream *= tape.masks[l]
         if res.dX_prev is not None:
-            down = down.copy() if mask is None else down
-            down[:-1] += res.dX_prev[1:]
-        upstream = down
+            upstream[:-1] += res.dX_prev[1:]
     return per_layer, upstream
 
 

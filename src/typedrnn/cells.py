@@ -58,10 +58,18 @@ a multi-layer stack with dropout applied only on vertical connections between
 layers, never on the recurrent path and never on the raw model input. The DSL
 interpreter (``dsl.interp``) is the independent per-step reference for every
 update rule above.
+
+Every window-sized array of the forward and backward passes comes from a
+``Workspace`` when the caller passes one (``ws=``): the trainer and
+``evaluate`` do, so a window reuses the memory of the last one instead of
+mapping fresh pages. The tape, outputs and gradients are then views of the
+workspace, valid until its next use. Without one, every array is allocated
+fresh, with the same numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,6 +86,8 @@ __all__ = [
     "StackTape",
     "TRAINABLE_KINDS",
     "T_CELL_KINDS",
+    "Workspace",
+    "dropout_mask",
     "init_params",
     "learnware_views",
     "param_shapes",
@@ -262,6 +272,83 @@ def scrn_state_step(params: CellParams, s_prev, x_t):
 
 
 # ---------------------------------------------------------------------------
+# Working memory
+# ---------------------------------------------------------------------------
+
+
+class Workspace:
+    """Grow-only buffers reused across calls, looked up by key.
+
+    ``get(key, shape)`` returns a C-contiguous view of the requested shape
+    into one flat buffer per key (float64 unless ``dtype`` says otherwise).
+    A buffer grows when a larger shape is asked for and never shrinks, so one
+    key serves layers of different widths and windows of different sizes.
+    The contents are whatever the last user left: callers overwrite or zero.
+
+    ``layer(l)`` is layer l's view of the same memory. Its ``own`` keys are
+    private to the layer, for what outlives the layer's call: the forward
+    tape, which the backward pass reads, and the parameter gradients. Its
+    ``get`` keys are shared by all layers, for scratch that is dead when the
+    call returns, so a deeper stack needs no more of it. The input gradient
+    a layer passes down lives in one of two shared buffers chosen by the
+    parity of ``index``, so no layer writes the array it reads.
+
+    Lifetime: an array returned or recorded by a call that was given a
+    workspace (outputs, tapes, gradients) is valid until the next call with
+    that workspace. Carried state (``stack_carry_out``) is always a copy.
+
+    ``FRESH`` allocates a new array on every request; it is what callers
+    that pass no workspace get.
+    """
+
+    def __init__(self) -> None:
+        self._bufs: dict[str, np.ndarray] = {}
+        self._scope = ""
+        self.index = 0
+
+    def layer(self, index: int) -> "Workspace":
+        view = Workspace()
+        view._bufs, view._scope, view.index = self._bufs, f"layer{index}.", index
+        return view
+
+    def get(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = self._bufs[key] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+    def own(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        return self.get(self._scope + key, shape, dtype)
+
+
+class _Fresh(Workspace):
+    """A workspace that keeps nothing: every request is a new array."""
+
+    def layer(self, index: int) -> "Workspace":
+        return self
+
+    def get(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    own = get
+
+
+FRESH = _Fresh()
+
+
+def dropout_mask(
+    rng: np.random.Generator, dropout: float, out: np.ndarray, ws: Workspace
+) -> np.ndarray:
+    """Fill ``out`` with the inverted-dropout mask ``(u < keep) / keep`` of
+    uniform draws u, the same draws as ``rng.random(out.shape)``."""
+    keep = 1.0 - dropout
+    rng.random(out=out)
+    kept = np.less(out, keep, out=ws.get("kept", out.shape, bool))
+    return np.divide(kept, keep, out=out)
+
+
+# ---------------------------------------------------------------------------
 # Batched sequence forward with tape
 # ---------------------------------------------------------------------------
 
@@ -293,13 +380,15 @@ class LayerTape:
     TC: np.ndarray | None = None
 
 
-def _seq_aff(X: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _seq_aff(X: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``X @ m.T`` over a (T, B, d) batch, computed into the (T*B, rows of m)
+    ``out`` and returned as (T, B, rows of m)."""
     T, B, d = X.shape
     if d != m.shape[1]:
         raise ShapeError(
             f"affine input has dim {d}, matrix expects {m.shape[1]}"
         )
-    return (X.reshape(T * B, d) @ m.T).reshape(T, B, m.shape[0])
+    return np.dot(X.reshape(T * B, d), m.T, out=out).reshape(T, B, m.shape[0])
 
 
 def _zeros_state(B: int, h: int, like: np.ndarray | None) -> np.ndarray:
@@ -318,6 +407,7 @@ def sequence_forward(
     c0: np.ndarray | None = None,
     x_prev_src: np.ndarray | None = None,
     xp0: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, LayerTape]:
     """Run one layer over a (T, B, input_dim) batch; returns (outputs, tape).
 
@@ -325,14 +415,17 @@ def sequence_forward(
     (defaults to ``X``; differs when dropout masks the W-side input). ``xp0``
     is the previous-window input at the left boundary (zeros by default).
     For T-RNN, T-LSTM and T-GRU all learnable products are one matrix
-    multiply; only the coordinatewise scan is sequential.
+    multiply; only the coordinatewise scan is sequential. With ``ws`` (a
+    ``Workspace.layer`` view) the outputs and tape live in the workspace.
     """
     kind = params.kind
+    ws = FRESH if ws is None else ws
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ShapeError(f"sequence input must be (T, B, d), got {X.shape}")
     T, B, _ = X.shape
     hdim = params.hidden_dim
+    seq = (T, B, hdim)
 
     if kind in SCAN_KINDS:
         d = params.input_dim
@@ -346,12 +439,17 @@ def sequence_forward(
                 raise ShapeError(
                     f"x_prev_src has shape {src.shape}, input has {X.shape}"
                 )
-            XX = np.empty((T, B, 2 * d))
+            XX = ws.own("XX", (T, B, 2 * d))
             XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
             XX[1:, :, :d] = src[:-1]
             XX[:, :, d:] = X
             xp_last = src[-1].copy()
-        P = XX.reshape(T * B, -1) @ params.U.T
+        # np.dot, not matmul: with ``out`` it costs less on the one-token
+        # products of ``sample``, and gives the same bits
+        P = np.dot(
+            XX.reshape(T * B, -1), params.U.T,
+            out=ws.own("P", (T * B, params.U.shape[0])),
+        )
         P += params.bias
         P = P.reshape(T, B, -1)
         Z = P[..., :hdim]
@@ -359,12 +457,13 @@ def sequence_forward(
         O = None
         if kind in T_CELL_KINDS:
             O = np.tanh(P[..., 2 * hdim :], out=P[..., 2 * hdim :])
+        A = ws.get("A", seq)
         if kind == CellKind.T_GRU:
-            A = Z * O
+            np.multiply(Z, O, out=A)
         else:
-            A = 1.0 - F
+            np.subtract(1.0, F, out=A)
             A *= Z
-        S = np.empty((T + 1, B, hdim))
+        S = ws.own("S", (T + 1, B, hdim))
         S[0] = _zeros_state(B, hdim, c0 if kind == CellKind.T_LSTM else h0)
         for t in range(T):
             np.multiply(F[t], S[t], out=S[t + 1])
@@ -372,31 +471,37 @@ def sequence_forward(
         tape = LayerTape(kind, X, XX=XX, xp_last=xp_last, F=F, Z=Z, O=O)
         if kind == CellKind.T_LSTM:
             tape.C = S
-            return S[1:] * O, tape
+            return np.multiply(S[1:], O, out=ws.own("out", seq)), tape
         tape.H = S
         return S[1:], tape
 
     if kind == CellKind.RNN:
-        pre_in = _seq_aff(X, params["W"]) + params["b"]
+        pre_in = _seq_aff(X, params["W"], ws.get("pz", (T * B, hdim)))
+        pre_in += params["b"]
         V = params["V"]
-        H = np.empty((T + 1, B, hdim))
+        H = ws.own("H", (T + 1, B, hdim))
         H[0] = _zeros_state(B, hdim, h0)
         for t in range(T):
             H[t + 1] = np.tanh(H[t] @ V.T + pre_in[t])
         return H[1:], LayerTape(kind, X, H=H)
 
-    if kind == CellKind.LSTM:
-        pz = _seq_aff(X, params["W_z"]) + params["b_z"]
-        pf = _seq_aff(X, params["W_f"]) + params["b_f"]
-        po = _seq_aff(X, params["W_o"]) + params["b_o"]
+    if kind in (CellKind.LSTM, CellKind.GRU):
+        pz = _seq_aff(X, params["W_z"], ws.get("pz", (T * B, hdim)))
+        pf = _seq_aff(X, params["W_f"], ws.get("pf", (T * B, hdim)))
+        po = _seq_aff(X, params["W_o"], ws.get("po", (T * B, hdim)))
+        pz += params["b_z"]
+        pf += params["b_f"]
+        po += params["b_o"]
         Vz, Vf, Vo = params["V_z"], params["V_f"], params["V_o"]
-        H = np.empty((T + 1, B, hdim))
-        C = np.empty((T + 1, B, hdim))
-        Z = np.empty((T, B, hdim))
-        F = np.empty((T, B, hdim))
-        O = np.empty((T, B, hdim))
-        TC = np.empty((T, B, hdim))
+        H = ws.own("H", (T + 1, B, hdim))
         H[0] = _zeros_state(B, hdim, h0)
+        Z = ws.own("Z", seq)
+        F = ws.own("F", seq)
+        O = ws.own("O", seq)
+
+    if kind == CellKind.LSTM:
+        C = ws.own("C", (T + 1, B, hdim))
+        TC = ws.own("TC", seq)
         C[0] = _zeros_state(B, hdim, c0)
         for t in range(T):
             Z[t] = np.tanh(H[t] @ Vz.T + pz[t])
@@ -408,16 +513,7 @@ def sequence_forward(
         return H[1:], LayerTape(kind, X, H=H, C=C, F=F, Z=Z, O=O, TC=TC)
 
     if kind == CellKind.GRU:
-        pz = _seq_aff(X, params["W_z"]) + params["b_z"]
-        pf = _seq_aff(X, params["W_f"]) + params["b_f"]
-        po = _seq_aff(X, params["W_o"]) + params["b_o"]
-        Vz, Vf, Vo = params["V_z"], params["V_f"], params["V_o"]
-        H = np.empty((T + 1, B, hdim))
-        Z = np.empty((T, B, hdim))
-        F = np.empty((T, B, hdim))
-        O = np.empty((T, B, hdim))
-        G = np.empty((T, B, hdim))
-        H[0] = _zeros_state(B, hdim, h0)
+        G = ws.own("G", seq)
         for t in range(T):
             Z[t] = sigmoid(H[t] @ Vz.T + pz[t])
             F[t] = sigmoid(H[t] @ Vf.T + pf[t])
@@ -427,10 +523,11 @@ def sequence_forward(
         return H[1:], LayerTape(kind, X, H=H, F=F, Z=Z, O=O, G=G)
 
     if kind == CellKind.T_MR:
-        pre_in = _seq_aff(X, params["W"]) + params["c"]
+        pre_in = _seq_aff(X, params["W"], ws.get("pz", (T * B, hdim)))
+        pre_in += params["c"]
         b = params["b"]
-        H = np.empty((T + 1, B, hdim))
-        M = np.empty((T, B, hdim), dtype=bool)
+        H = ws.own("H", (T + 1, B, hdim))
+        M = ws.own("M", seq, bool)
         H[0] = _zeros_state(B, hdim, h0)
         for t in range(T):
             pre = b * H[t] + pre_in[t]
@@ -474,6 +571,7 @@ def stack_forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     carry: list[LayerCarry] | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[list[np.ndarray], StackTape]:
     """Run a stack of layers over a (T, B, d) batch.
 
@@ -482,7 +580,8 @@ def stack_forward(
     l-1's output on its learnable W-side, while the x_prev stream of T-LSTM /
     T-GRU always reads the unmasked layer l-1 output at t-1 (the recurrent
     path is never masked). ``carry`` supplies initial h / c / previous-window
-    input per layer; zeros by default.
+    input per layer; zeros by default. With ``ws`` the outputs, tape and
+    masks live in the workspace (see ``Workspace`` for their lifetime).
     """
     if not layers:
         raise ValueError("stack needs at least one layer")
@@ -497,17 +596,18 @@ def stack_forward(
         carry = [LayerCarry() for _ in layers]
     if len(carry) != len(layers):
         raise ValueError("carry must have one entry per layer")
+    ws = FRESH if ws is None else ws
 
     tape = StackTape()
     outputs: list[np.ndarray] = []
     inp = np.asarray(X, dtype=np.float64)
     raw_inp = inp
     for l, params in enumerate(layers):
+        lws = ws.layer(l)
         mask = None
         if dropout > 0.0 and l > 0:
-            keep = 1.0 - dropout
-            mask = (rng.random(inp.shape) < keep) / keep
-            inp = inp * mask
+            mask = dropout_mask(rng, dropout, lws.own("mask", inp.shape), ws)
+            inp = np.multiply(inp, mask, out=lws.own("in", inp.shape))
         cr = carry[l]
         out, ltape = sequence_forward(
             params,
@@ -516,6 +616,7 @@ def stack_forward(
             c0=cr.c,
             x_prev_src=raw_inp if params.kind in T_CELL_KINDS else None,
             xp0=cr.x_prev,
+            ws=lws,
         )
         tape.masks.append(mask)
         tape.layer_tapes.append(ltape)

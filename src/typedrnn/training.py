@@ -24,6 +24,14 @@ the only parallelism is the BLAS library's own threads inside the large
 products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``). With one BLAS
 thread a run is bitwise deterministic for a fixed config, corpus and seed.
 
+``train`` and ``evaluate`` each make one ``cells.Workspace`` per call and
+run every window through it (``train`` its per-epoch validation too), so a
+window reuses the encoded input, tapes, scratch, logit block and gradients
+of the last one. The SGD update scales each gradient in place before
+subtracting it, which gives the same bits as ``t -= lr * g``. At char level
+the backward pass skips the input gradient, which would land on the fixed
+one-hot code. ``sample`` runs one token at a time and allocates as it goes.
+
 A non-finite loss or gradient norm aborts training with a diagnostic
 recording the epoch, step, loss, and gradient norm.
 """
@@ -39,10 +47,13 @@ import numpy as np
 
 from .autodiff import clip_global_norm, stack_backward
 from .cells import (
+    FRESH,
     CellKind,
     CellParams,
     LayerCarry,
     TRAINABLE_KINDS,
+    Workspace,
+    dropout_mask,
     init_params,
     param_shapes,
     stack_carry_out,
@@ -221,6 +232,7 @@ def _output_head(
     w_out: np.ndarray,
     b_out: np.ndarray,
     grad_scale: float | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Summed cross-entropy of the projection ``top @ w_out.T + b_out``.
 
@@ -229,18 +241,22 @@ def _output_head(
     ``_HEAD_BLOCK_BYTES``. Returns the loss in nats summed over the N rows
     and, when ``grad_scale`` is given, the gradients ``(gW, gb, d_top)`` of
     ``grad_scale`` times that sum with respect to ``w_out``, ``b_out`` and
-    ``top``; otherwise None.
+    ``top``; otherwise None. With ``ws`` the buffer and the gradients live
+    in the workspace.
     """
+    ws = FRESH if ws is None else ws
     n = len(top)
     k = w_out.shape[0]
     rows = min(n, max(1, _HEAD_BLOCK_BYTES // (8 * k)))
-    buf = np.empty((rows, k))
+    buf = ws.get("head.logits", (rows, k))
     total = 0.0
     if grad_scale is not None:
-        gW = np.zeros_like(w_out)
-        gW_block = np.empty_like(w_out)
-        gb = np.zeros_like(b_out)
-        d_top = np.empty_like(top)
+        gW = ws.get("head.gW", w_out.shape)
+        gW.fill(0.0)
+        gW_block = ws.get("head.gW_block", w_out.shape)
+        gb = ws.get("head.gb", b_out.shape)
+        gb.fill(0.0)
+        d_top = ws.get("head.d_top", top.shape)
     for lo in range(0, n, rows):
         x = top[lo : lo + rows]
         y = Y[lo : lo + rows]
@@ -272,13 +288,17 @@ def _output_head(
 # ---------------------------------------------------------------------------
 
 
-def _encode_inputs(model: Model, X_ids: np.ndarray) -> np.ndarray:
+def _encode_inputs(
+    model: Model, X_ids: np.ndarray, ws: Workspace | None = None
+) -> np.ndarray:
+    ws = FRESH if ws is None else ws
     T, B = X_ids.shape
     if model.level == "word":
-        return model.embed[X_ids]
-    k = model.vocab.size
-    out = np.zeros((T, B, k))
-    out[np.arange(T)[:, None], np.arange(B)[None, :], X_ids] = 1.0
+        out = ws.get("input", (T, B, model.hidden))
+        return np.take(model.embed, X_ids, axis=0, out=out)
+    out = ws.get("input", (T, B, model.vocab.size))
+    out.fill(0.0)
+    out.reshape(T * B, -1)[np.arange(T * B), X_ids.reshape(-1)] = 1.0
     return out
 
 
@@ -289,16 +309,22 @@ def _window_pass(
     carry: list[LayerCarry] | None,
     dropout: float,
     rng: np.random.Generator | None,
+    ws: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray], list[LayerCarry]]:
-    """Forward + backward over one window; returns (mean loss, grads, carry)."""
-    X = _encode_inputs(model, X_ids)
-    outs, tape = stack_forward(model.layers, X, dropout=dropout, rng=rng, carry=carry)
+    """Forward + backward over one window; returns (mean loss, grads, carry).
+
+    With ``ws`` the gradients live in the workspace until its next use.
+    """
+    ws = FRESH if ws is None else ws
+    X = _encode_inputs(model, X_ids, ws)
+    outs, tape = stack_forward(
+        model.layers, X, dropout=dropout, rng=rng, carry=carry, ws=ws
+    )
     top = outs[-1]
     top_mask = None
     if dropout > 0.0:
-        keep = 1.0 - dropout
-        top_mask = (rng.random(top.shape) < keep) / keep
-        top = top * top_mask
+        top_mask = dropout_mask(rng, dropout, ws.get("top.mask", top.shape), ws)
+        top = np.multiply(top, top_mask, out=ws.get("top", top.shape))
     T, B, h = top.shape
     # The loss reported is the per-token mean; the gradient is of the
     # per-stream summed loss averaged over the batch, the usual truncated
@@ -306,19 +332,24 @@ def _window_pass(
     # clip threshold of a few.
     total, (gW, gb, d_top) = _output_head(
         top.reshape(T * B, h), Y_ids.reshape(T * B), model.w_out, model.b_out,
-        grad_scale=1.0 / B,
+        grad_scale=1.0 / B, ws=ws,
     )
     loss = total / (T * B)
     grads: dict[str, np.ndarray] = {"out.W": gW, "out.b": gb}
     d_top = d_top.reshape(T, B, h)
     if top_mask is not None:
-        d_top = d_top * top_mask
-    layer_grads, dX = stack_backward(model.layers, tape, d_top)
+        d_top *= top_mask
+    # At char level the input gradient would land on the fixed one-hot code.
+    word = model.level == "word"
+    layer_grads, dX = stack_backward(
+        model.layers, tape, d_top, ws=ws, input_grad=word
+    )
     for i, lg in enumerate(layer_grads):
         for name, g in lg.items():
             grads[f"layer{i}.{name}"] = g
-    if model.level == "word":
-        dE = np.zeros_like(model.embed)
+    if word:
+        dE = ws.get("dE", model.embed.shape)
+        dE.fill(0.0)
         np.add.at(dE, X_ids.reshape(T * B), dX.reshape(T * B, h))
         grads = {"embed.E": dE, **grads}
     return loss, grads, stack_carry_out(model.layers, tape)
@@ -397,6 +428,8 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
     metrics = Metrics()
     tensors = model.tensors()
     drop_rng = rng if config.dropout > 0.0 else None
+    # one set of window buffers for the whole run, validation included
+    ws = Workspace()
     step = 0
     for epoch in range(1, config.epochs + 1):
         lr = config.lr_for_epoch(epoch)
@@ -408,14 +441,15 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
         for X_ids, Y_ids in batch_iter(corpus.train, config.seq_len, config.batch):
             t0 = time.perf_counter()
             loss, grads, carry = _window_pass(
-                model, X_ids, Y_ids, carry, config.dropout, drop_rng
+                model, X_ids, Y_ids, carry, config.dropout, drop_rng, ws
             )
             grads, grad_norm = clip_global_norm(grads, config.clip)
             step += 1
             if not (math.isfinite(loss) and math.isfinite(grad_norm)):
                 raise TrainingDiverged(epoch, step, loss, grad_norm)
             for name, g in grads.items():
-                tensors[name] -= lr * g
+                g *= lr  # in place: the same bits as ``lr * g``
+                tensors[name] -= g
             loss_sum += loss
             norm_sum += grad_norm
             n_steps += 1
@@ -432,7 +466,7 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
         t0 = time.perf_counter()
         val_loss, _ = evaluate(
             model, corpus, "valid",
-            seq_len=config.seq_len, batch=config.batch,
+            seq_len=config.seq_len, batch=config.batch, ws=ws,
         )
         metrics.log(
             epoch, step, "val", val_loss, 0.0,
@@ -447,12 +481,14 @@ def evaluate(
     split: str = "valid",
     seq_len: int = 100,
     batch: int = 16,
+    ws: Workspace | None = None,
 ) -> tuple[float, float]:
     """Mean per-token loss (nats) and perplexity on a split, dropout off.
 
     State carries across windows; tokens past the last full window of each
     stream are not scored. Batch and window shrink automatically for small
-    splits.
+    splits. Every window reuses the buffers of ``ws``, a new ``Workspace``
+    by default.
     """
     try:
         ids = {"train": corpus.train, "valid": corpus.valid, "test": corpus.test}[
@@ -465,17 +501,19 @@ def evaluate(
         raise DataError(f"split {split!r} has {n} tokens; need at least 2")
     batch = max(1, min(batch, n // (seq_len + 1)))
     seq_len = min(seq_len, n - 1)
+    ws = Workspace() if ws is None else ws
     carry: list[LayerCarry] | None = None
     loss_sum = 0.0
     count = 0
     for X_ids, Y_ids in batch_iter(ids, seq_len, batch):
-        X = _encode_inputs(model, X_ids)
-        outs, tape = stack_forward(model.layers, X, carry=carry)
+        X = _encode_inputs(model, X_ids, ws)
+        outs, tape = stack_forward(model.layers, X, carry=carry, ws=ws)
         carry = stack_carry_out(model.layers, tape)
         top = outs[-1]
         T, B, h = top.shape
         total, _ = _output_head(
-            top.reshape(T * B, h), Y_ids.reshape(T * B), model.w_out, model.b_out
+            top.reshape(T * B, h), Y_ids.reshape(T * B), model.w_out,
+            model.b_out, ws=ws,
         )
         loss_sum += total
         count += T * B

@@ -13,7 +13,7 @@ from typedrnn.autodiff import (
     stack_backward,
     state_jacobian,
 )
-from typedrnn.cells import CellKind, sequence_forward, stack_forward
+from typedrnn.cells import CellKind, Workspace, sequence_forward, stack_forward
 
 
 def _rel_gap(grads, fd):
@@ -244,3 +244,35 @@ def test_state_jacobian_matches_finite_differences():
                 fp, fm = op[-1][0], om[-1][0]
             fd = (fp - fm) / (2 * eps)
             assert np.max(np.abs(J[:, j] - fd)) < 1e-6, kind
+
+
+def test_stack_through_a_workspace_is_bitwise_fresh():
+    """Two windows of a three-layer stack through one workspace (so the
+    passed-down gradient uses both of its buffers) give the same bits as
+    fresh allocation, and skipping the input gradient changes no parameter
+    gradient."""
+    rng = np.random.default_rng(11)
+    for kind in TRAIN_KINDS:
+        layers = [rand_params(kind, 3, 5, rng, lo=-0.4, hi=0.4)]
+        layers += [rand_params(kind, 5, 5, rng, lo=-0.4, hi=0.4) for _ in range(2)]
+        ws = Workspace()
+        for T, B in ((6, 2), (4, 3)):
+            X = rng.uniform(-1.0, 1.0, size=(T, B, 3))
+            u = rng.uniform(-1.0, 1.0, size=(T, B, 5))
+            runs = []
+            for w, input_grad in ((None, True), (ws, True), (ws, False)):
+                outs, tape = stack_forward(
+                    layers, X, dropout=0.3, rng=np.random.default_rng(T), ws=w
+                )
+                outs = [o.copy() for o in outs]
+                grads, dX = stack_backward(layers, tape, u, ws=w, input_grad=input_grad)
+                grads = [{n: g.copy() for n, g in lg.items()} for lg in grads]
+                runs.append((outs, grads, None if dX is None else dX.copy()))
+            (o_ref, g_ref, dX_ref), (o_ws, g_ws, dX_ws), (_, g_skip, dX_skip) = runs
+            assert all(np.array_equal(a, b) for a, b in zip(o_ref, o_ws)), kind
+            for ref, got, skip in zip(g_ref, g_ws, g_skip):
+                for name in ref:
+                    assert np.array_equal(ref[name], got[name]), (kind, name)
+                    assert np.array_equal(ref[name], skip[name]), (kind, name)
+            assert np.array_equal(dX_ref, dX_ws), kind
+            assert dX_skip is None

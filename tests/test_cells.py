@@ -5,9 +5,11 @@ import pytest
 from conftest import TRAIN_KINDS, rand_params
 
 from typedrnn.cells import (
+    FRESH,
     CellKind,
     CellParams,
     LayerCarry,
+    Workspace,
     init_params,
     param_shapes,
     scrn_state_step,
@@ -217,3 +219,25 @@ def test_sequence_forward_rejects_bad_shapes_and_kinds():
 def test_layer_carry_defaults():
     c = LayerCarry()
     assert c.h is None and c.c is None and c.x_prev is None
+
+
+def test_workspace_grows_and_scopes_buffers():
+    ws = Workspace()
+    a = ws.get("x", (2, 3))
+    assert a.shape == (2, 3) and a.flags.c_contiguous
+    a[...] = 7.0
+    # a smaller request reuses the same memory; a larger one grows the buffer
+    b = ws.get("x", (5,))
+    assert np.shares_memory(a, b) and np.all(b == 7.0)
+    c = ws.get("x", (4, 4))
+    assert not np.shares_memory(a, c)
+    assert np.shares_memory(c, ws.get("x", (2, 3)))
+    # own keys are private to a layer; get keys are shared by every layer
+    l0, l1 = ws.layer(0), ws.layer(1)
+    assert (l0.index, l1.index) == (0, 1)
+    assert not np.shares_memory(l0.own("S", (3,)), l1.own("S", (3,)))
+    assert np.shares_memory(l0.get("G", (3,)), l1.get("G", (3,)))
+    assert ws.get("M", (2,), bool).dtype == bool
+    # the default for callers without a workspace keeps nothing
+    assert FRESH.layer(1) is FRESH
+    assert not np.shares_memory(FRESH.own("x", (3,)), FRESH.own("x", (3,)))

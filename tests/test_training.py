@@ -7,9 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import TRAIN_KINDS
 
 from typedrnn import training
-from typedrnn.cells import stack_carry_out, stack_forward
+from typedrnn.cells import Workspace, stack_carry_out, stack_forward
 from typedrnn.data import (
     UNK,
     DataError,
@@ -127,17 +128,27 @@ def test_cross_entropy_matches_batch_loss():
 
 
 def _assert_window_grads_match_fd(model, X_ids, Y_ids, names):
-    loss, grads, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
+    # The analytic gradients come through a workspace that an earlier
+    # window already filled, as in training.
+    ws = Workspace()
+    _window_pass(model, X_ids, Y_ids, None, 0.0, None, ws)
+    loss, grads, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None, ws)
     tensors = model.tensors()
     assert set(grads) == set(tensors)
+    grads = {name: g.copy() for name, g in grads.items()}
 
     T, B = X_ids.shape
     eps = 1e-6
-    rng2 = np.random.default_rng(0)
     for name in names:
         arr = tensors[name]
         flat = arr.flat  # writes through to the cell's learnware block
-        for k in map(int, rng2.integers(0, arr.size, size=3)):
+        # The three largest entries (for a layer-0 matrix, in the one-hot
+        # columns of characters in the window) sit far above ``abs`` below,
+        # so a wrong gradient cannot hide under the tolerance.
+        g = grads[name].reshape(-1)
+        picks = np.argsort(-np.abs(g), kind="stable")[:3]
+        assert np.min(np.abs(g[picks])) > 1e-3, name
+        for k in map(int, picks):
             orig = flat[k]
             flat[k] = orig + eps
             lp, _, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
@@ -147,8 +158,15 @@ def _assert_window_grads_match_fd(model, X_ids, Y_ids, names):
             # _window_pass reports the per-token mean; the gradient is of the
             # time-summed batch mean, T times larger
             fd = T * (lp - lm) / (2 * eps)
-            got = grads[name].reshape(-1)[k]
-            assert got == pytest.approx(fd, rel=1e-4, abs=1e-7), name
+            assert g[k] == pytest.approx(fd, rel=1e-4, abs=1e-7), name
+
+
+def _spread(model, scale=12.0):
+    """Scale every weight up from the U(-0.08, 0.08) init, where the
+    gradients of the lower layers are of order 1e-7 and below."""
+    for arr in model.tensors().values():
+        arr *= scale
+    return model
 
 
 def test_window_pass_gradients_match_finite_differences():
@@ -156,7 +174,7 @@ def test_window_pass_gradients_match_finite_differences():
     corpus = _tiny_corpus(text)
     cfg = TrainConfig(arch="t_lstm", layers=2, hidden=5, seq_len=6, batch=2, seed=3)
     rng = np.random.default_rng(cfg.seed)
-    model = build_model(cfg, corpus.vocab, rng)
+    model = _spread(build_model(cfg, corpus.vocab, rng))
     X = corpus.train[:13]
     X_ids = np.stack([X[:6], X[6:12]], axis=1)
     Y_ids = np.stack([X[1:7], X[7:13]], axis=1)
@@ -188,7 +206,7 @@ def test_output_head_row_blocks_match_whole_array(monkeypatch):
     cfg = TrainConfig(
         arch="t_lstm", level="word", layers=2, hidden=5, seq_len=6, batch=2, seed=4
     )
-    model = build_model(cfg, corpus.vocab, np.random.default_rng(cfg.seed))
+    model = _spread(build_model(cfg, corpus.vocab, np.random.default_rng(cfg.seed)))
     monkeypatch.setattr(training, "_HEAD_BLOCK_BYTES", 8 * corpus.vocab.size * 5)
     X = corpus.train[:13]
     X_ids = np.stack([X[:6], X[6:12]], axis=1)
@@ -229,6 +247,75 @@ def test_window_pass_never_holds_a_full_logit_block():
     finally:
         tracemalloc.stop()
     assert peak < T * B * K * 8  # one (T*B, K) float64 logit block, 51.2 MB
+
+
+def _same_carries(c1, c2):
+    return all(
+        (x is None and y is None) or np.array_equal(x, y)
+        for a, b in zip(c1, c2)
+        for x, y in ((a.h, b.h), (a.c, b.c), (a.x_prev, b.x_prev))
+    )
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.25])
+@pytest.mark.parametrize(
+    "kind,level",
+    [(k.value, "char") for k in TRAIN_KINDS] + [("t_lstm", "word")],
+)
+def test_window_pass_through_a_workspace_is_bitwise_fresh(kind, level, dropout):
+    if level == "word":
+        words = np.random.default_rng(2).choice(["ka", "lo", "mi", "nu", "pe"], 3000)
+        corpus = _tiny_corpus(" ".join(words), level="word")
+    else:
+        corpus = _tiny_corpus(synthetic_corpus(6_000, seed=1))
+    cfg = TrainConfig(arch=kind, level=level, layers=2, hidden=6, seq_len=7,
+                      batch=3, dropout=dropout, seed=2)
+    model = build_model(cfg, corpus.vocab, np.random.default_rng(cfg.seed))
+    windows = list(batch_iter(corpus.train, cfg.seq_len, cfg.batch))[:3]
+    ws = Workspace()
+    runs = []
+    for w in (None, ws):
+        rng = np.random.default_rng(9) if dropout > 0.0 else None
+        carry, seen = None, []
+        for X_ids, Y_ids in windows:
+            loss, grads, carry = _window_pass(
+                model, X_ids, Y_ids, carry, dropout, rng, w
+            )
+            # copies: the workspace's gradients last until its next use
+            grads = {n: g.copy() for n, g in grads.items()}
+            seen.append((loss, grads, carry))
+        runs.append(seen)
+    for (l1, g1, c1), (l2, g2, c2) in zip(*runs):
+        assert l1 == l2
+        assert g1.keys() == g2.keys()
+        assert all(np.array_equal(g1[n], g2[n]) for n in g1)
+        assert _same_carries(c1, c2)
+    # the carries are copies: later use of the workspace leaves them alone
+    _window_pass(model, *windows[0], None, dropout, np.random.default_rng(1), ws)
+    assert all(_same_carries(a[2], b[2]) for a, b in zip(*runs))
+    # evaluate through the used workspace, with another batch, is unchanged
+    want = evaluate(model, corpus, "valid", seq_len=5, batch=2)
+    assert evaluate(model, corpus, "valid", seq_len=5, batch=2, ws=ws) == want
+
+
+@pytest.mark.parametrize("kind", [k.value for k in TRAIN_KINDS])
+def test_window_pass_reuses_workspace_memory(kind):
+    """From the second window on, a char-level window through one workspace
+    allocates almost nothing new (fresh allocation: 4.8-19.2 MiB)."""
+    corpus = _tiny_corpus(synthetic_corpus(20_000, seed=1))
+    cfg = TrainConfig(arch=kind, layers=2, hidden=64, seq_len=50, batch=32)
+    model = build_model(cfg, corpus.vocab, np.random.default_rng(0))
+    windows = batch_iter(corpus.train, cfg.seq_len, cfg.batch)
+    ws = Workspace()
+    _, _, carry = _window_pass(model, *next(windows), None, 0.0, None, ws)
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            _, _, carry = _window_pass(model, *next(windows), carry, 0.0, None, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
 
 def test_untrained_model_scores_near_uniform():
