@@ -19,7 +19,8 @@ gradients into per-layer buffers, reuse scratch (the reverse-scan gradient,
 the stacked ``DP``, gate-derivative temporaries) shared by all layers, and
 pass the input gradient down through two shared buffers in turn, so a layer
 never writes the array it reads. ``input_grad=False`` skips the input
-gradient, which the trainer does for layer 0 at char level.
+gradient, which the trainer does for layer 0 at char level. Given one,
+``clip_global_norm`` squares each gradient into one reused buffer as well.
 
 Conventions: upstream gradients arrive per output step as dH (T, B, h);
 ``dh_final`` / ``dc_final`` inject gradient on the state carried out of the
@@ -392,23 +393,32 @@ def finite_diff(params, loss_fn, eps: float = 1e-5) -> dict[str, np.ndarray]:
     return grads
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    """L2 norm over the concatenation of every gradient tensor."""
+def global_norm(grads: dict[str, np.ndarray], ws: Workspace | None = None) -> float:
+    """L2 norm over the concatenation of every gradient tensor.
+
+    Each tensor is squared into one scratch buffer (from ``ws`` when given)
+    and summed in C order, tensor by tensor.
+    """
+    ws = FRESH if ws is None else ws
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+        g = np.asarray(g, dtype=np.float64)
+        total += float(np.square(g, out=ws.get("norm.sq", g.shape)).sum())
     return float(np.sqrt(total))
 
 
 def clip_global_norm(
-    grads: dict[str, np.ndarray], max_norm: float | None
+    grads: dict[str, np.ndarray],
+    max_norm: float | None,
+    ws: Workspace | None = None,
 ) -> tuple[dict[str, np.ndarray], float]:
     """Rescale all gradients so their joint L2 norm is at most ``max_norm``.
 
     Returns (grads, pre-clip norm). ``max_norm=None`` disables clipping and
     only reports the norm. Scaling is in place on the passed dict's arrays.
+    ``ws`` supplies the scratch buffer of ``global_norm``.
     """
-    norm = global_norm(grads)
+    norm = global_norm(grads, ws)
     if max_norm is not None:
         if max_norm <= 0:
             raise ValueError(f"clip threshold must be positive, got {max_norm}")

@@ -59,6 +59,15 @@ layers, never on the recurrent path and never on the raw model input. The DSL
 interpreter (``dsl.interp``) is the independent per-step reference for every
 update rule above.
 
+``stack_step`` is the firmware-only half of that split, for generation. It
+advances a stack by one token with no tape: each layer's ``StepState`` holds
+the firmware state (s, and x_prev for T-LSTM / T-GRU) and the rows a step
+overwrites. A scan cell's step is one product of the row [x_prev; x] with
+``U``, the gate map, and ``s *= f; s += a`` in place; the classical cells and
+T-MR run their loop body once. The gate map and the loop bodies are helpers
+that ``sequence_forward`` calls too, so each update rule is written once and
+a one-token step gives the bits of a one-token ``stack_forward``.
+
 Every window-sized array of the forward and backward passes comes from a
 ``Workspace`` when the caller passes one (``ws=``): the trainer and
 ``evaluate`` do, so a window reuses the memory of the last one instead of
@@ -84,6 +93,7 @@ __all__ = [
     "LayerTape",
     "SCAN_KINDS",
     "StackTape",
+    "StepState",
     "TRAINABLE_KINDS",
     "T_CELL_KINDS",
     "Workspace",
@@ -95,6 +105,7 @@ __all__ = [
     "sequence_forward",
     "stack_carry_out",
     "stack_forward",
+    "stack_step",
 ]
 
 
@@ -380,15 +391,85 @@ class LayerTape:
     TC: np.ndarray | None = None
 
 
-def _seq_aff(X: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``X @ m.T`` over a (T, B, d) batch, computed into the (T*B, rows of m)
-    ``out`` and returned as (T, B, rows of m)."""
+def _affine_rows(
+    X: np.ndarray, m: np.ndarray, bias: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``X @ m.T + bias`` for the rows of a 2-d ``X``, computed into ``out``.
+
+    np.dot, not matmul: with ``out`` it costs less on the one-row products of
+    ``stack_step``, and gives the same bits.
+    """
+    np.dot(X, m.T, out=out)
+    out += bias
+    return out
+
+
+def _seq_aff(
+    X: np.ndarray, m: np.ndarray, bias: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``X @ m.T + bias`` over a (T, B, d) batch, computed into the
+    (T*B, rows of m) ``out`` and returned as (T, B, rows of m)."""
     T, B, d = X.shape
     if d != m.shape[1]:
         raise ShapeError(
             f"affine input has dim {d}, matrix expects {m.shape[1]}"
         )
-    return np.dot(X.reshape(T * B, d), m.T, out=out).reshape(T, B, m.shape[0])
+    return _affine_rows(X.reshape(T * B, d), m, bias, out).reshape(T, B, m.shape[0])
+
+
+# The update rules, written once. ``sequence_forward`` applies them to every
+# step of a window and ``stack_step`` to one token; both pass the same
+# operand shapes for one row, so the two paths give the same bits.
+
+
+def _gate_views(kind: CellKind, P: np.ndarray, hdim: int) -> tuple:
+    """Z, F and O (None for T-RNN) as views of a scan cell's product P."""
+    O = P[..., 2 * hdim :] if kind in T_CELL_KINDS else None
+    return P[..., :hdim], P[..., hdim : 2 * hdim], O
+
+
+def _gate_map(kind: CellKind, Z, F, O, A: np.ndarray) -> None:
+    """A scan cell's coordinatewise map, in place: F through the sigmoid, O
+    through tanh, and the increment into A."""
+    sigmoid(F, out=F)
+    if O is not None:
+        np.tanh(O, out=O)
+    if kind == CellKind.T_GRU:
+        np.multiply(Z, O, out=A)
+    else:
+        np.subtract(1.0, F, out=A)
+        A *= Z
+
+
+def _rnn_body(V, h, pre):
+    return np.tanh(h @ V.T + pre)
+
+
+def _lstm_body(V, h, c, pz, pf, po):
+    """Returns z, f, o, c', tanh(c'), h'."""
+    Vz, Vf, Vo = V
+    z = np.tanh(h @ Vz.T + pz)
+    f = sigmoid(h @ Vf.T + pf)
+    o = np.tanh(h @ Vo.T + po)
+    c = f * c + (1.0 - f) * z
+    tc = np.tanh(c)
+    return z, f, o, c, tc, tc * o
+
+
+def _gru_body(V, h, pz, pf, po):
+    """Returns z, f, z (*) h, o, h'."""
+    Vz, Vf, Vo = V
+    z = sigmoid(h @ Vz.T + pz)
+    f = sigmoid(h @ Vf.T + pf)
+    g = z * h
+    o = np.tanh(g @ Vo.T + po)
+    return z, f, g, o, f * h + (1.0 - f) * o
+
+
+def _tmr_body(b, h, pre_in):
+    """Returns the pre-activation and h'."""
+    pre = b * h + pre_in
+    return pre, np.maximum(pre, 0.0)
 
 
 def _zeros_state(B: int, h: int, like: np.ndarray | None) -> np.ndarray:
@@ -444,25 +525,13 @@ def sequence_forward(
             XX[1:, :, :d] = src[:-1]
             XX[:, :, d:] = X
             xp_last = src[-1].copy()
-        # np.dot, not matmul: with ``out`` it costs less on the one-token
-        # products of ``sample``, and gives the same bits
-        P = np.dot(
-            XX.reshape(T * B, -1), params.U.T,
-            out=ws.own("P", (T * B, params.U.shape[0])),
-        )
-        P += params.bias
-        P = P.reshape(T, B, -1)
-        Z = P[..., :hdim]
-        F = sigmoid(P[..., hdim : 2 * hdim], out=P[..., hdim : 2 * hdim])
-        O = None
-        if kind in T_CELL_KINDS:
-            O = np.tanh(P[..., 2 * hdim :], out=P[..., 2 * hdim :])
+        P = _affine_rows(
+            XX.reshape(T * B, -1), params.U, params.bias,
+            ws.own("P", (T * B, params.U.shape[0])),
+        ).reshape(T, B, -1)
+        Z, F, O = _gate_views(kind, P, hdim)
         A = ws.get("A", seq)
-        if kind == CellKind.T_GRU:
-            np.multiply(Z, O, out=A)
-        else:
-            np.subtract(1.0, F, out=A)
-            A *= Z
+        _gate_map(kind, Z, F, O, A)
         S = ws.own("S", (T + 1, B, hdim))
         S[0] = _zeros_state(B, hdim, c0 if kind == CellKind.T_LSTM else h0)
         for t in range(T):
@@ -476,23 +545,22 @@ def sequence_forward(
         return S[1:], tape
 
     if kind == CellKind.RNN:
-        pre_in = _seq_aff(X, params["W"], ws.get("pz", (T * B, hdim)))
-        pre_in += params["b"]
+        pre_in = _seq_aff(X, params["W"], params["b"], ws.get("pz", (T * B, hdim)))
         V = params["V"]
         H = ws.own("H", (T + 1, B, hdim))
         H[0] = _zeros_state(B, hdim, h0)
         for t in range(T):
-            H[t + 1] = np.tanh(H[t] @ V.T + pre_in[t])
+            H[t + 1] = _rnn_body(V, H[t], pre_in[t])
         return H[1:], LayerTape(kind, X, H=H)
 
     if kind in (CellKind.LSTM, CellKind.GRU):
-        pz = _seq_aff(X, params["W_z"], ws.get("pz", (T * B, hdim)))
-        pf = _seq_aff(X, params["W_f"], ws.get("pf", (T * B, hdim)))
-        po = _seq_aff(X, params["W_o"], ws.get("po", (T * B, hdim)))
-        pz += params["b_z"]
-        pf += params["b_f"]
-        po += params["b_o"]
-        Vz, Vf, Vo = params["V_z"], params["V_f"], params["V_o"]
+        pz, pf, po = (
+            _seq_aff(
+                X, params[f"W_{g}"], params[f"b_{g}"], ws.get(f"p{g}", (T * B, hdim))
+            )
+            for g in "zfo"
+        )
+        V = params["V_z"], params["V_f"], params["V_o"]
         H = ws.own("H", (T + 1, B, hdim))
         H[0] = _zeros_state(B, hdim, h0)
         Z = ws.own("Z", seq)
@@ -504,35 +572,28 @@ def sequence_forward(
         TC = ws.own("TC", seq)
         C[0] = _zeros_state(B, hdim, c0)
         for t in range(T):
-            Z[t] = np.tanh(H[t] @ Vz.T + pz[t])
-            F[t] = sigmoid(H[t] @ Vf.T + pf[t])
-            O[t] = np.tanh(H[t] @ Vo.T + po[t])
-            C[t + 1] = F[t] * C[t] + (1.0 - F[t]) * Z[t]
-            TC[t] = np.tanh(C[t + 1])
-            H[t + 1] = TC[t] * O[t]
+            Z[t], F[t], O[t], C[t + 1], TC[t], H[t + 1] = _lstm_body(
+                V, H[t], C[t], pz[t], pf[t], po[t]
+            )
         return H[1:], LayerTape(kind, X, H=H, C=C, F=F, Z=Z, O=O, TC=TC)
 
     if kind == CellKind.GRU:
         G = ws.own("G", seq)
         for t in range(T):
-            Z[t] = sigmoid(H[t] @ Vz.T + pz[t])
-            F[t] = sigmoid(H[t] @ Vf.T + pf[t])
-            G[t] = Z[t] * H[t]
-            O[t] = np.tanh(G[t] @ Vo.T + po[t])
-            H[t + 1] = F[t] * H[t] + (1.0 - F[t]) * O[t]
+            Z[t], F[t], G[t], O[t], H[t + 1] = _gru_body(
+                V, H[t], pz[t], pf[t], po[t]
+            )
         return H[1:], LayerTape(kind, X, H=H, F=F, Z=Z, O=O, G=G)
 
     if kind == CellKind.T_MR:
-        pre_in = _seq_aff(X, params["W"], ws.get("pz", (T * B, hdim)))
-        pre_in += params["c"]
+        pre_in = _seq_aff(X, params["W"], params["c"], ws.get("pz", (T * B, hdim)))
         b = params["b"]
         H = ws.own("H", (T + 1, B, hdim))
         M = ws.own("M", seq, bool)
         H[0] = _zeros_state(B, hdim, h0)
         for t in range(T):
-            pre = b * H[t] + pre_in[t]
+            pre, H[t + 1] = _tmr_body(b, H[t], pre_in[t])
             M[t] = pre > 0.0
-            H[t + 1] = np.maximum(pre, 0.0)
         return H[1:], LayerTape(kind, X, H=H, M=M)
 
     raise ValueError(f"sequence_forward does not handle kind {kind!r}")
@@ -640,3 +701,85 @@ def stack_carry_out(layers: list[CellParams], tape: StackTape) -> list[LayerCarr
         xp = ltape.xp_last if params.kind in T_CELL_KINDS else None
         out.append(LayerCarry(h=h, c=c, x_prev=xp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# One-token firmware step
+# ---------------------------------------------------------------------------
+
+
+class StepState:
+    """One layer's state for ``stack_step``, built once from a ``LayerCarry``.
+
+    It holds the carried state (``h``; ``c`` for LSTM and T-LSTM; for T-LSTM
+    and T-GRU the previous input, in ``xx``) and the rows every step
+    overwrites: for the scan kinds the learnware input ``xx`` = [x_prev | x],
+    the product ``p``, whose views are the gates, and the increment ``a``;
+    for the others the input-side pre-activations ``pre``.
+    """
+
+    def __init__(self, params: CellParams, carry: LayerCarry) -> None:
+        kind, h, d = params.kind, params.hidden_dim, params.input_dim
+        if kind not in TRAINABLE_KINDS:
+            raise ValueError(f"cell kind {kind.value!r} cannot be stacked")
+        self.h = _zeros_state(1, h, carry.h).copy()
+        self.c = _zeros_state(1, h, carry.c).copy()
+        self.xx = None
+        if kind in T_CELL_KINDS:
+            # the previous input waits in the right half: a step shifts it left
+            self.xx = np.zeros((1, 2 * d))
+            if carry.x_prev is not None:
+                self.xx[:, d:] = _zeros_state(1, d, carry.x_prev)
+        if kind in SCAN_KINDS:
+            self.s = self.c if kind == CellKind.T_LSTM else self.h
+            self.p = np.empty((1, params.U.shape[0]))
+            self.gates = _gate_views(kind, self.p, h)
+            self.a = np.empty((1, h))
+            self.out = np.empty((1, h)) if kind == CellKind.T_LSTM else None
+        else:
+            self.pre = [np.empty((1, h)) for _ in "zfo"]
+
+
+def stack_step(
+    layers: list[CellParams], x: np.ndarray, state: list[StepState]
+) -> list[np.ndarray]:
+    """Advance a stack by one token of (1, d) input ``x``, without a tape.
+
+    ``state`` (one ``StepState`` per layer) is updated in place. Returns each
+    layer's (1, h) output row, valid until the next step. The numbers are
+    those of ``stack_forward`` over the same tokens, bit for bit.
+    """
+    outs = []
+    for params, st in zip(layers, state):
+        kind = params.kind
+        if kind in SCAN_KINDS:
+            if st.xx is not None:
+                d = params.input_dim
+                st.xx[:, :d] = st.xx[:, d:]
+                st.xx[:, d:] = x
+                x = st.xx
+            _affine_rows(x, params.U, params.bias, st.p)
+            Z, F, O = st.gates
+            _gate_map(kind, Z, F, O, st.a)
+            st.s *= F
+            st.s += st.a
+            x = np.multiply(st.s, O, out=st.out) if kind == CellKind.T_LSTM else st.s
+        elif kind == CellKind.RNN:
+            pre = _affine_rows(x, params["W"], params["b"], st.pre[0])
+            x = st.h = _rnn_body(params["V"], st.h, pre)
+        elif kind == CellKind.T_MR:
+            pre = _affine_rows(x, params["W"], params["c"], st.pre[0])
+            x = st.h = _tmr_body(params["b"], st.h, pre)[1]
+        else:
+            pz, pf, po = (
+                _affine_rows(x, params[f"W_{g}"], params[f"b_{g}"], out)
+                for g, out in zip("zfo", st.pre)
+            )
+            V = params["V_z"], params["V_f"], params["V_o"]
+            if kind == CellKind.LSTM:
+                *_, st.c, _, x = _lstm_body(V, st.h, st.c, pz, pf, po)
+            else:
+                *_, x = _gru_body(V, st.h, pz, pf, po)
+            st.h = x
+        outs.append(x)
+    return outs

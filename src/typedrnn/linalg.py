@@ -38,9 +38,10 @@ def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Softmax with max-subtraction; rows sum to 1 within float64 rounding."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def spectral_norm(m) -> float:

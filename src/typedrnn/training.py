@@ -26,11 +26,14 @@ thread a run is bitwise deterministic for a fixed config, corpus and seed.
 
 ``train`` and ``evaluate`` each make one ``cells.Workspace`` per call and
 run every window through it (``train`` its per-epoch validation too), so a
-window reuses the encoded input, tapes, scratch, logit block and gradients
-of the last one. The SGD update scales each gradient in place before
-subtracting it, which gives the same bits as ``t -= lr * g``. At char level
-the backward pass skips the input gradient, which would land on the fixed
-one-hot code. ``sample`` runs one token at a time and allocates as it goes.
+window reuses the encoded input, tapes, scratch, logit block, gradients and
+gradient-norm buffer of the last one. The SGD update scales each gradient in
+place before subtracting it, which gives the same bits as ``t -= lr * g``.
+At char level the backward pass skips the input gradient, which would land
+on the fixed one-hot code. ``sample`` runs the seed text through one taped
+``stack_forward`` and every later token through ``cells.stack_step``, which
+carries each layer's state in place and builds no tape; its per-token work
+is that step, one projection, the softmax and numpy's sampler.
 
 A non-finite loss or gradient norm aborts training with a diagnostic
 recording the epoch, step, loss, and gradient norm.
@@ -51,6 +54,7 @@ from .cells import (
     CellKind,
     CellParams,
     LayerCarry,
+    StepState,
     TRAINABLE_KINDS,
     Workspace,
     dropout_mask,
@@ -58,6 +62,7 @@ from .cells import (
     param_shapes,
     stack_carry_out,
     stack_forward,
+    stack_step,
 )
 from .checkpoint import Checkpoint, CheckpointError
 from .data import DataError, EncodedCorpus, Vocab, batch_iter
@@ -443,7 +448,7 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
             loss, grads, carry = _window_pass(
                 model, X_ids, Y_ids, carry, config.dropout, drop_rng, ws
             )
-            grads, grad_norm = clip_global_norm(grads, config.clip)
+            grads, grad_norm = clip_global_norm(grads, config.clip, ws=ws)
             step += 1
             if not (math.isfinite(loss) and math.isfinite(grad_norm)):
                 raise TrainingDiverged(epoch, step, loss, grad_norm)
@@ -555,18 +560,27 @@ def sample(
     if n == 0:
         return seed_text
     rng = np.random.default_rng(seed)
-    carry: list[LayerCarry] | None = None
+    # The seed runs batched through the taped forward; every later token
+    # through the tape-free step, which carries each layer's state in place.
+    outs, tape = stack_forward(model.layers, _encode_inputs(model, ids[:, None]))
+    carry = stack_carry_out(model.layers, tape)
+    state = [StepState(p, c) for p, c in zip(model.layers, carry)]
+    onehot = np.zeros((1, vocab.size)) if model.embed is None else None
+    top = outs[-1][-1, 0]
     out_ids: list[int] = []
-    cur = ids[:, None]  # (T, 1)
-    for _ in range(n):
-        X = _encode_inputs(model, cur)
-        outs, tape = stack_forward(model.layers, X, carry=carry)
-        carry = stack_carry_out(model.layers, tape)
-        logits = model.w_out @ outs[-1][-1, 0] + model.b_out
-        probs = softmax(logits / temperature)
+    while True:
+        probs = softmax((model.w_out @ top + model.b_out) / temperature)
         nxt = int(rng.choice(vocab.size, p=probs))
         out_ids.append(nxt)
-        cur = np.array([[nxt]], dtype=np.int64)
+        if len(out_ids) == n:
+            break
+        if onehot is None:
+            x = model.embed[nxt : nxt + 1]
+        else:
+            x = onehot
+            x.fill(0.0)
+            x[0, nxt] = 1.0
+        top = stack_step(model.layers, x, state)[-1][0]
     tail = vocab.decode(out_ids)
     return seed_text + tail if vocab.level == "char" else seed_text + " " + tail
 

@@ -44,6 +44,13 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     q = softmax(x + 123.0)
     assert np.max(np.abs(p - q)) < 1e-12
     assert np.all(softmax(np.array([0.0, 1000.0])) == [0.0, 1.0])
+    # bit for bit the three-step expression softmax replaced
+    wide = rng.uniform(-40.0, 40.0, size=26)
+    for v in (x, x[0], wide, rng.normal(size=(3, 4000))):
+        for axis in range(-v.ndim, v.ndim):
+            e = np.exp(v - np.max(v, axis=axis, keepdims=True))
+            old = e / np.sum(e, axis=axis, keepdims=True)
+            assert np.array_equal(softmax(v, axis), old)
 
 
 def test_spectral_norm_against_svd():

@@ -1,0 +1,104 @@
+"""The tape-free one-token step against the taped per-token forward."""
+
+import numpy as np
+import pytest
+from conftest import TRAIN_KINDS
+
+from typedrnn.cells import (
+    LayerCarry,
+    StepState,
+    stack_carry_out,
+    stack_forward,
+    stack_step,
+)
+from typedrnn.data import build_vocab, synthetic_corpus
+from typedrnn.linalg import softmax
+from typedrnn.training import TrainConfig, _encode_inputs, build_model, sample
+
+TEXTS = {
+    "char": synthetic_corpus(3000, seed=3),
+    "word": " ".join(
+        np.random.default_rng(2).choice([f"w{i}" for i in range(40)], 2000)
+    ),
+}
+
+
+def _model(kind, level, seed=1):
+    """A 2-layer model with its weights scaled up from the U(-0.08, 0.08)
+    init, so that states and sampling odds depend strongly on the input."""
+    vocab = build_vocab(TEXTS[level], level=level)
+    cfg = TrainConfig(arch=kind, level=level, layers=2, hidden=7, seed=seed)
+    model = build_model(cfg, vocab, np.random.default_rng(seed))
+    for arr in model.tensors().values():
+        arr *= 12.0
+    return model
+
+
+def _reference_sample(model, seed_text, n, temperature, seed):
+    """Per-token sampling through the taped forward, one token per call."""
+    rng = np.random.default_rng(seed)
+    vocab = model.vocab
+    carry = None
+    out_ids = []
+    cur = vocab.encode(seed_text)[:, None]
+    for _ in range(n):
+        X = _encode_inputs(model, cur)
+        outs, tape = stack_forward(model.layers, X, carry=carry)
+        carry = stack_carry_out(model.layers, tape)
+        logits = model.w_out @ outs[-1][-1, 0] + model.b_out
+        nxt = int(rng.choice(vocab.size, p=softmax(logits / temperature)))
+        out_ids.append(nxt)
+        cur = np.array([[nxt]], dtype=np.int64)
+    tail = vocab.decode(out_ids)
+    return seed_text + tail if vocab.level == "char" else seed_text + " " + tail
+
+
+@pytest.mark.parametrize("level", ["char", "word"])
+@pytest.mark.parametrize("kind", [k.value for k in TRAIN_KINDS])
+def test_stack_step_matches_the_taped_forward_bitwise(kind, level):
+    model = _model(kind, level)
+    rng = np.random.default_rng(5)
+    seed_ids = rng.integers(0, model.vocab.size, size=(6, 1))
+    _, tape = stack_forward(model.layers, _encode_inputs(model, seed_ids))
+    carry = stack_carry_out(model.layers, tape)
+    state = [StepState(p, c) for p, c in zip(model.layers, carry)]
+    for tok in rng.integers(0, model.vocab.size, size=30):
+        X = _encode_inputs(model, np.array([[tok]]))
+        outs, tape = stack_forward(model.layers, X, carry=carry)
+        carry = stack_carry_out(model.layers, tape)
+        step_outs = stack_step(model.layers, X[0], state)
+        assert len(step_outs) == len(outs)
+        for out, row in zip(outs, step_outs):
+            assert row.shape == (1, model.hidden)
+            assert np.array_equal(out[-1], row)
+        # every state the taped path carries, the step carries the same
+        for want, st, p in zip(carry, state, model.layers):
+            assert want.h is None or np.array_equal(st.h, want.h)
+            assert want.c is None or np.array_equal(st.c, want.c)
+            if want.x_prev is not None:
+                assert np.array_equal(st.xx[:, p.input_dim :], want.x_prev)
+
+
+@pytest.mark.parametrize("level", ["char", "word"])
+@pytest.mark.parametrize("kind", [k.value for k in TRAIN_KINDS])
+def test_sample_matches_the_per_token_taped_loop(kind, level):
+    model = _model(kind, level, seed=4)
+    text = TEXTS[level]
+    seed_text = text[:7] if level == "char" else " ".join(text.split()[:4])
+    for temperature in (1.0, 0.7):
+        for n in (1, 30):
+            want = _reference_sample(model, seed_text, n, temperature, seed=8)
+            assert sample(model, seed_text, n, temperature, seed=8) == want
+
+
+def test_step_from_an_empty_carry_starts_at_zero_state():
+    for kind in ("t_lstm", "lstm"):
+        model = _model(kind, "char")
+        state = [StepState(p, LayerCarry()) for p in model.layers]
+        carry = None
+        for tok in (3, 1, 4):
+            X = _encode_inputs(model, np.array([[tok]]))
+            outs, tape = stack_forward(model.layers, X, carry=carry)
+            carry = stack_carry_out(model.layers, tape)
+            rows = stack_step(model.layers, X[0], state)
+            assert all(np.array_equal(o[0], r) for o, r in zip(outs, rows))

@@ -318,6 +318,35 @@ def test_window_pass_reuses_workspace_memory(kind):
         assert peak <= 2**20, peak
 
 
+def test_clip_through_a_workspace_reuses_its_square_buffer():
+    """At word level with K=4000, the global norm squares each gradient into
+    one reused buffer (a fresh square per tensor peaks at 2.02 MiB), and
+    sums the squares in the same order as a fresh ``g ** 2``."""
+    words = np.random.default_rng(3).zipf(1.2, size=40_000) % 6000
+    text = " ".join(f"w{i}" for i in words)
+    vocab = build_vocab(text, level="word", max_words=4000)
+    corpus = encode_and_split(text, vocab)
+    assert vocab.size == 4000
+    cfg = TrainConfig(arch="t_lstm", level="word", layers=2, hidden=64,
+                      seq_len=50, batch=32)
+    model = build_model(cfg, vocab, np.random.default_rng(0))
+    windows = batch_iter(corpus.train, cfg.seq_len, cfg.batch)
+    ws = Workspace()
+    carry = None
+    for clip in (2.5, 1e-3):
+        _, grads, carry = _window_pass(model, *next(windows), carry, 0.0, None, ws)
+        total = sum(float(np.sum(np.asarray(g) ** 2)) for g in grads.values())
+        tracemalloc.start()
+        try:
+            _, norm = training.clip_global_norm(grads, clip, ws=ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm == float(np.sqrt(total))
+        if clip < 1.0:  # the buffer exists from the first clip on
+            assert norm > clip and peak < 2**19, peak
+
+
 def test_untrained_model_scores_near_uniform():
     text = synthetic_corpus(20_000, seed=1)
     corpus = _tiny_corpus(text)
@@ -398,25 +427,26 @@ def test_metrics_rows_and_csv_schema(tmp_path):
 def test_sampling_contract():
     text = synthetic_corpus(8_000, seed=4)
     corpus = _tiny_corpus(text)
-    cfg = TrainConfig(arch="t_rnn", hidden=8, seq_len=20, batch=4, epochs=1, seed=0)
-    model, _ = train(cfg, corpus)
-
     prompt = text[:3]  # guaranteed to be encodable
-    out = sample(model, prompt, 40, temperature=1.0, seed=9)
-    assert out.startswith(prompt) and len(out) == 43
-    again = sample(model, prompt, 40, temperature=1.0, seed=9)
-    assert out == again
-    other = sample(model, prompt, 40, temperature=1.0, seed=10)
-    assert out != other
-    assert sample(model, prompt, 0) == prompt
-    with pytest.raises(ValueError):
-        sample(model, prompt, 10, temperature=0.0)
-    with pytest.raises(ValueError):
-        sample(model, prompt, -1)
-    with pytest.raises(DataError):
-        sample(model, "", 5)
-    with pytest.raises(DataError, match="not in vocabulary"):
-        sample(model, "@#", 5)
+    for arch in ("t_rnn", "t_lstm", "lstm"):
+        cfg = TrainConfig(arch=arch, hidden=8, seq_len=20, batch=4, epochs=1, seed=0)
+        model, _ = train(cfg, corpus)
+
+        out = sample(model, prompt, 40, temperature=1.0, seed=9)
+        assert out.startswith(prompt) and len(out) == 43, arch
+        again = sample(model, prompt, 40, temperature=1.0, seed=9)
+        assert out == again, arch
+        other = sample(model, prompt, 40, temperature=1.0, seed=10)
+        assert out != other, arch
+        assert sample(model, prompt, 0) == prompt
+        with pytest.raises(ValueError):
+            sample(model, prompt, 10, temperature=0.0)
+        with pytest.raises(ValueError):
+            sample(model, prompt, -1)
+        with pytest.raises(DataError):
+            sample(model, "", 5)
+        with pytest.raises(DataError, match="not in vocabulary"):
+            sample(model, "@#", 5)
 
 
 def test_word_level_round_trip():
