@@ -7,16 +7,19 @@ is what the central-difference oracle ``finite_diff`` checks them against.
 
 T-RNN, T-LSTM and T-GRU share one backward, the mirror of their shared
 forward: one reverse scan ``G[t] = dS[t] + F[t] (*) G[t+1]`` for the gradient
-on the scanned state, one coordinatewise pass back through the gate maps into
-the stacked pre-activation gradient ``DP``, and one matrix multiply each for
-the gradient on the stacked learnware block ``CellParams.U`` and the input
-gradient. The named parameter gradients are views of the block gradient,
-laid out by ``cells.learnware_views`` as the parameters are. The classical
-cells and T-MR keep their own loops, as in the forward.
+on the scanned state, then one coordinatewise pass back through the gate maps.
+The classical cells and T-MR keep their own reverse loops, as in the forward.
+Every branch fills one stacked gradient ``DP`` on the input-side product,
+laid out as the rows of the learnware block ``CellParams.U``, and one shared
+tail finishes every kind: one matrix multiply for the gradient on the block,
+one sum for its bias, and one matrix multiply for the input gradient. The
+named learnware gradients are views of the block gradient, laid out by
+``cells.learnware_views`` as the parameters are; the state-side gradients
+(the classical V's, T-MR's b) are computed in the branches.
 
 Given a ``cells.Workspace`` (``ws=``), the backward passes write parameter
 gradients into per-layer buffers, reuse scratch (the reverse-scan gradient,
-the stacked ``DP``, gate-derivative temporaries) shared by all layers, and
+``DP``, gate-derivative temporaries) shared by all layers, and
 pass the input gradient down through two shared buffers in turn, so a layer
 never writes the array it reads. ``input_grad=False`` skips the input
 gradient, which the trainer does for layer 0 at char level. Given one,
@@ -43,6 +46,8 @@ from .cells import (
     LayerTape,
     SCAN_KINDS,
     StackTape,
+    TRAINABLE_KINDS,
+    T_CELL_KINDS,
     Workspace,
     learnware_views,
     sequence_forward,
@@ -119,6 +124,8 @@ def sequence_backward(
     buffer.
     """
     kind = params.kind
+    if kind not in TRAINABLE_KINDS:
+        raise ValueError(f"sequence_backward does not handle kind {kind!r}")
     ws = FRESH if ws is None else ws
     dH = np.asarray(dH, dtype=np.float64)
     T, B, h = dH.shape
@@ -126,7 +133,14 @@ def sequence_backward(
     zero = np.zeros((B, h))
     gh = zero if dh_final is None else np.asarray(dh_final, dtype=np.float64)
     gc = zero if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-    dX_key = f"dX{ws.index % 2}"
+    # gradient on the input-side product, in the row layout of the block U
+    DP = ws.get("DP", (T, B, params.U.shape[0]))
+    dPz, dPf, dPo = (DP[..., i * h : (i + 1) * h] for i in range(3))
+    tmp = ws.get("tmp", seq)
+    grads = {}  # the state-side gradients
+
+    def fold(name: str, D: np.ndarray, side: np.ndarray) -> np.ndarray:
+        return _fold(D, side, ws.own(f"g.{name}", params[name].shape))
 
     if kind in SCAN_KINDS:
         F, Z, O = tape.F, tape.Z, tape.O
@@ -138,81 +152,51 @@ def sequence_backward(
         for t in range(T - 1, -1, -1):
             np.add(dS[t], g, out=G[t])
             np.multiply(G[t], F[t], out=g)
-        DP = ws.get("DP", (T, B, (2 if O is None else 3) * h))
-        tmp = ws.get("tmp", seq)
-        dZ = DP[..., :h]
-        dPf = DP[..., h : 2 * h]
         if kind == CellKind.T_GRU:
-            np.multiply(G, O, out=dZ)
+            np.multiply(G, O, out=dPz)
             np.multiply(G, S[:-1], out=dPf)
         else:
-            np.subtract(1.0, F, out=dZ)
-            dZ *= G
+            np.subtract(1.0, F, out=dPz)
+            dPz *= G
             np.subtract(S[:-1], Z, out=dPf)
             dPf *= G
         dPf *= F
         dPf *= np.subtract(1.0, F, out=tmp)
         if O is not None:
-            dPo = DP[..., 2 * h :]
             if lstm:
                 np.multiply(dH, S[1:], out=dPo)
             else:
                 np.multiply(G, Z, out=dPo)
             np.multiply(O, O, out=tmp)
             dPo *= np.subtract(1.0, tmp, out=tmp)
-        D2 = DP.reshape(T * B, -1)
-        gU = np.matmul(
-            D2.T, tape.XX.reshape(T * B, -1), out=ws.own("gU", params.U.shape)
-        )
-        gb = np.sum(DP, axis=(0, 1), out=ws.own("gb", params.bias.shape))
-        grads = learnware_views(kind, gU, gb, params.input_dim)
         boundary = {"dc0": g} if lstm else {"dh0": g}
-        if not input_grad:
-            return Grads(grads, None, **boundary)
-        dXX = _unfold(DP, params.U, ws.get(dX_key, (T, B, params.U.shape[1])))
-        if kind == CellKind.T_RNN:
-            return Grads(grads, dXX, **boundary)
-        d = params.input_dim
-        return Grads(grads, dXX[..., d:], dX_prev=dXX[..., :d], **boundary)
 
-    def fold(name: str, D: np.ndarray, side: np.ndarray) -> np.ndarray:
-        return _fold(D, side, ws.own(f"g.{name}", params[name].shape))
-
-    def bias_sum(name: str, D: np.ndarray) -> np.ndarray:
-        return np.sum(D, axis=(0, 1), out=ws.own(f"g.{name}", params[name].shape))
-
-    def input_sum(pairs) -> np.ndarray | None:
-        """Sum of ``_unfold(D, W)`` over (D, W) pairs, in pair order."""
-        if not input_grad:
-            return None
-        dX = ws.get(dX_key, tape.X.shape)
-        dX.fill(0.0)
-        tmp = ws.get("tmp", tape.X.shape)
-        for D, W in pairs:
-            dX += _unfold(D, W, tmp)
-        return dX
-
-    if kind == CellKind.RNN:
-        H, X = tape.H, tape.X
-        V = params["V"]
-        dP = ws.get("dP", seq)
+    elif kind == CellKind.RNN:
+        H, V = tape.H, params["V"]
         g = gh
         for t in range(T - 1, -1, -1):
             g = dH[t] + g
             dp = g * (1.0 - H[t + 1] * H[t + 1])
-            dP[t] = dp
+            DP[t] = dp
             g = dp @ V
-        grads = {
-            "V": fold("V", dP, H[:-1]),
-            "W": fold("W", dP, X),
-            "b": bias_sum("b", dP),
-        }
-        return Grads(grads, input_sum([(dP, params["W"])]), dh0=g)
+        grads["V"] = fold("V", DP, H[:-1])
+        boundary = {"dh0": g}
 
-    if kind in (CellKind.LSTM, CellKind.GRU):
-        H, F, Z, O, X = tape.H, tape.F, tape.Z, tape.O, tape.X
+    elif kind == CellKind.T_MR:
+        H, M, b = tape.H, tape.M, params["b"]
+        g = gh
+        for t in range(T - 1, -1, -1):
+            g = dH[t] + g
+            DP[t] = g * M[t]
+            g = DP[t] * b
+        grads["b"] = np.sum(
+            np.multiply(DP, H[:-1], out=tmp), axis=(0, 1), out=ws.own("g.b", (h,))
+        )
+        boundary = {"dh0": g}
+
+    else:
+        H, F, Z, O = tape.H, tape.F, tape.Z, tape.O
         Vz, Vf, Vo = params["V_z"], params["V_f"], params["V_o"]
-        dPs = dPz, dPf, dPo = [ws.get(f"dP{n}", seq) for n in "zfo"]
         g, dc = gh, gc
         if kind == CellKind.LSTM:
             C, TC = tape.C, tape.TC
@@ -230,7 +214,6 @@ def sequence_backward(
             sides = (H[:-1], H[:-1], H[:-1])
             boundary = {"dh0": g, "dc0": dc}
         else:
-            G = tape.G
             for t in range(T - 1, -1, -1):
                 g = dH[t] + g
                 dF = g * (H[t] - O[t])
@@ -243,34 +226,27 @@ def sequence_backward(
                 dPz[t] = dZ * Z[t] * (1.0 - Z[t])
                 dPf[t] = dF * F[t] * (1.0 - F[t])
                 g = carry + dPz[t] @ Vz + dPf[t] @ Vf
-            sides = (H[:-1], H[:-1], G)
+            sides = (H[:-1], H[:-1], tape.G)
             boundary = {"dh0": g}
-        grads = {}
-        for n, dP, side in zip("zfo", dPs, sides):
+        for n, dP, side in zip("zfo", (dPz, dPf, dPo), sides):
             grads[f"V_{n}"] = fold(f"V_{n}", dP, side)
-            grads[f"W_{n}"] = fold(f"W_{n}", dP, X)
-            grads[f"b_{n}"] = bias_sum(f"b_{n}", dP)
-        grads = {k: grads[k] for k in params.tensors}
-        dX = input_sum([(dP, params[f"W_{n}"]) for n, dP in zip("zfo", dPs)])
-        return Grads(grads, dX, **boundary)
 
-    if kind == CellKind.T_MR:
-        H, M, X = tape.H, tape.M, tape.X
-        b = params["b"]
-        dP = ws.get("dP", seq)
-        g = gh
-        for t in range(T - 1, -1, -1):
-            g = dH[t] + g
-            dP[t] = g * M[t]
-            g = dP[t] * b
-        grads = {
-            "W": fold("W", dP, X),
-            "b": bias_sum("b", np.multiply(dP, H[:-1], out=ws.get("tmp", seq))),
-            "c": bias_sum("c", dP),
-        }
-        return Grads(grads, input_sum([(dP, params["W"])]), dh0=g)
-
-    raise ValueError(f"sequence_backward does not handle kind {kind!r}")
+    # The learnware of every kind: one fold for the block, one bias sum, and
+    # one product back to the input.
+    gU = np.matmul(
+        DP.reshape(T * B, -1).T, tape.XX.reshape(T * B, -1),
+        out=ws.own("gU", params.U.shape),
+    )
+    gb = np.sum(DP, axis=(0, 1), out=ws.own("gb", params.bias.shape))
+    grads.update(learnware_views(kind, gU, gb, params.input_dim))
+    grads = {name: grads[name] for name in params.tensors}
+    if not input_grad:
+        return Grads(grads, None, **boundary)
+    dXX = _unfold(DP, params.U, ws.get(f"dX{ws.index % 2}", tape.XX.shape))
+    if kind in T_CELL_KINDS:
+        d = params.input_dim
+        return Grads(grads, dXX[..., d:], dX_prev=dXX[..., :d], **boundary)
+    return Grads(grads, dXX, **boundary)
 
 
 def bptt(
@@ -370,13 +346,13 @@ def finite_diff(params, loss_fn, eps: float = 1e-5) -> dict[str, np.ndarray]:
     be deterministic and is called with a perturbed copy. O(P) forward passes
     at two evaluations each: an oracle, not a training tool.
     """
-    is_cell = isinstance(params, CellParams)
-    tensors = params.tensors if is_cell else params
-    work = {k: np.array(v, dtype=np.float64) for k, v in tensors.items()}
-    probe = CellParams(params.kind, params.input_dim, params.hidden_dim, work) \
-        if is_cell else work
+    if isinstance(params, CellParams):
+        probe = params.copy()
+        work = probe.tensors
+    else:
+        probe = work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     grads: dict[str, np.ndarray] = {}
-    for name, arr in (probe.tensors if is_cell else work).items():
+    for name, arr in work.items():
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"], op_flags=["readwrite"])
         while not it.finished:

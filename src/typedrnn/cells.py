@@ -37,12 +37,18 @@ matrices inside the step. Update rules, writing s for sigmoid, tau for tanh,
 
     SCRN     s' = alpha * s + (1 - alpha) * (W_s x_t) (alpha a scalar in (0,1))
 
-Every typed cell except T-MR splits into stateless learnware and
-state-dependent firmware. The learnware is one stacked block (``CellParams.U``;
-the named tensors are views of it), multiplied in one product with the whole
-window's inputs: ``x_t`` for T-RNN, ``[x_{t-1}; x_t]`` for T-LSTM and T-GRU. Its
-result maps coordinatewise to a forget gate F and an increment A, and the
-firmware is one diagonal linear scan, the same for all three kinds:
+Every trainable cell splits into stateless learnware and state-dependent
+firmware. The learnware is every matrix and bias that reads only the input.
+It is one stacked block per layer (``CellParams.U`` and ``CellParams.bias``;
+the named tensors are views of it, laid out by ``learnware_views``),
+multiplied in one product with the whole window's inputs: ``[x_{t-1}; x_t]``
+for T-LSTM and T-GRU, ``x_t`` for every other kind. The firmware is what
+touches the state; its tensors stay outside the block: the recurrent
+matrices V of the classical cells and the memory vector b of T-MR.
+
+For T-RNN, T-LSTM and T-GRU the product maps coordinatewise to a forget gate
+F and an increment A, and the firmware is one diagonal linear scan, the same
+for all three kinds:
 
     s_t = f_t (*) s_{t-1} + a_t
 
@@ -52,7 +58,8 @@ firmware is one diagonal linear scan, the same for all three kinds:
 
 ``sequence_forward`` runs a whole time-major batch (T, B, d) this way and
 records a tape for the hand-written backward pass in ``autodiff``, which runs
-the same scan in reverse. The classical cells and T-MR have their own loops,
+the same scan in reverse. The classical cells and T-MR read their input-side
+pre-activations as views of the same product and then run their own loops,
 because their state passes through a matrix or a relu. ``stack_forward`` runs
 a multi-layer stack with dropout applied only on vertical connections between
 layers, never on the recurrent path and never on the raw model input. The DSL
@@ -62,11 +69,12 @@ update rule above.
 ``stack_step`` is the firmware-only half of that split, for generation. It
 advances a stack by one token with no tape: each layer's ``StepState`` holds
 the firmware state (s, and x_prev for T-LSTM / T-GRU) and the rows a step
-overwrites. A scan cell's step is one product of the row [x_prev; x] with
-``U``, the gate map, and ``s *= f; s += a`` in place; the classical cells and
-T-MR run their loop body once. The gate map and the loop bodies are helpers
-that ``sequence_forward`` calls too, so each update rule is written once and
-a one-token step gives the bits of a one-token ``stack_forward``.
+overwrites. A step is one product of the layer's input row ([x_prev; x] for
+T-LSTM / T-GRU) with ``U``, then either the gate map and ``s *= f; s += a``
+in place, or one pass of a classical or T-MR loop body. The gate map and the
+loop bodies are helpers that ``sequence_forward`` calls too, so each update
+rule is written once and a one-token step gives the bits of a one-token
+``stack_forward``.
 
 Every window-sized array of the forward and backward passes comes from a
 ``Workspace`` when the caller passes one (``ws=``): the trainer and
@@ -170,10 +178,13 @@ def param_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> dict[str, t
 class CellParams:
     """Parameters of one cell layer. ``tensors`` preserves canonical order.
 
-    A T-RNN, T-LSTM or T-GRU copies the given arrays into one stacked
-    learnware block ``U`` with bias ``bias`` (see ``learnware_views``), and
-    its ``tensors`` are views of that block: update them in place. Other
-    kinds keep the given arrays, with ``U`` and ``bias`` None.
+    The constructor checks the given tensors' names and shapes against
+    ``param_shapes`` (a ShapeError names a wrong, missing or extra tensor)
+    and copies every one. A trainable kind's learnware goes into one stacked
+    block ``U`` with bias ``bias`` (see ``learnware_views``), and its named
+    tensors are views of that block: update them in place. The state-side
+    tensors (the classical V's, T-MR's b) and the SCRN tensors are copied as
+    they are; SCRN has no block, so its ``U`` and ``bias`` are None.
     """
 
     kind: CellKind
@@ -184,17 +195,31 @@ class CellParams:
     bias: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in SCAN_KINDS:
-            return
-        rows, cols = (2, 1) if self.kind == CellKind.T_RNN else (3, 2)
-        self.U = np.empty((rows * self.hidden_dim, cols * self.input_dim))
-        self.bias = np.zeros(rows * self.hidden_dim)
-        views = learnware_views(self.kind, self.U, self.bias, self.input_dim)
-        for name, view in views.items():
-            if np.shape(self.tensors[name]) != view.shape:
-                raise ShapeError(f"{name} must have shape {view.shape}")
-            view[...] = self.tensors[name]
-        self.tensors = views
+        d, h = self.input_dim, self.hidden_dim
+        shapes = param_shapes(self.kind, d, h)
+        for name in {**shapes, **self.tensors}:
+            if name not in self.tensors:
+                raise ShapeError(f"{self.kind.value} cell is missing tensor {name}")
+            if name not in shapes:
+                raise ShapeError(f"{self.kind.value} cell has no tensor {name}")
+            if np.shape(self.tensors[name]) != shapes[name]:
+                raise ShapeError(
+                    f"{name} has shape {np.shape(self.tensors[name])}, "
+                    f"expected {shapes[name]}"
+                )
+        views = {}
+        if self.kind in TRAINABLE_KINDS:
+            rows = _LEARNWARE_ROWS[self.kind] * h
+            self.U = np.empty((rows, (2 if self.kind in T_CELL_KINDS else 1) * d))
+            self.bias = np.zeros(rows)
+            views = learnware_views(self.kind, self.U, self.bias, d)
+        given, self.tensors = self.tensors, {}
+        for name in shapes:
+            if name in views:
+                views[name][...] = given[name]
+                self.tensors[name] = views[name]
+            else:
+                self.tensors[name] = np.array(given[name], dtype=np.float64)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -203,32 +228,48 @@ class CellParams:
         return int(sum(t.size for t in self.tensors.values()))
 
     def copy(self) -> "CellParams":
-        return CellParams(
-            self.kind,
-            self.input_dim,
-            self.hidden_dim,
-            {k: v.copy() for k, v in self.tensors.items()},
-        )
+        return CellParams(self.kind, self.input_dim, self.hidden_dim, self.tensors)
+
+
+#: Rows of a layer's learnware block, in units of the hidden size.
+_LEARNWARE_ROWS = {
+    CellKind.RNN: 1,
+    CellKind.T_MR: 1,
+    CellKind.T_RNN: 2,
+    CellKind.LSTM: 3,
+    CellKind.GRU: 3,
+    CellKind.T_LSTM: 3,
+    CellKind.T_GRU: 3,
+}
 
 
 def learnware_views(
     kind: CellKind, U: np.ndarray, bias: np.ndarray, input_dim: int
 ) -> dict[str, np.ndarray]:
-    """Named views, in canonical order, of a scan cell's stacked learnware
-    block (or of a gradient on it). T-LSTM / T-GRU: U is (3h, 2d), rows z, f,
-    o and columns [V | W] (previous input, current input); bias is (3h,).
-    T-RNN: U is (2h, d) over [W; V]; bias is (2h,), and its z half is no
-    tensor's (z carries no bias).
+    """Named views of a layer's stacked learnware block (or of a gradient on
+    it); the state-side tensors are not in it.
+
+    RNN: U is W, bias is b. T-MR: U is W, bias is c. LSTM / GRU: U is (3h, d),
+    rows W_z, W_f, W_o; bias is [b_z; b_f; b_o]. T-LSTM / T-GRU: U is (3h, 2d),
+    rows z, f, o and columns [V | W] (previous input, current input); bias is
+    (3h,). T-RNN: U is (2h, d) over [W; V]; bias is (2h,), and its z half is
+    no tensor's (z carries no bias).
     """
+    h, d = U.shape[0] // _LEARNWARE_ROWS[kind], input_dim
+    if kind == CellKind.RNN:
+        return {"W": U, "b": bias}
+    if kind == CellKind.T_MR:
+        return {"W": U, "c": bias}
     if kind == CellKind.T_RNN:
-        h = U.shape[0] // 2
         return {"W": U[:h], "V": U[h:], "b": bias[h:]}
-    h, d = U.shape[0] // 3, input_dim
     views = {}
     for i, g in enumerate(("z", "f", "o")):
         rows = slice(i * h, (i + 1) * h)
-        views[f"V_{g}"] = U[rows, :d]
-        views[f"W_{g}"] = U[rows, d:]
+        if kind in T_CELL_KINDS:
+            views[f"V_{g}"] = U[rows, :d]
+            views[f"W_{g}"] = U[rows, d:]
+        else:
+            views[f"W_{g}"] = U[rows]
         views[f"b_{g}"] = bias[rows]
     return views
 
@@ -371,10 +412,10 @@ class LayerTape:
     Arrays are time-major. ``H`` and ``C`` have T+1 rows including the initial
     state; gate arrays have T rows. ``X`` is the (possibly dropout-masked)
     input the W-side matrices saw. ``XX`` is the block the stacked learnware
-    of a scan cell multiplied: ``X`` itself for T-RNN, and for T-LSTM / T-GRU
-    the undropped previous input beside ``X``. The scanned state is ``C`` for
-    T-LSTM and ``H`` for every other kind; ``Z``, ``F`` and ``O`` of a scan
-    cell are views of its one learnware product.
+    multiplied: the undropped previous input beside ``X`` for T-LSTM / T-GRU,
+    ``X`` itself for every other kind. The scanned state is ``C`` for T-LSTM
+    and ``H`` for every other kind; ``Z``, ``F`` and ``O`` of a scan cell are
+    views of its one learnware product.
     """
 
     kind: CellKind
@@ -404,27 +445,14 @@ def _affine_rows(
     return out
 
 
-def _seq_aff(
-    X: np.ndarray, m: np.ndarray, bias: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """``X @ m.T + bias`` over a (T, B, d) batch, computed into the
-    (T*B, rows of m) ``out`` and returned as (T, B, rows of m)."""
-    T, B, d = X.shape
-    if d != m.shape[1]:
-        raise ShapeError(
-            f"affine input has dim {d}, matrix expects {m.shape[1]}"
-        )
-    return _affine_rows(X.reshape(T * B, d), m, bias, out).reshape(T, B, m.shape[0])
-
-
 # The update rules, written once. ``sequence_forward`` applies them to every
 # step of a window and ``stack_step`` to one token; both pass the same
 # operand shapes for one row, so the two paths give the same bits.
 
 
-def _gate_views(kind: CellKind, P: np.ndarray, hdim: int) -> tuple:
-    """Z, F and O (None for T-RNN) as views of a scan cell's product P."""
-    O = P[..., 2 * hdim :] if kind in T_CELL_KINDS else None
+def _gate_views(P: np.ndarray, hdim: int) -> tuple:
+    """Z, F and O (None when P has two gate blocks) as views of a product P."""
+    O = P[..., 2 * hdim :] if P.shape[-1] > 2 * hdim else None
     return P[..., :hdim], P[..., hdim : 2 * hdim], O
 
 
@@ -495,41 +523,44 @@ def sequence_forward(
     ``x_prev_src`` is the sequence the V-side of T-LSTM / T-GRU reads at t-1
     (defaults to ``X``; differs when dropout masks the W-side input). ``xp0``
     is the previous-window input at the left boundary (zeros by default).
-    For T-RNN, T-LSTM and T-GRU all learnable products are one matrix
-    multiply; only the coordinatewise scan is sequential. With ``ws`` (a
+    Every kind's input side is one matrix multiply over the whole window;
+    for T-RNN, T-LSTM and T-GRU it is the only one, and only the
+    coordinatewise scan is sequential. With ``ws`` (a
     ``Workspace.layer`` view) the outputs and tape live in the workspace.
     """
     kind = params.kind
+    if kind not in TRAINABLE_KINDS:
+        raise ValueError(f"sequence_forward does not handle kind {kind!r}")
     ws = FRESH if ws is None else ws
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ShapeError(f"sequence input must be (T, B, d), got {X.shape}")
-    T, B, _ = X.shape
+    T, B, d = X.shape
+    if d != params.input_dim:
+        raise ShapeError(f"input has dim {d}, cell expects {params.input_dim}")
     hdim = params.hidden_dim
     seq = (T, B, hdim)
 
+    XX, xp_last = X, None
+    if kind in T_CELL_KINDS:
+        src = X if x_prev_src is None else np.asarray(x_prev_src, dtype=np.float64)
+        if src.shape != X.shape:
+            raise ShapeError(f"x_prev_src has shape {src.shape}, input has {X.shape}")
+        XX = ws.own("XX", (T, B, 2 * d))
+        XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
+        XX[1:, :, :d] = src[:-1]
+        XX[:, :, d:] = X
+        xp_last = src[-1].copy()
+    # The one input-side product. A scan cell's gates are views of it, so it
+    # is part of the tape; the loops of the other kinds read it as scratch.
+    P = _affine_rows(
+        XX.reshape(T * B, -1), params.U, params.bias,
+        (ws.own if kind in SCAN_KINDS else ws.get)("P", (T * B, params.U.shape[0])),
+    ).reshape(T, B, -1)
+    tape = LayerTape(kind, X, XX=XX, xp_last=xp_last)
+
     if kind in SCAN_KINDS:
-        d = params.input_dim
-        if X.shape[2] != d:
-            raise ShapeError(f"input has dim {X.shape[2]}, cell expects {d}")
-        if kind == CellKind.T_RNN:
-            XX, xp_last = X, None
-        else:
-            src = X if x_prev_src is None else np.asarray(x_prev_src, dtype=np.float64)
-            if src.shape != X.shape:
-                raise ShapeError(
-                    f"x_prev_src has shape {src.shape}, input has {X.shape}"
-                )
-            XX = ws.own("XX", (T, B, 2 * d))
-            XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
-            XX[1:, :, :d] = src[:-1]
-            XX[:, :, d:] = X
-            xp_last = src[-1].copy()
-        P = _affine_rows(
-            XX.reshape(T * B, -1), params.U, params.bias,
-            ws.own("P", (T * B, params.U.shape[0])),
-        ).reshape(T, B, -1)
-        Z, F, O = _gate_views(kind, P, hdim)
+        tape.Z, tape.F, tape.O = Z, F, O = _gate_views(P, hdim)
         A = ws.get("A", seq)
         _gate_map(kind, Z, F, O, A)
         S = ws.own("S", (T + 1, B, hdim))
@@ -537,66 +568,45 @@ def sequence_forward(
         for t in range(T):
             np.multiply(F[t], S[t], out=S[t + 1])
             S[t + 1] += A[t]
-        tape = LayerTape(kind, X, XX=XX, xp_last=xp_last, F=F, Z=Z, O=O)
         if kind == CellKind.T_LSTM:
             tape.C = S
             return np.multiply(S[1:], O, out=ws.own("out", seq)), tape
         tape.H = S
         return S[1:], tape
 
+    tape.H = H = ws.own("H", (T + 1, B, hdim))
+    H[0] = _zeros_state(B, hdim, h0)
     if kind == CellKind.RNN:
-        pre_in = _seq_aff(X, params["W"], params["b"], ws.get("pz", (T * B, hdim)))
         V = params["V"]
-        H = ws.own("H", (T + 1, B, hdim))
-        H[0] = _zeros_state(B, hdim, h0)
         for t in range(T):
-            H[t + 1] = _rnn_body(V, H[t], pre_in[t])
-        return H[1:], LayerTape(kind, X, H=H)
-
-    if kind in (CellKind.LSTM, CellKind.GRU):
-        pz, pf, po = (
-            _seq_aff(
-                X, params[f"W_{g}"], params[f"b_{g}"], ws.get(f"p{g}", (T * B, hdim))
-            )
-            for g in "zfo"
-        )
-        V = params["V_z"], params["V_f"], params["V_o"]
-        H = ws.own("H", (T + 1, B, hdim))
-        H[0] = _zeros_state(B, hdim, h0)
-        Z = ws.own("Z", seq)
-        F = ws.own("F", seq)
-        O = ws.own("O", seq)
-
-    if kind == CellKind.LSTM:
-        C = ws.own("C", (T + 1, B, hdim))
-        TC = ws.own("TC", seq)
-        C[0] = _zeros_state(B, hdim, c0)
-        for t in range(T):
-            Z[t], F[t], O[t], C[t + 1], TC[t], H[t + 1] = _lstm_body(
-                V, H[t], C[t], pz[t], pf[t], po[t]
-            )
-        return H[1:], LayerTape(kind, X, H=H, C=C, F=F, Z=Z, O=O, TC=TC)
-
-    if kind == CellKind.GRU:
-        G = ws.own("G", seq)
-        for t in range(T):
-            Z[t], F[t], G[t], O[t], H[t + 1] = _gru_body(
-                V, H[t], pz[t], pf[t], po[t]
-            )
-        return H[1:], LayerTape(kind, X, H=H, F=F, Z=Z, O=O, G=G)
-
-    if kind == CellKind.T_MR:
-        pre_in = _seq_aff(X, params["W"], params["c"], ws.get("pz", (T * B, hdim)))
+            H[t + 1] = _rnn_body(V, H[t], P[t])
+    elif kind == CellKind.T_MR:
         b = params["b"]
-        H = ws.own("H", (T + 1, B, hdim))
-        M = ws.own("M", seq, bool)
-        H[0] = _zeros_state(B, hdim, h0)
+        tape.M = M = ws.own("M", seq, bool)
         for t in range(T):
-            pre, H[t + 1] = _tmr_body(b, H[t], pre_in[t])
+            pre, H[t + 1] = _tmr_body(b, H[t], P[t])
             M[t] = pre > 0.0
-        return H[1:], LayerTape(kind, X, H=H, M=M)
-
-    raise ValueError(f"sequence_forward does not handle kind {kind!r}")
+    else:
+        pz, pf, po = _gate_views(P, hdim)
+        V = params["V_z"], params["V_f"], params["V_o"]
+        tape.Z = Z = ws.own("Z", seq)
+        tape.F = F = ws.own("F", seq)
+        tape.O = O = ws.own("O", seq)
+        if kind == CellKind.LSTM:
+            tape.C = C = ws.own("C", (T + 1, B, hdim))
+            tape.TC = TC = ws.own("TC", seq)
+            C[0] = _zeros_state(B, hdim, c0)
+            for t in range(T):
+                Z[t], F[t], O[t], C[t + 1], TC[t], H[t + 1] = _lstm_body(
+                    V, H[t], C[t], pz[t], pf[t], po[t]
+                )
+        else:
+            tape.G = G = ws.own("G", seq)
+            for t in range(T):
+                Z[t], F[t], G[t], O[t], H[t + 1] = _gru_body(
+                    V, H[t], pz[t], pf[t], po[t]
+                )
+    return H[1:], tape
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +723,9 @@ class StepState:
 
     It holds the carried state (``h``; ``c`` for LSTM and T-LSTM; for T-LSTM
     and T-GRU the previous input, in ``xx``) and the rows every step
-    overwrites: for the scan kinds the learnware input ``xx`` = [x_prev | x],
-    the product ``p``, whose views are the gates, and the increment ``a``;
-    for the others the input-side pre-activations ``pre``.
+    overwrites: the input-side product ``p``, whose views are the gates
+    (``gates``); for T-LSTM and T-GRU the learnware input ``xx`` =
+    [x_prev | x]; for the scan kinds the increment ``a``.
     """
 
     def __init__(self, params: CellParams, carry: LayerCarry) -> None:
@@ -730,14 +740,12 @@ class StepState:
             self.xx = np.zeros((1, 2 * d))
             if carry.x_prev is not None:
                 self.xx[:, d:] = _zeros_state(1, d, carry.x_prev)
+        self.p = np.empty((1, params.U.shape[0]))
+        self.gates = _gate_views(self.p, h)
         if kind in SCAN_KINDS:
             self.s = self.c if kind == CellKind.T_LSTM else self.h
-            self.p = np.empty((1, params.U.shape[0]))
-            self.gates = _gate_views(kind, self.p, h)
             self.a = np.empty((1, h))
             self.out = np.empty((1, h)) if kind == CellKind.T_LSTM else None
-        else:
-            self.pre = [np.empty((1, h)) for _ in "zfo"]
 
 
 def stack_step(
@@ -752,34 +760,28 @@ def stack_step(
     outs = []
     for params, st in zip(layers, state):
         kind = params.kind
+        if st.xx is not None:
+            d = params.input_dim
+            st.xx[:, :d] = st.xx[:, d:]
+            st.xx[:, d:] = x
+            x = st.xx
+        p = _affine_rows(x, params.U, params.bias, st.p)
         if kind in SCAN_KINDS:
-            if st.xx is not None:
-                d = params.input_dim
-                st.xx[:, :d] = st.xx[:, d:]
-                st.xx[:, d:] = x
-                x = st.xx
-            _affine_rows(x, params.U, params.bias, st.p)
             Z, F, O = st.gates
             _gate_map(kind, Z, F, O, st.a)
             st.s *= F
             st.s += st.a
             x = np.multiply(st.s, O, out=st.out) if kind == CellKind.T_LSTM else st.s
         elif kind == CellKind.RNN:
-            pre = _affine_rows(x, params["W"], params["b"], st.pre[0])
-            x = st.h = _rnn_body(params["V"], st.h, pre)
+            x = st.h = _rnn_body(params["V"], st.h, p)
         elif kind == CellKind.T_MR:
-            pre = _affine_rows(x, params["W"], params["c"], st.pre[0])
-            x = st.h = _tmr_body(params["b"], st.h, pre)[1]
+            x = st.h = _tmr_body(params["b"], st.h, p)[1]
         else:
-            pz, pf, po = (
-                _affine_rows(x, params[f"W_{g}"], params[f"b_{g}"], out)
-                for g, out in zip("zfo", st.pre)
-            )
             V = params["V_z"], params["V_f"], params["V_o"]
             if kind == CellKind.LSTM:
-                *_, st.c, _, x = _lstm_body(V, st.h, st.c, pz, pf, po)
+                *_, st.c, _, x = _lstm_body(V, st.h, st.c, *st.gates)
             else:
-                *_, x = _gru_body(V, st.h, pz, pf, po)
+                *_, x = _gru_body(V, st.h, *st.gates)
             st.h = x
         outs.append(x)
     return outs

@@ -15,9 +15,10 @@ Layout, all integers little-endian:
             rank-0..n float64 data, little-endian, row-major
 
 There is no tensor-count field; the reader consumes records until EOF and
-rejects truncated files. Loading refuses unknown magic or version and names
-any tensor holding NaN or infinity; shape validation against an architecture
-happens when a model is rebuilt from the checkpoint. Round-trips are bit-exact.
+rejects truncated files. Loading refuses unknown magic or version, a symbol
+or tensor name that is not valid UTF-8, and names any tensor holding NaN or
+infinity; shape validation against an architecture happens when a model is
+rebuilt from the checkpoint. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -112,6 +113,14 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def text(self, what: str) -> str:
+        """A u32 byte length, then that many bytes of UTF-8."""
+        raw = self.take(self.u32(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{what} is not valid UTF-8 ({e.reason})") from None
+
     def at_end(self) -> bool:
         return self.pos == len(self.data)
 
@@ -133,14 +142,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     layers = struct.unpack("<H", r.take(2, "layer count"))[0]
     hidden = r.u32("hidden size")
     vocab_size = r.u32("vocab size")
-    symbols = []
-    for i in range(vocab_size):
-        n = r.u32(f"vocab entry {i} length")
-        symbols.append(r.take(n, f"vocab entry {i}").decode("utf-8"))
+    symbols = [r.text(f"vocab entry {i}") for i in range(vocab_size)]
     tensors: dict[str, np.ndarray] = {}
     while not r.at_end():
-        n = r.u32("tensor name length")
-        name = r.take(n, "tensor name").decode("utf-8")
+        name = r.text("tensor name")
         if name in tensors:
             raise CheckpointError(f"duplicate tensor {name!r}")
         rank = r.u32(f"rank of {name}")

@@ -3,8 +3,9 @@
 Character vocabularies enumerate the distinct characters of the source text
 in codepoint order and encoding is exactly invertible. Word vocabularies are
 whitespace-tokenized, ordered by descending frequency with ties broken
-lexicographically, and reserve ``<unk>`` at index 0; a size cap counts the
-``<unk>`` entry, and out-of-vocabulary tokens encode to it.
+lexicographically, and reserve ``<unk>`` at index 0 (``Vocab`` refuses a
+word vocabulary without it there); a size cap counts the ``<unk>`` entry, and
+out-of-vocabulary tokens encode to it.
 
 ``encode_and_split`` cuts one token stream contiguously into train / valid /
 test of sizes floor(0.8 N) / floor(0.1 N) / remainder; ``encode_pre_split``
@@ -53,6 +54,8 @@ class Vocab:
             raise DataError(f"level must be 'char' or 'word', got {self.level!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise DataError("vocabulary contains duplicate symbols")
+        if self.level == "word" and self.symbols[:1] != [UNK]:
+            raise DataError(f"a word vocabulary must hold {UNK} at index 0")
         self.index = {s: i for i, s in enumerate(self.symbols)}
 
     @property

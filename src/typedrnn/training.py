@@ -647,18 +647,11 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     in0 = ckpt.hidden if ckpt.level == "word" else vocab.size
     layers = []
     for i in range(ckpt.layers):
-        names = param_shapes(
-            ckpt.arch, in0 if i == 0 else ckpt.hidden, ckpt.hidden
-        )
-        tensors = {n: ckpt.tensors[f"layer{i}.{n}"].copy() for n in names}
-        layers.append(
-            CellParams(
-                ckpt.arch,
-                in0 if i == 0 else ckpt.hidden,
-                ckpt.hidden,
-                tensors,
-            )
-        )
+        dim = in0 if i == 0 else ckpt.hidden
+        names = param_shapes(ckpt.arch, dim, ckpt.hidden)
+        # the constructor copies what it is given
+        tensors = {n: ckpt.tensors[f"layer{i}.{n}"] for n in names}
+        layers.append(CellParams(ckpt.arch, dim, ckpt.hidden, tensors))
     return Model(
         arch=ckpt.arch,
         level=ckpt.level,

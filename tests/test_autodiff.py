@@ -37,6 +37,8 @@ def test_bptt_matches_finite_differences_per_kind():
                 return float(np.sum(u * out[-1]))
 
             res = bptt(params, X, u)
+            # canonical order: the clipping norm sums the gradients in it
+            assert list(res.params) == list(params.tensors), kind
             fd = finite_diff(params, loss)
             gaps = _rel_gap(res.params, fd)
             assert max(gaps.values()) < 1e-5, (kind, gaps)

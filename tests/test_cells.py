@@ -108,45 +108,78 @@ def test_scrn_state_step_is_a_leaky_average():
         scrn_state_step(params, s, X[0])
 
 
-def test_scan_cells_store_learnware_in_one_block():
+#: The state-side tensors of each kind, kept outside the learnware block.
+STATE_SIDE = {
+    CellKind.RNN: {"V"},
+    CellKind.LSTM: {"V_z", "V_f", "V_o"},
+    CellKind.GRU: {"V_z", "V_f", "V_o"},
+    CellKind.T_MR: {"b"},
+}
+
+
+def _input_side(p, kind, xp, x):
+    """Per-gate input-side products, in the block's row order."""
+    if kind == CellKind.RNN:
+        return [p["W"] @ x + p["b"]]
+    if kind == CellKind.T_MR:
+        return [p["W"] @ x + p["c"]]
+    if kind == CellKind.T_RNN:
+        return [p["W"] @ x, p["V"] @ x + p["b"]]
+    if kind in (CellKind.LSTM, CellKind.GRU):
+        return [p[f"W_{g}"] @ x + p[f"b_{g}"] for g in "zfo"]
+    return [p[f"V_{g}"] @ xp + p[f"W_{g}"] @ x + p[f"b_{g}"] for g in "zfo"]
+
+
+@pytest.mark.parametrize("kind", TRAIN_KINDS, ids=lambda k: k.value)
+def test_learnware_block(kind):
     rng = np.random.default_rng(6)
-    p = rand_params(CellKind.T_LSTM, 3, 4, rng)
-    U, bias = p.U, p.bias
-    assert U.shape == (12, 6) and bias.shape == (12,)
-    xp = rng.uniform(-1, 1, size=3)
-    x = rng.uniform(-1, 1, size=3)
-    stacked = U @ np.concatenate([xp, x]) + bias
-    for i, g in enumerate(("z", "f", "o")):
-        ref = p[f"V_{g}"] @ xp + p[f"W_{g}"] @ x + p[f"b_{g}"]
-        assert np.max(np.abs(stacked[4 * i : 4 * (i + 1)] - ref)) < 1e-14
+    d, h = 3, 4
+    p = rand_params(kind, d, h, rng)
+    xp = rng.uniform(-1, 1, size=d)
+    x = rng.uniform(-1, 1, size=d)
+    t_cell = kind in (CellKind.T_LSTM, CellKind.T_GRU)
+    stacked = p.U @ (np.concatenate([xp, x]) if t_cell else x) + p.bias
+    ref = np.concatenate(_input_side(p, kind, xp, x))
+    assert stacked.shape == ref.shape
+    assert np.max(np.abs(stacked - ref)) < 1e-14
 
-    # named tensors are views of the block: an in-place edit shows in U
-    p["W_f"][1, 2] += 1.0
-    assert U[5, 5] == p["W_f"][1, 2]
-    # the constructor copies what it is given
+    # every input-side tensor is a view of the block; the state side is not
+    state_side = STATE_SIDE.get(kind, set())
+    for name, t in p.tensors.items():
+        in_block = np.shares_memory(t, p.U) or np.shares_memory(t, p.bias)
+        assert in_block != (name in state_side), name
+    # a named view edits the block in place
+    name = "W_f" if "W_f" in p.tensors else "W"
+    p[name][1, 2] += 1.0
+    assert np.max(np.abs(p.U @ (np.concatenate([xp, x]) if t_cell else x) + p.bias
+                         - np.concatenate(_input_side(p, kind, xp, x)))) < 1e-14
+    # the constructor copies what it is given, and a copy owns its tensors
     given = {k: v.copy() for k, v in p.tensors.items()}
-    q = CellParams(CellKind.T_LSTM, 3, 4, given)
-    given["V_o"][0, 0] += 1.0
-    assert q["V_o"][0, 0] == p["V_o"][0, 0]
-    # a copy owns a separate block
+    q = CellParams(kind, d, h, given)
+    for k in given:
+        given[k][...] += 1.0
+        assert np.array_equal(q[k], p[k]), k
     c = p.copy()
+    for k, t in c.tensors.items():
+        assert not np.shares_memory(t, p[k]), k
+        assert np.array_equal(t, p[k]), k
     assert not np.shares_memory(c.U, p.U) and not np.shares_memory(c.bias, p.bias)
-    c["b_z"][0] += 1.0
-    assert c.bias[0] != p.bias[0]
-    assert np.array_equal(c.U, p.U)
 
-    q = rand_params(CellKind.T_RNN, 3, 4, rng)
-    U, bias = q.U, q.bias
-    assert U.shape == (8, 3)
-    stacked = U @ x + bias
-    assert np.max(np.abs(stacked[:4] - q["W"] @ x)) < 1e-14
-    assert np.max(np.abs(stacked[4:] - (q["V"] @ x + q["b"]))) < 1e-14
-    assert not bias[:4].any()
 
-    lstm = rand_params(CellKind.LSTM, 3, 4, rng)
-    assert lstm.U is None and lstm.bias is None
-    with pytest.raises(ShapeError):
-        CellParams(CellKind.T_RNN, 3, 4, {**q.tensors, "V": np.zeros((4, 4))})
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+def test_cell_params_check_every_tensor(kind):
+    rng = np.random.default_rng(12)
+    good = rand_params(kind, 3, 4, rng).tensors
+    for name, t in good.items():
+        with pytest.raises(ShapeError, match=name):
+            CellParams(kind, 3, 4, {**good, name: np.zeros(t.shape + (1,))})
+        if t.ndim:
+            with pytest.raises(ShapeError, match=name):
+                CellParams(kind, 3, 4, {**good, name: np.zeros((1,) * t.ndim)})
+        with pytest.raises(ShapeError, match=name):
+            CellParams(kind, 3, 4, {k: v for k, v in good.items() if k != name})
+    with pytest.raises(ShapeError, match="extra"):
+        CellParams(kind, 3, 4, {**good, "extra": np.zeros(4)})
 
 
 def test_stack_forward_without_dropout_chains_layers():

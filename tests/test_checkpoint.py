@@ -15,8 +15,13 @@ from typedrnn.checkpoint import (
     save_checkpoint,
 )
 from typedrnn.cli import main
-from typedrnn.data import build_vocab
-from typedrnn.training import TrainConfig, build_model, model_to_checkpoint
+from typedrnn.data import DataError, build_vocab
+from typedrnn.training import (
+    TrainConfig,
+    build_model,
+    model_from_checkpoint,
+    model_to_checkpoint,
+)
 
 
 def _sample_ckpt(rng):
@@ -134,3 +139,42 @@ def test_non_finite_tensor_is_rejected(tmp_path, capsys):
         load_checkpoint(path)
     assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
     assert "layer0.W_f" in capsys.readouterr().err
+
+
+def _model_ckpt(tmp_path, level):
+    """A saved t-rnn checkpoint and the corpus file it was built for."""
+    text = "abc cab bca " * 40
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(text, encoding="utf-8")
+    config = TrainConfig(arch=CellKind.T_RNN, hidden=4, level=level)
+    vocab = build_vocab(text, level)
+    model = build_model(config, vocab, np.random.default_rng(0))
+    return model_to_checkpoint(model), corpus
+
+
+@pytest.mark.parametrize("where", ["symbol", "name"])
+def test_bad_utf8_is_a_checkpoint_error(tmp_path, capsys, where):
+    ckpt, corpus = _model_ckpt(tmp_path, "char")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    raw = bytearray(path.read_bytes())
+    # symbol "a" is stored as its u32 length 1 and then b"a"
+    at = raw.index(b"\x01\x00\x00\x00a") + 4 if where == "symbol" else raw.index(b"layer0")
+    raw[at] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_word_checkpoint_without_unk_first_is_rejected(tmp_path, capsys):
+    ckpt, corpus = _model_ckpt(tmp_path, "word")
+    assert ckpt.vocab_symbols[0] == "<unk>"
+    ckpt.vocab_symbols[0] = "zzz"
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(DataError, match="<unk>"):
+        model_from_checkpoint(load_checkpoint(path))
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert "<unk>" in capsys.readouterr().err

@@ -25,12 +25,16 @@ TEXTS = {
 
 def _model(kind, level, seed=1):
     """A 2-layer model with its weights scaled up from the U(-0.08, 0.08)
-    init, so that states and sampling odds depend strongly on the input."""
+    init, so that states and sampling odds depend strongly on the input, and
+    its zero-initialized biases drawn nonzero, so that a step must add them."""
     vocab = build_vocab(TEXTS[level], level=level)
     cfg = TrainConfig(arch=kind, level=level, layers=2, hidden=7, seed=seed)
-    model = build_model(cfg, vocab, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    model = build_model(cfg, vocab, rng)
     for arr in model.tensors().values():
         arr *= 12.0
+        if arr.ndim == 1:
+            arr += rng.uniform(-1.0, 1.0, size=arr.shape)
     return model
 
 
