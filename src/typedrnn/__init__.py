@@ -23,13 +23,12 @@ from .autodiff import (
 from .cells import (
     CellKind,
     CellParams,
-    LayerCarry,
+    LayerState,
     T_CELL_KINDS,
     TRAINABLE_KINDS,
     init_params,
     param_shapes,
     sequence_forward,
-    stack_carry_out,
     stack_forward,
 )
 from .checkpoint import (
@@ -79,7 +78,7 @@ __all__ = [
     "DataError",
     "EncodedCorpus",
     "Grads",
-    "LayerCarry",
+    "LayerState",
     "Metrics",
     "Model",
     "T_CELL_KINDS",
@@ -110,7 +109,6 @@ __all__ = [
     "sequence_backward",
     "sequence_forward",
     "stack_backward",
-    "stack_carry_out",
     "stack_forward",
     "state_jacobian",
     "synthetic_corpus",

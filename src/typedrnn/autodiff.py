@@ -17,13 +17,14 @@ named learnware gradients are views of the block gradient, laid out by
 ``cells.learnware_views`` as the parameters are; the state-side gradients
 (the classical V's, T-MR's b) are computed in the branches.
 
-Given a ``cells.Workspace`` (``ws=``), the backward passes write parameter
-gradients into per-layer buffers, reuse scratch (the reverse-scan gradient,
-``DP``, gate-derivative temporaries) shared by all layers, and
-pass the input gradient down through two shared buffers in turn, so a layer
-never writes the array it reads. ``input_grad=False`` skips the input
-gradient, which the trainer does for layer 0 at char level. Given one,
-``clip_global_norm`` squares each gradient into one reused buffer as well.
+The backward passes take their memory from a ``cells.Workspace`` (``ws=``;
+a call given none makes its own): they write parameter gradients into
+per-layer buffers, reuse scratch (the reverse-scan gradient, ``DP``,
+gate-derivative temporaries) shared by all layers, and pass the input
+gradient down through two shared buffers in turn, so a layer never writes
+the array it reads. ``input_grad=False`` skips the input gradient, which the
+trainer does for layer 0 at char level. ``clip_global_norm`` squares each
+gradient into one buffer of the same workspace.
 
 Conventions: upstream gradients arrive per output step as dH (T, B, h);
 ``dh_final`` / ``dc_final`` inject gradient on the state carried out of the
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import (
-    FRESH,
     CellKind,
     CellParams,
     LayerTape,
@@ -74,19 +74,6 @@ class Grads:
     dX_prev: np.ndarray | None = None
     dh0: np.ndarray | None = None
     dc0: np.ndarray | None = None
-
-    def combined_input_grad(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Total gradient w.r.t. the raw input sequence, for the common case
-        where the W-side and V-side read the same array (no dropout between).
-
-        Returns (dX_total, dxp0) where dxp0 is the gradient on the boundary
-        input x_0^prev from before the window (None for non-T cells).
-        """
-        if self.dX_prev is None:
-            return self.dX, None
-        total = self.dX.copy()
-        total[:-1] += self.dX_prev[1:]
-        return total, self.dX_prev[0].copy()
 
 
 def _fold(D: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -126,7 +113,7 @@ def sequence_backward(
     kind = params.kind
     if kind not in TRAINABLE_KINDS:
         raise ValueError(f"sequence_backward does not handle kind {kind!r}")
-    ws = FRESH if ws is None else ws
+    ws = Workspace() if ws is None else ws
     dH = np.asarray(dH, dtype=np.float64)
     T, B, h = dH.shape
     seq = (T, B, h)
@@ -262,7 +249,8 @@ def bptt(
     ``upstream`` is either the gradient on the final output h_T with shape
     (B, h) (or (h,) when X is unbatched (T, d)), or a full per-step array
     matching the output sequence. Returns parameter gradients and gradients
-    on the inputs (see Grads.combined_input_grad for the single-array view).
+    on the inputs: for T-LSTM / T-GRU ``dX`` (W-side) and ``dX_prev``
+    (V-side) apart, which ``stack_backward`` adds into one array.
     """
     X = np.asarray(X, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -315,7 +303,7 @@ def stack_backward(
     between layers; the V-side (x_prev) path bypasses them, matching the
     forward. With ``ws`` the gradients live in the workspace.
     """
-    ws = FRESH if ws is None else ws
+    ws = Workspace() if ws is None else ws
     upstream = np.asarray(dH_top, dtype=np.float64)
     per_layer: list[dict[str, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for l in range(len(layers) - 1, -1, -1):
@@ -375,7 +363,7 @@ def global_norm(grads: dict[str, np.ndarray], ws: Workspace | None = None) -> fl
     Each tensor is squared into one scratch buffer (from ``ws`` when given)
     and summed in C order, tensor by tensor.
     """
-    ws = FRESH if ws is None else ws
+    ws = Workspace() if ws is None else ws
     total = 0.0
     for g in grads.values():
         g = np.asarray(g, dtype=np.float64)

@@ -66,28 +66,30 @@ layers, never on the recurrent path and never on the raw model input. The DSL
 interpreter (``dsl.interp``) is the independent per-step reference for every
 update rule above.
 
-``stack_step`` is the firmware-only half of that split, for generation. It
-advances a stack by one token with no tape: each layer's ``StepState`` holds
-the firmware state (s, and x_prev for T-LSTM / T-GRU) and the rows a step
-overwrites. A step is one product of the layer's input row ([x_prev; x] for
-T-LSTM / T-GRU) with ``U``, then either the gate map and ``s *= f; s += a``
-in place, or one pass of a classical or T-MR loop body. The gate map and the
-loop bodies are helpers that ``sequence_forward`` calls too, so each update
-rule is written once and a one-token step gives the bits of a one-token
-``stack_forward``.
+What outlives a call is said once per layer, in a ``LayerState``: the
+firmware state (h, c for LSTM and T-LSTM, and x_prev for T-LSTM / T-GRU),
+zero when new. ``stack_forward`` reads it as a window's initial state and
+writes the window's final state back into it, so training and evaluation
+carry it from window to window. ``stack_step`` is the firmware-only half of
+the learnware / firmware split, for generation: it advances the same states
+by one token with no tape. A step is one product of the layer's input row
+([x_prev; x] for T-LSTM / T-GRU) with ``U``, then either the gate map and
+``s *= f; s += a`` in place, or one pass of a classical or T-MR loop body.
+The gate map and the loop bodies are helpers that ``sequence_forward`` calls
+too, so each update rule is written once and a one-token step gives the bits
+of a one-token ``stack_forward``.
 
-Every window-sized array of the forward and backward passes comes from a
-``Workspace`` when the caller passes one (``ws=``): the trainer and
-``evaluate`` do, so a window reuses the memory of the last one instead of
-mapping fresh pages. The tape, outputs and gradients are then views of the
-workspace, valid until its next use. Without one, every array is allocated
-fresh, with the same numbers.
+Everything else is working memory, and it all comes from a ``Workspace``
+(``ws=``): the trainer and ``evaluate`` pass one, so a window reuses the
+memory of the last one instead of mapping fresh pages; a call given none
+makes its own. The tape, outputs and gradients are views of the workspace,
+valid until its next use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -97,11 +99,10 @@ from .linalg import ShapeError, sigmoid
 __all__ = [
     "CellKind",
     "CellParams",
-    "LayerCarry",
+    "LayerState",
     "LayerTape",
     "SCAN_KINDS",
     "StackTape",
-    "StepState",
     "TRAINABLE_KINDS",
     "T_CELL_KINDS",
     "Workspace",
@@ -111,7 +112,6 @@ __all__ = [
     "param_shapes",
     "scrn_state_step",
     "sequence_forward",
-    "stack_carry_out",
     "stack_forward",
     "stack_step",
 ]
@@ -347,10 +347,9 @@ class Workspace:
 
     Lifetime: an array returned or recorded by a call that was given a
     workspace (outputs, tapes, gradients) is valid until the next call with
-    that workspace. Carried state (``stack_carry_out``) is always a copy.
-
-    ``FRESH`` allocates a new array on every request; it is what callers
-    that pass no workspace get.
+    that workspace. A call given none makes a private one, so what two such
+    calls return shares no memory. State written into a ``LayerState`` is
+    always a copy.
     """
 
     def __init__(self) -> None:
@@ -374,21 +373,6 @@ class Workspace:
         return self.get(self._scope + key, shape, dtype)
 
 
-class _Fresh(Workspace):
-    """A workspace that keeps nothing: every request is a new array."""
-
-    def layer(self, index: int) -> "Workspace":
-        return self
-
-    def get(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-    own = get
-
-
-FRESH = _Fresh()
-
-
 def dropout_mask(
     rng: np.random.Generator, dropout: float, out: np.ndarray, ws: Workspace
 ) -> np.ndarray:
@@ -410,20 +394,20 @@ class LayerTape:
     """Everything the backward pass needs from one layer's forward sweep.
 
     Arrays are time-major. ``H`` and ``C`` have T+1 rows including the initial
-    state; gate arrays have T rows. ``X`` is the (possibly dropout-masked)
-    input the W-side matrices saw. ``XX`` is the block the stacked learnware
-    multiplied: the undropped previous input beside ``X`` for T-LSTM / T-GRU,
-    ``X`` itself for every other kind. The scanned state is ``C`` for T-LSTM
-    and ``H`` for every other kind; ``Z``, ``F`` and ``O`` of a scan cell are
-    views of its one learnware product.
+    state; gate arrays have T rows. ``XX`` is the block the stacked learnware
+    multiplied: for T-LSTM / T-GRU the undropped previous input beside the
+    (possibly dropout-masked) input, for every other kind the input itself.
+    The scanned state is ``C`` for T-LSTM and ``H`` for every other kind;
+    ``Z``, ``F`` and ``O`` of a scan cell are views of its one learnware
+    product. The layer input ``X`` is accepted but not kept: the backward
+    pass reads ``XX``.
     """
 
     kind: CellKind
-    X: np.ndarray
+    X: InitVar[np.ndarray | None] = None
     H: np.ndarray | None = None
     C: np.ndarray | None = None
     XX: np.ndarray | None = None
-    xp_last: np.ndarray | None = None
     F: np.ndarray | None = None
     Z: np.ndarray | None = None
     O: np.ndarray | None = None
@@ -531,7 +515,7 @@ def sequence_forward(
     kind = params.kind
     if kind not in TRAINABLE_KINDS:
         raise ValueError(f"sequence_forward does not handle kind {kind!r}")
-    ws = FRESH if ws is None else ws
+    ws = Workspace() if ws is None else ws
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ShapeError(f"sequence input must be (T, B, d), got {X.shape}")
@@ -541,7 +525,7 @@ def sequence_forward(
     hdim = params.hidden_dim
     seq = (T, B, hdim)
 
-    XX, xp_last = X, None
+    XX = X
     if kind in T_CELL_KINDS:
         src = X if x_prev_src is None else np.asarray(x_prev_src, dtype=np.float64)
         if src.shape != X.shape:
@@ -550,14 +534,13 @@ def sequence_forward(
         XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
         XX[1:, :, :d] = src[:-1]
         XX[:, :, d:] = X
-        xp_last = src[-1].copy()
     # The one input-side product. A scan cell's gates are views of it, so it
     # is part of the tape; the loops of the other kinds read it as scratch.
     P = _affine_rows(
         XX.reshape(T * B, -1), params.U, params.bias,
         (ws.own if kind in SCAN_KINDS else ws.get)("P", (T * B, params.U.shape[0])),
     ).reshape(T, B, -1)
-    tape = LayerTape(kind, X, XX=XX, xp_last=xp_last)
+    tape = LayerTape(kind, XX=XX)
 
     if kind in SCAN_KINDS:
         tape.Z, tape.F, tape.O = Z, F, O = _gate_views(P, hdim)
@@ -614,13 +597,31 @@ def sequence_forward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LayerCarry:
-    """State carried across window boundaries for one layer."""
+class LayerState:
+    """One layer's firmware state, carried from window to window by
+    ``stack_forward`` and from token to token by ``stack_step``. A new one is
+    the zero state of a batch of ``batch`` streams.
 
-    h: np.ndarray | None = None
-    c: np.ndarray | None = None
-    x_prev: np.ndarray | None = None
+    ``h`` is the layer's last output (for T-LSTM, c (*) o); ``c`` the cell
+    state of LSTM and T-LSTM, None for every other kind; for T-LSTM and T-GRU
+    ``xx`` is the learnware input row [x_prev | x], whose right half holds
+    the previous raw input between calls (None for every other kind);
+    ``stack_forward`` writes into these in place. The rows a step overwrites
+    are made by the first step, since a window needs none: the input-side
+    product ``p``, whose views are the gates (``gates``), and the increment
+    ``a`` of the scan kinds.
+    """
+
+    def __init__(self, params: CellParams, batch: int = 1) -> None:
+        kind, h, d = params.kind, params.hidden_dim, params.input_dim
+        if kind not in TRAINABLE_KINDS:
+            raise ValueError(f"cell kind {kind.value!r} cannot be stacked")
+        self.h = np.zeros((batch, h))
+        lstm = kind in (CellKind.LSTM, CellKind.T_LSTM)
+        self.c = np.zeros((batch, h)) if lstm else None
+        # the previous input waits in the right half: a step shifts it left
+        self.xx = np.zeros((batch, 2 * d)) if kind in T_CELL_KINDS else None
+        self.p = self.gates = self.a = None
 
 
 @dataclass
@@ -641,7 +642,7 @@ def stack_forward(
     X: np.ndarray,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    carry: list[LayerCarry] | None = None,
+    state: list[LayerState] | None = None,
     ws: Workspace | None = None,
 ) -> tuple[list[np.ndarray], StackTape]:
     """Run a stack of layers over a (T, B, d) batch.
@@ -650,9 +651,11 @@ def stack_forward(
     dropout p > 0, layer l >= 1 reads an inverted-dropout masked copy of layer
     l-1's output on its learnable W-side, while the x_prev stream of T-LSTM /
     T-GRU always reads the unmasked layer l-1 output at t-1 (the recurrent
-    path is never masked). ``carry`` supplies initial h / c / previous-window
-    input per layer; zeros by default. With ``ws`` the outputs, tape and
-    masks live in the workspace (see ``Workspace`` for their lifetime).
+    path is never masked). ``state`` (one ``LayerState`` per layer, for B
+    streams) is each layer's initial state, and the window's final h, c and
+    last raw input are copied back into it, in place, for the next window;
+    without it every layer starts from zeros. With ``ws`` the outputs, tape
+    and masks live in the workspace (see ``Workspace`` for their lifetime).
     """
     if not layers:
         raise ValueError("stack needs at least one layer")
@@ -663,11 +666,9 @@ def stack_forward(
         raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
     if dropout > 0.0 and rng is None:
         raise ValueError("dropout > 0 requires an rng")
-    if carry is None:
-        carry = [LayerCarry() for _ in layers]
-    if len(carry) != len(layers):
-        raise ValueError("carry must have one entry per layer")
-    ws = FRESH if ws is None else ws
+    if state is not None and len(state) != len(layers):
+        raise ValueError("state must have one entry per layer")
+    ws = Workspace() if ws is None else ws
 
     tape = StackTape()
     outputs: list[np.ndarray] = []
@@ -679,16 +680,23 @@ def stack_forward(
         if dropout > 0.0 and l > 0:
             mask = dropout_mask(rng, dropout, lws.own("mask", inp.shape), ws)
             inp = np.multiply(inp, mask, out=lws.own("in", inp.shape))
-        cr = carry[l]
+        st = None if state is None else state[l]
+        xp = None if st is None or st.xx is None else st.xx[:, params.input_dim :]
         out, ltape = sequence_forward(
             params,
             inp,
-            h0=cr.h,
-            c0=cr.c,
+            h0=None if st is None else st.h,
+            c0=None if st is None else st.c,
             x_prev_src=raw_inp if params.kind in T_CELL_KINDS else None,
-            xp0=cr.x_prev,
+            xp0=xp,
             ws=lws,
         )
+        if st is not None:
+            st.h[...] = out[-1]
+            if st.c is not None:
+                st.c[...] = ltape.C[-1]
+            if xp is not None:
+                xp[...] = raw_inp[-1]
         tape.masks.append(mask)
         tape.layer_tapes.append(ltape)
         outputs.append(out)
@@ -697,69 +705,27 @@ def stack_forward(
     return outputs, tape
 
 
-def stack_carry_out(layers: list[CellParams], tape: StackTape) -> list[LayerCarry]:
-    """Final h / c / last-raw-input per layer, for the next training window.
-
-    T-LSTM carries no h (its recurrence runs through c only; h = c (*) o is
-    pure output). T-cells carry the last raw (unmasked) input of the window
-    so the first step of the next window sees the true x_{t-1}.
-    """
-    out: list[LayerCarry] = []
-    for params, ltape in zip(layers, tape.layer_tapes):
-        h = None if ltape.H is None else ltape.H[-1].copy()
-        c = None if ltape.C is None else ltape.C[-1].copy()
-        xp = ltape.xp_last if params.kind in T_CELL_KINDS else None
-        out.append(LayerCarry(h=h, c=c, x_prev=xp))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # One-token firmware step
 # ---------------------------------------------------------------------------
 
 
-class StepState:
-    """One layer's state for ``stack_step``, built once from a ``LayerCarry``.
-
-    It holds the carried state (``h``; ``c`` for LSTM and T-LSTM; for T-LSTM
-    and T-GRU the previous input, in ``xx``) and the rows every step
-    overwrites: the input-side product ``p``, whose views are the gates
-    (``gates``); for T-LSTM and T-GRU the learnware input ``xx`` =
-    [x_prev | x]; for the scan kinds the increment ``a``.
-    """
-
-    def __init__(self, params: CellParams, carry: LayerCarry) -> None:
-        kind, h, d = params.kind, params.hidden_dim, params.input_dim
-        if kind not in TRAINABLE_KINDS:
-            raise ValueError(f"cell kind {kind.value!r} cannot be stacked")
-        self.h = _zeros_state(1, h, carry.h).copy()
-        self.c = _zeros_state(1, h, carry.c).copy()
-        self.xx = None
-        if kind in T_CELL_KINDS:
-            # the previous input waits in the right half: a step shifts it left
-            self.xx = np.zeros((1, 2 * d))
-            if carry.x_prev is not None:
-                self.xx[:, d:] = _zeros_state(1, d, carry.x_prev)
-        self.p = np.empty((1, params.U.shape[0]))
-        self.gates = _gate_views(self.p, h)
-        if kind in SCAN_KINDS:
-            self.s = self.c if kind == CellKind.T_LSTM else self.h
-            self.a = np.empty((1, h))
-            self.out = np.empty((1, h)) if kind == CellKind.T_LSTM else None
-
-
 def stack_step(
-    layers: list[CellParams], x: np.ndarray, state: list[StepState]
+    layers: list[CellParams], x: np.ndarray, state: list[LayerState]
 ) -> list[np.ndarray]:
     """Advance a stack by one token of (1, d) input ``x``, without a tape.
 
-    ``state`` (one ``StepState`` per layer) is updated in place. Returns each
-    layer's (1, h) output row, valid until the next step. The numbers are
-    those of ``stack_forward`` over the same tokens, bit for bit.
+    ``state`` (one ``LayerState`` per layer) is updated in place. Returns
+    each layer's (1, h) output row, valid until the next step. The numbers
+    are those of ``stack_forward`` over the same tokens, bit for bit.
     """
     outs = []
     for params, st in zip(layers, state):
         kind = params.kind
+        if st.p is None:
+            st.p = np.empty((len(st.h), params.U.shape[0]))
+            st.gates = _gate_views(st.p, params.hidden_dim)
+            st.a = np.empty_like(st.h)
         if st.xx is not None:
             d = params.input_dim
             st.xx[:, :d] = st.xx[:, d:]
@@ -769,9 +735,10 @@ def stack_step(
         if kind in SCAN_KINDS:
             Z, F, O = st.gates
             _gate_map(kind, Z, F, O, st.a)
-            st.s *= F
-            st.s += st.a
-            x = np.multiply(st.s, O, out=st.out) if kind == CellKind.T_LSTM else st.s
+            s = st.c if kind == CellKind.T_LSTM else st.h  # the scanned state
+            s *= F
+            s += st.a
+            x = np.multiply(s, O, out=st.h) if kind == CellKind.T_LSTM else s
         elif kind == CellKind.RNN:
             x = st.h = _rnn_body(params["V"], st.h, p)
         elif kind == CellKind.T_MR:

@@ -86,6 +86,18 @@ def _clip_flag(text: str):
     return value
 
 
+def _count_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=100)
 
@@ -164,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=("uniform008", "identity"), default="uniform008",
                    help="weight init: uniform(-0.08, 0.08), or identity recurrence "
                    "for rnn (default uniform008)")
-    p.add_argument("--log-every", type=int, default=100, metavar="N",
+    p.add_argument("--log-every", type=_count_flag, default=100, metavar="N",
                    help="steps between metrics rows (default 100)")
     p.add_argument("--out", metavar="CKPT", help="checkpoint output path")
     p.add_argument("--metrics", metavar="PATH", help="metrics CSV output path")
@@ -213,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--arch", choices=TRAIN_ARCHS, default=None,
                    help="architecture to check (default: all)")
-    p.add_argument("--hidden", type=int, default=4, metavar="N",
+    p.add_argument("--hidden", type=_count_flag, default=4, metavar="N",
                    help="hidden units (default 4)")
-    p.add_argument("--steps", type=int, default=8, metavar="T",
+    p.add_argument("--steps", type=_count_flag, default=8, metavar="T",
                    help="sequence length (default 8)")
-    p.add_argument("--trials", type=int, default=20, metavar="K",
+    p.add_argument("--trials", type=_count_flag, default=20, metavar="K",
                    help="random instances per architecture (default 20)")
     p.add_argument("--eps", type=float, default=1e-5, metavar="F",
                    help="finite-difference step (default 1e-5)")
@@ -239,11 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--arch", choices=POOLED_ARCHS, default=None,
                    help="architecture to check (default: all three)")
-    p.add_argument("--hidden", type=int, default=8, metavar="N",
+    p.add_argument("--hidden", type=_count_flag, default=8, metavar="N",
                    help="hidden units (default 8)")
-    p.add_argument("--steps", type=int, default=20, metavar="T",
+    p.add_argument("--steps", type=_count_flag, default=20, metavar="T",
                    help="max sequence length (default 20)")
-    p.add_argument("--trials", type=int, default=100, metavar="K",
+    p.add_argument("--trials", type=_count_flag, default=100, metavar="K",
                    help="random instances per architecture (default 100)")
     p.add_argument("--tol", type=float, default=1e-10, metavar="F",
                    help="max allowed absolute error (default 1e-10)")
@@ -276,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--arch", choices=TRAIN_ARCHS, required=True,
                    help="cell architecture")
-    p.add_argument("--hidden", type=int, default=64, metavar="N",
+    p.add_argument("--hidden", type=_count_flag, default=64, metavar="N",
                    help="hidden units (default 64)")
-    p.add_argument("--steps", type=int, default=50, metavar="T",
+    p.add_argument("--steps", type=_count_flag, default=50, metavar="T",
                    help="sequence length per rep (default 50)")
-    p.add_argument("--reps", type=int, default=20, metavar="K",
+    p.add_argument("--reps", type=_count_flag, default=20, metavar="K",
                    help="timed repetitions, after one warmup (default 20)")
-    p.add_argument("--batch", type=int, default=32, metavar="N",
+    p.add_argument("--batch", type=_count_flag, default=32, metavar="N",
                    help="parallel sequences (default 32)")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="RNG seed (default 0)")
@@ -510,8 +522,6 @@ def _bench_ms(
 
 def _cmd_bench(args) -> int:
     kind = _kind(args.arch)
-    if args.reps < 1:
-        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     kinds = [kind, CellKind.LSTM] if kind == CellKind.T_LSTM else [kind]
     ms = _bench_ms(kinds, args.hidden, args.steps, args.batch, args.reps, args.seed)
     setup = (

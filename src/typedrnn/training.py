@@ -27,13 +27,16 @@ thread a run is bitwise deterministic for a fixed config, corpus and seed.
 ``train`` and ``evaluate`` each make one ``cells.Workspace`` per call and
 run every window through it (``train`` its per-epoch validation too), so a
 window reuses the encoded input, tapes, scratch, logit block, gradients and
-gradient-norm buffer of the last one. The SGD update scales each gradient in
-place before subtracting it, which gives the same bits as ``t -= lr * g``.
-At char level the backward pass skips the input gradient, which would land
-on the fixed one-hot code. ``sample`` runs the seed text through one taped
-``stack_forward`` and every later token through ``cells.stack_step``, which
-carries each layer's state in place and builds no tape; its per-token work
-is that step, one projection, the softmax and numpy's sampler.
+gradient-norm buffer of the last one. The state carried across windows is
+one ``cells.LayerState`` per layer, made new (zero) per epoch by ``train``
+and per call by ``evaluate``, which ``stack_forward`` advances in place. The
+SGD update scales each gradient in place before subtracting it, which gives
+the same bits as ``t -= lr * g``. At char level the backward pass skips the
+input gradient, which would land on the fixed one-hot code. ``sample`` runs
+the seed text through one taped ``stack_forward`` and every later token
+through ``cells.stack_step``, both advancing the same ``LayerState``s; its
+per-token work is that step, one projection, the softmax and numpy's
+sampler.
 
 A non-finite loss or gradient norm aborts training with a diagnostic
 recording the epoch, step, loss, and gradient norm.
@@ -50,17 +53,14 @@ import numpy as np
 
 from .autodiff import clip_global_norm, stack_backward
 from .cells import (
-    FRESH,
     CellKind,
     CellParams,
-    LayerCarry,
-    StepState,
+    LayerState,
     TRAINABLE_KINDS,
     Workspace,
     dropout_mask,
     init_params,
     param_shapes,
-    stack_carry_out,
     stack_forward,
     stack_step,
 )
@@ -127,7 +127,7 @@ class TrainConfig:
             raise ValueError(f"architecture {self.arch.value!r} is not trainable")
         if self.level not in ("char", "word"):
             raise ValueError(f"level must be 'char' or 'word', got {self.level!r}")
-        for name in ("layers", "hidden", "seq_len", "batch", "epochs"):
+        for name in ("layers", "hidden", "seq_len", "batch", "epochs", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.threads != 1:
@@ -249,7 +249,7 @@ def _output_head(
     ``top``; otherwise None. With ``ws`` the buffer and the gradients live
     in the workspace.
     """
-    ws = FRESH if ws is None else ws
+    ws = Workspace() if ws is None else ws
     n = len(top)
     k = w_out.shape[0]
     rows = min(n, max(1, _HEAD_BLOCK_BYTES // (8 * k)))
@@ -296,7 +296,7 @@ def _output_head(
 def _encode_inputs(
     model: Model, X_ids: np.ndarray, ws: Workspace | None = None
 ) -> np.ndarray:
-    ws = FRESH if ws is None else ws
+    ws = Workspace() if ws is None else ws
     T, B = X_ids.shape
     if model.level == "word":
         out = ws.get("input", (T, B, model.hidden))
@@ -311,19 +311,20 @@ def _window_pass(
     model: Model,
     X_ids: np.ndarray,
     Y_ids: np.ndarray,
-    carry: list[LayerCarry] | None,
+    state: list[LayerState] | None,
     dropout: float,
     rng: np.random.Generator | None,
     ws: Workspace | None = None,
-) -> tuple[float, dict[str, np.ndarray], list[LayerCarry]]:
-    """Forward + backward over one window; returns (mean loss, grads, carry).
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Forward + backward over one window; returns (mean loss, grads).
 
+    ``state`` (see ``stack_forward``) is advanced past the window in place.
     With ``ws`` the gradients live in the workspace until its next use.
     """
-    ws = FRESH if ws is None else ws
+    ws = Workspace() if ws is None else ws
     X = _encode_inputs(model, X_ids, ws)
     outs, tape = stack_forward(
-        model.layers, X, dropout=dropout, rng=rng, carry=carry, ws=ws
+        model.layers, X, dropout=dropout, rng=rng, state=state, ws=ws
     )
     top = outs[-1]
     top_mask = None
@@ -357,7 +358,7 @@ def _window_pass(
         dE.fill(0.0)
         np.add.at(dE, X_ids.reshape(T * B), dX.reshape(T * B, h))
         grads = {"embed.E": dE, **grads}
-    return loss, grads, stack_carry_out(model.layers, tape)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +439,15 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
     step = 0
     for epoch in range(1, config.epochs + 1):
         lr = config.lr_for_epoch(epoch)
-        carry: list[LayerCarry] | None = None
+        state = [LayerState(p, config.batch) for p in model.layers]
         loss_sum = 0.0
         norm_sum = 0.0
         n_steps = 0
         epoch_t0 = time.perf_counter()
         for X_ids, Y_ids in batch_iter(corpus.train, config.seq_len, config.batch):
             t0 = time.perf_counter()
-            loss, grads, carry = _window_pass(
-                model, X_ids, Y_ids, carry, config.dropout, drop_rng, ws
+            loss, grads = _window_pass(
+                model, X_ids, Y_ids, state, config.dropout, drop_rng, ws
             )
             grads, grad_norm = clip_global_norm(grads, config.clip, ws=ws)
             step += 1
@@ -507,13 +508,12 @@ def evaluate(
     batch = max(1, min(batch, n // (seq_len + 1)))
     seq_len = min(seq_len, n - 1)
     ws = Workspace() if ws is None else ws
-    carry: list[LayerCarry] | None = None
+    state = [LayerState(p, batch) for p in model.layers]
     loss_sum = 0.0
     count = 0
     for X_ids, Y_ids in batch_iter(ids, seq_len, batch):
         X = _encode_inputs(model, X_ids, ws)
-        outs, tape = stack_forward(model.layers, X, carry=carry, ws=ws)
-        carry = stack_carry_out(model.layers, tape)
+        outs, _ = stack_forward(model.layers, X, state=state, ws=ws)
         top = outs[-1]
         T, B, h = top.shape
         total, _ = _output_head(
@@ -561,12 +561,11 @@ def sample(
         return seed_text
     rng = np.random.default_rng(seed)
     # The seed runs batched through the taped forward; every later token
-    # through the tape-free step, which carries each layer's state in place.
-    outs, tape = stack_forward(model.layers, _encode_inputs(model, ids[:, None]))
-    carry = stack_carry_out(model.layers, tape)
-    state = [StepState(p, c) for p, c in zip(model.layers, carry)]
+    # through the tape-free step. Both advance the same LayerState objects.
+    state = [LayerState(p) for p in model.layers]
+    stack_forward(model.layers, _encode_inputs(model, ids[:, None]), state=state)
     onehot = np.zeros((1, vocab.size)) if model.embed is None else None
-    top = outs[-1][-1, 0]
+    top = state[-1].h[0]  # the top layer's last output
     out_ids: list[int] = []
     while True:
         probs = softmax((model.w_out @ top + model.b_out) / temperature)

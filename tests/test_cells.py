@@ -1,20 +1,21 @@
-"""Cell parameters, batched sequence runs, stacks, and carries."""
+"""Cell parameters, batched sequence runs, stacks, and carried state."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from conftest import TRAIN_KINDS, rand_params
 
+from typedrnn.autodiff import stack_backward
 from typedrnn.cells import (
-    FRESH,
     CellKind,
     CellParams,
-    LayerCarry,
+    LayerState,
     Workspace,
     init_params,
     param_shapes,
     scrn_state_step,
     sequence_forward,
-    stack_carry_out,
     stack_forward,
 )
 from typedrnn.linalg import ShapeError
@@ -85,7 +86,7 @@ def test_window_split_with_carry_matches_full_run():
         out1, tape1 = sequence_forward(params, X[:cut])
         h0 = None if tape1.H is None else tape1.H[-1]
         c0 = None if tape1.C is None else tape1.C[-1]
-        xp0 = tape1.xp_last
+        xp0 = X[cut - 1]
         out2, _ = sequence_forward(params, X[cut:], h0=h0, c0=c0, xp0=xp0)
         glued = np.concatenate([out1, out2], axis=0)
         assert np.max(np.abs(glued - full)) < 1e-13, kind
@@ -215,20 +216,22 @@ def test_stack_forward_dropout_masks_only_the_learnware_input():
     assert set(seen).issubset({0.0, 2.0})
 
 
-def test_stack_carry_out_glues_windows():
+def test_layer_state_glues_windows():
     rng = np.random.default_rng(10)
-    for kinds in ((CellKind.RNN, CellKind.T_LSTM), (CellKind.T_GRU, CellKind.T_MR)):
+    # every kind runs as layer 0 and, under the next kind, as layer 1
+    for kinds in zip(TRAIN_KINDS, TRAIN_KINDS[1:] + TRAIN_KINDS[:1]):
         layers = [
             rand_params(kinds[0], 3, 4, rng),
             rand_params(kinds[1], 4, 4, rng),
         ]
         X = rng.uniform(-1.0, 1.0, size=(9, 2, 3))
         full, _ = stack_forward(layers, X)
-        out1, tape1 = stack_forward(layers, X[:4])
-        carry = stack_carry_out(layers, tape1)
-        out2, _ = stack_forward(layers, X[4:], carry=carry)
-        glued = np.concatenate([out1[-1], out2[-1]], axis=0)
-        assert np.max(np.abs(glued - full[-1])) < 1e-12
+        state = [LayerState(p, 2) for p in layers]
+        out1, _ = stack_forward(layers, X[:4], state=state)
+        out2, _ = stack_forward(layers, X[4:], state=state)
+        for l in range(2):
+            glued = np.concatenate([out1[l], out2[l]], axis=0)
+            assert np.max(np.abs(glued - full[l])) < 1e-12, kinds
 
 
 def test_sequence_forward_rejects_bad_shapes_and_kinds():
@@ -249,9 +252,17 @@ def test_sequence_forward_rejects_bad_shapes_and_kinds():
         stack_forward([], np.ones((5, 2, 3)))
 
 
-def test_layer_carry_defaults():
-    c = LayerCarry()
-    assert c.h is None and c.c is None and c.x_prev is None
+def test_new_layer_state_is_the_zero_state():
+    rng = np.random.default_rng(12)
+    for kind in TRAIN_KINDS:
+        st = LayerState(rand_params(kind, 3, 4, rng), batch=2)
+        assert st.h.shape == (2, 4) and not st.h.any()
+        assert (st.c is None) == (kind not in (CellKind.LSTM, CellKind.T_LSTM))
+        assert st.c is None or (st.c.shape == (2, 4) and not st.c.any())
+        assert (st.xx is None) == (kind not in (CellKind.T_LSTM, CellKind.T_GRU))
+        assert st.xx is None or (st.xx.shape == (2, 6) and not st.xx.any())
+    with pytest.raises(ValueError):
+        LayerState(rand_params(CellKind.SCRN_STATE, 3, 4, rng))
 
 
 def test_workspace_grows_and_scopes_buffers():
@@ -271,6 +282,33 @@ def test_workspace_grows_and_scopes_buffers():
     assert not np.shares_memory(l0.own("S", (3,)), l1.own("S", (3,)))
     assert np.shares_memory(l0.get("G", (3,)), l1.get("G", (3,)))
     assert ws.get("M", (2,), bool).dtype == bool
-    # the default for callers without a workspace keeps nothing
-    assert FRESH.layer(1) is FRESH
-    assert not np.shares_memory(FRESH.own("x", (3,)), FRESH.own("x", (3,)))
+
+
+def _arrays(*objs):
+    """Every array in nested lists, dicts and tapes."""
+    for obj in objs:
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            yield from _arrays(*obj)
+        elif isinstance(obj, dict):
+            yield from _arrays(*obj.values())
+        elif dataclasses.is_dataclass(obj):
+            yield from _arrays(*vars(obj).values())
+
+
+def test_calls_without_a_workspace_share_no_memory():
+    """Each call given no workspace makes its own, so the results of one such
+    call survive the next (``state_jacobian`` and the gradient checks keep a
+    tape across calls)."""
+    rng = np.random.default_rng(13)
+    for kind in TRAIN_KINDS:
+        layers = [rand_params(kind, 3, 4, rng), rand_params(kind, 4, 4, rng)]
+        runs = []
+        for _ in range(2):
+            X = rng.uniform(-1.0, 1.0, size=(5, 2, 3))
+            outs, tape = stack_forward(layers, X, dropout=0.5, rng=rng)
+            grads, dX = stack_backward(layers, tape, rng.uniform(size=(5, 2, 4)))
+            runs.append(list(_arrays(outs, tape, grads, dX)))
+        for a in runs[0]:
+            assert not any(np.shares_memory(a, b) for b in runs[1]), kind

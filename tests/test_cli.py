@@ -54,8 +54,27 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 def test_bad_clip_flag_rejected(capsys):
     assert main(["train", "--arch", "rnn", "--clip", "zero"]) == 1
     assert main(["train", "--arch", "rnn", "--clip", "-1"]) == 1
-    assert main(["bench", "--arch", "t-lstm", "--reps", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--arch", "rnn", "--log-every", "0"],
+    ["train", "--arch", "rnn", "--log-every", "-1"],
+    ["bench", "--arch", "rnn", "--steps", "0"],
+    ["bench", "--arch", "rnn", "--batch", "0"],
+    ["bench", "--arch", "rnn", "--hidden", "0"],
+    ["bench", "--arch", "t-lstm", "--reps", "0"],
+    ["gradcheck", "--trials", "0"],
+    ["gradcheck", "--hidden", "0"],
+    ["gradcheck", "--steps", "2.5"],
+    ["semcheck", "--steps", "0"],
+    ["semcheck", "--trials", "0"],
+], ids=" ".join)
+def test_count_flags_must_be_positive(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: " in err and "Traceback" not in err
 
 
 def test_corpus_flags_are_mutually_exclusive(tmp_path, capsys):

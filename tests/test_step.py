@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from conftest import TRAIN_KINDS
 
-from typedrnn.cells import (
-    LayerCarry,
-    StepState,
-    stack_carry_out,
-    stack_forward,
-    stack_step,
-)
+from typedrnn.cells import LayerState, stack_forward, stack_step
 from typedrnn.data import build_vocab, synthetic_corpus
 from typedrnn.linalg import softmax
 from typedrnn.training import TrainConfig, _encode_inputs, build_model, sample
@@ -42,13 +36,12 @@ def _reference_sample(model, seed_text, n, temperature, seed):
     """Per-token sampling through the taped forward, one token per call."""
     rng = np.random.default_rng(seed)
     vocab = model.vocab
-    carry = None
+    state = [LayerState(p) for p in model.layers]
     out_ids = []
     cur = vocab.encode(seed_text)[:, None]
     for _ in range(n):
         X = _encode_inputs(model, cur)
-        outs, tape = stack_forward(model.layers, X, carry=carry)
-        carry = stack_carry_out(model.layers, tape)
+        outs, _ = stack_forward(model.layers, X, state=state)
         logits = model.w_out @ outs[-1][-1, 0] + model.b_out
         nxt = int(rng.choice(vocab.size, p=softmax(logits / temperature)))
         out_ids.append(nxt)
@@ -63,24 +56,26 @@ def test_stack_step_matches_the_taped_forward_bitwise(kind, level):
     model = _model(kind, level)
     rng = np.random.default_rng(5)
     seed_ids = rng.integers(0, model.vocab.size, size=(6, 1))
-    _, tape = stack_forward(model.layers, _encode_inputs(model, seed_ids))
-    carry = stack_carry_out(model.layers, tape)
-    state = [StepState(p, c) for p, c in zip(model.layers, carry)]
+    # the taped path and the step each carry their own states from the seed
+    taped = [LayerState(p) for p in model.layers]
+    stepped = [LayerState(p) for p in model.layers]
+    for states in (taped, stepped):
+        stack_forward(model.layers, _encode_inputs(model, seed_ids), state=states)
     for tok in rng.integers(0, model.vocab.size, size=30):
         X = _encode_inputs(model, np.array([[tok]]))
-        outs, tape = stack_forward(model.layers, X, carry=carry)
-        carry = stack_carry_out(model.layers, tape)
-        step_outs = stack_step(model.layers, X[0], state)
+        outs, _ = stack_forward(model.layers, X, state=taped)
+        step_outs = stack_step(model.layers, X[0], stepped)
         assert len(step_outs) == len(outs)
         for out, row in zip(outs, step_outs):
             assert row.shape == (1, model.hidden)
             assert np.array_equal(out[-1], row)
         # every state the taped path carries, the step carries the same
-        for want, st, p in zip(carry, state, model.layers):
-            assert want.h is None or np.array_equal(st.h, want.h)
-            assert want.c is None or np.array_equal(st.c, want.c)
-            if want.x_prev is not None:
-                assert np.array_equal(st.xx[:, p.input_dim :], want.x_prev)
+        for want, st, p in zip(taped, stepped, model.layers):
+            assert np.array_equal(want.h, st.h)
+            assert want.c is None or np.array_equal(want.c, st.c)
+            if want.xx is not None:
+                d = p.input_dim
+                assert np.array_equal(want.xx[:, d:], st.xx[:, d:])
 
 
 @pytest.mark.parametrize("level", ["char", "word"])
@@ -98,11 +93,10 @@ def test_sample_matches_the_per_token_taped_loop(kind, level):
 def test_step_from_an_empty_carry_starts_at_zero_state():
     for kind in ("t_lstm", "lstm"):
         model = _model(kind, "char")
-        state = [StepState(p, LayerCarry()) for p in model.layers]
-        carry = None
+        state = [LayerState(p) for p in model.layers]
+        taped = [LayerState(p) for p in model.layers]
         for tok in (3, 1, 4):
             X = _encode_inputs(model, np.array([[tok]]))
-            outs, tape = stack_forward(model.layers, X, carry=carry)
-            carry = stack_carry_out(model.layers, tape)
+            outs, _ = stack_forward(model.layers, X, state=taped)
             rows = stack_step(model.layers, X[0], state)
             assert all(np.array_equal(o[0], r) for o, r in zip(outs, rows))

@@ -10,7 +10,7 @@ import pytest
 from conftest import TRAIN_KINDS
 
 from typedrnn import training
-from typedrnn.cells import Workspace, stack_carry_out, stack_forward
+from typedrnn.cells import LayerState, Workspace, stack_forward
 from typedrnn.data import (
     UNK,
     DataError,
@@ -60,6 +60,8 @@ def test_train_config_validation():
         TrainConfig(arch="t_rnn", clip=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(arch="t_rnn", init="he")
+    with pytest.raises(ValueError, match="log_every"):
+        TrainConfig(arch="t_rnn", log_every=0)
     with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):
         TrainConfig(arch="t_rnn", threads=2)
 
@@ -132,7 +134,7 @@ def _assert_window_grads_match_fd(model, X_ids, Y_ids, names):
     # window already filled, as in training.
     ws = Workspace()
     _window_pass(model, X_ids, Y_ids, None, 0.0, None, ws)
-    loss, grads, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None, ws)
+    loss, grads = _window_pass(model, X_ids, Y_ids, None, 0.0, None, ws)
     tensors = model.tensors()
     assert set(grads) == set(tensors)
     grads = {name: g.copy() for name, g in grads.items()}
@@ -151,9 +153,9 @@ def _assert_window_grads_match_fd(model, X_ids, Y_ids, names):
         for k in map(int, picks):
             orig = flat[k]
             flat[k] = orig + eps
-            lp, _, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
+            lp, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
             flat[k] = orig - eps
-            lm, _, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
+            lm, _ = _window_pass(model, X_ids, Y_ids, None, 0.0, None)
             flat[k] = orig
             # _window_pass reports the per-token mean; the gradient is of the
             # time-summed batch mean, T times larger
@@ -217,10 +219,9 @@ def test_output_head_row_blocks_match_whole_array(monkeypatch):
 
     # evaluate scores 6 x 4 rows per window in blocks of 5
     per_token = []
-    carry = None
+    state = [LayerState(p, 4) for p in model.layers]
     for X_ids, Y_ids in batch_iter(corpus.valid, 6, 4):
-        outs, tape = stack_forward(model.layers, model.embed[X_ids], carry=carry)
-        carry = stack_carry_out(model.layers, tape)
+        outs, _ = stack_forward(model.layers, model.embed[X_ids], state=state)
         logits = outs[-1] @ model.w_out.T + model.b_out
         per_token.extend(
             cross_entropy(logits[t, b], int(Y_ids[t, b]))
@@ -249,11 +250,15 @@ def test_window_pass_never_holds_a_full_logit_block():
     assert peak < T * B * K * 8  # one (T*B, K) float64 logit block, 51.2 MB
 
 
-def _same_carries(c1, c2):
+def _state_arrays(state):
+    """Copies of the carried arrays of a list of ``LayerState``s."""
+    arrays = (a for st in state for a in (st.h, st.c, st.xx))
+    return [None if a is None else a.copy() for a in arrays]
+
+
+def _same_states(s1, s2):
     return all(
-        (x is None and y is None) or np.array_equal(x, y)
-        for a, b in zip(c1, c2)
-        for x, y in ((a.h, b.h), (a.c, b.c), (a.x_prev, b.x_prev))
+        (x is None and y is None) or np.array_equal(x, y) for x, y in zip(s1, s2)
     )
 
 
@@ -276,23 +281,23 @@ def test_window_pass_through_a_workspace_is_bitwise_fresh(kind, level, dropout):
     runs = []
     for w in (None, ws):
         rng = np.random.default_rng(9) if dropout > 0.0 else None
-        carry, seen = None, []
+        state = [LayerState(p, cfg.batch) for p in model.layers]
+        seen = []
         for X_ids, Y_ids in windows:
-            loss, grads, carry = _window_pass(
-                model, X_ids, Y_ids, carry, dropout, rng, w
-            )
+            loss, grads = _window_pass(model, X_ids, Y_ids, state, dropout, rng, w)
             # copies: the workspace's gradients last until its next use
             grads = {n: g.copy() for n, g in grads.items()}
-            seen.append((loss, grads, carry))
+            seen.append((loss, grads, _state_arrays(state)))
         runs.append(seen)
-    for (l1, g1, c1), (l2, g2, c2) in zip(*runs):
+    for (l1, g1, s1), (l2, g2, s2) in zip(*runs):
         assert l1 == l2
         assert g1.keys() == g2.keys()
         assert all(np.array_equal(g1[n], g2[n]) for n in g1)
-        assert _same_carries(c1, c2)
-    # the carries are copies: later use of the workspace leaves them alone
+        assert _same_states(s1, s2)
+    # the state holds copies: later use of the workspace leaves it alone
+    kept = _state_arrays(state)
     _window_pass(model, *windows[0], None, dropout, np.random.default_rng(1), ws)
-    assert all(_same_carries(a[2], b[2]) for a, b in zip(*runs))
+    assert _same_states(kept, _state_arrays(state))
     # evaluate through the used workspace, with another batch, is unchanged
     want = evaluate(model, corpus, "valid", seq_len=5, batch=2)
     assert evaluate(model, corpus, "valid", seq_len=5, batch=2, ws=ws) == want
@@ -307,11 +312,12 @@ def test_window_pass_reuses_workspace_memory(kind):
     model = build_model(cfg, corpus.vocab, np.random.default_rng(0))
     windows = batch_iter(corpus.train, cfg.seq_len, cfg.batch)
     ws = Workspace()
-    _, _, carry = _window_pass(model, *next(windows), None, 0.0, None, ws)
+    state = [LayerState(p, cfg.batch) for p in model.layers]
+    _window_pass(model, *next(windows), state, 0.0, None, ws)
     for _ in range(2):
         tracemalloc.start()
         try:
-            _, _, carry = _window_pass(model, *next(windows), carry, 0.0, None, ws)
+            _window_pass(model, *next(windows), state, 0.0, None, ws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -332,9 +338,9 @@ def test_clip_through_a_workspace_reuses_its_square_buffer():
     model = build_model(cfg, vocab, np.random.default_rng(0))
     windows = batch_iter(corpus.train, cfg.seq_len, cfg.batch)
     ws = Workspace()
-    carry = None
+    state = [LayerState(p, cfg.batch) for p in model.layers]
     for clip in (2.5, 1e-3):
-        _, grads, carry = _window_pass(model, *next(windows), carry, 0.0, None, ws)
+        _, grads = _window_pass(model, *next(windows), state, 0.0, None, ws)
         total = sum(float(np.sum(np.asarray(g) ** 2)) for g in grads.values())
         tracemalloc.start()
         try:
