@@ -10,7 +10,11 @@ forward: one reverse scan ``G[t] = dS[t] + F[t] (*) G[t+1]`` for the gradient
 on the scanned state, then one coordinatewise pass back through the gate maps.
 The classical cells and T-MR keep their own reverse loops, as in the forward.
 Every branch fills one stacked gradient ``DP`` on the input-side product,
-laid out as the rows of the learnware block ``CellParams.U``, and one shared
+laid out as the rows of the learnware block ``CellParams.U`` (the forward's
+product is gate-major, so the gates it reads are contiguous; ``DP`` keeps
+the row layout the tail's products read). The scan branch builds each
+gate's gradient in contiguous scratch and writes it into its block of ``DP``
+with its last product, so only that one pass per gate is strided. One shared
 tail finishes every kind: one matrix multiply for the gradient on the block,
 one sum for its bias, and one matrix multiply for the input gradient. The
 named learnware gradients are views of the block gradient, laid out by
@@ -139,23 +143,27 @@ def sequence_backward(
         for t in range(T - 1, -1, -1):
             np.add(dS[t], g, out=G[t])
             np.multiply(G[t], F[t], out=g)
+        # Each gate's gradient is built in contiguous scratch (the forward's
+        # increment, dead by now) and written into its block of DP by the
+        # last product.
+        dP = ws.get("A", seq)
         if kind == CellKind.T_GRU:
             np.multiply(G, O, out=dPz)
-            np.multiply(G, S[:-1], out=dPf)
+            np.multiply(G, S[:-1], out=dP)
         else:
-            np.subtract(1.0, F, out=dPz)
-            dPz *= G
-            np.subtract(S[:-1], Z, out=dPf)
-            dPf *= G
-        dPf *= F
-        dPf *= np.subtract(1.0, F, out=tmp)
+            np.subtract(1.0, F, out=dP)
+            np.multiply(dP, G, out=dPz)
+            np.subtract(S[:-1], Z, out=dP)
+            dP *= G
+        dP *= F
+        np.multiply(dP, np.subtract(1.0, F, out=tmp), out=dPf)
         if O is not None:
             if lstm:
-                np.multiply(dH, S[1:], out=dPo)
+                np.multiply(dH, S[1:], out=dP)
             else:
-                np.multiply(G, Z, out=dPo)
+                np.multiply(G, Z, out=dP)
             np.multiply(O, O, out=tmp)
-            dPo *= np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dP, np.subtract(1.0, tmp, out=tmp), out=dPo)
         boundary = {"dc0": g} if lstm else {"dh0": g}
 
     elif kind == CellKind.RNN:

@@ -46,6 +46,14 @@ for T-LSTM and T-GRU, ``x_t`` for every other kind. The firmware is what
 touches the state; its tensors stay outside the block: the recurrent
 matrices V of the classical cells and the memory vector b of T-MR.
 
+The product is gate-major: a (gates, T*B, h) array whose block i holds gate
+i's pre-activations for every row, made by one batched matmul over the
+block's gate rows (``_affine_rows``). So every gate the firmware reads, a
+whole window's F or one step's row of it, is one contiguous array; numpy
+runs an elementwise op over a strided column view of a row-major product
+about twice as slowly, through buffers. One row's row layout already is
+its gate-major layout, so a one-row product stays one np.dot.
+
 For T-RNN, T-LSTM and T-GRU the product maps coordinatewise to a forget gate
 F and an increment A, and the firmware is one diagonal linear scan, the same
 for all three kinds:
@@ -73,7 +81,8 @@ writes the window's final state back into it, so training and evaluation
 carry it from window to window. ``stack_step`` is the firmware-only half of
 the learnware / firmware split, for generation: it advances the same states
 by one token with no tape. A step is one product of the layer's input row
-([x_prev; x] for T-LSTM / T-GRU) with ``U``, then either the gate map and
+([x_prev; x] for T-LSTM / T-GRU) with ``U``, the same ``_affine_rows`` call
+as a one-token window's, then either the gate map and
 ``s *= f; s += a`` in place, or one pass of a classical or T-MR loop body.
 The gate map and the loop bodies are helpers that ``sequence_forward`` calls
 too, so each update rule is written once and a one-token step gives the bits
@@ -398,9 +407,9 @@ class LayerTape:
     multiplied: for T-LSTM / T-GRU the undropped previous input beside the
     (possibly dropout-masked) input, for every other kind the input itself.
     The scanned state is ``C`` for T-LSTM and ``H`` for every other kind;
-    ``Z``, ``F`` and ``O`` of a scan cell are views of its one learnware
-    product. The layer input ``X`` is accepted but not kept: the backward
-    pass reads ``XX``.
+    ``Z``, ``F`` and ``O`` of a scan cell are the contiguous gate blocks of
+    its one gate-major learnware product. The layer input ``X`` is accepted
+    but not kept: the backward pass reads ``XX``.
     """
 
     kind: CellKind
@@ -419,13 +428,21 @@ class LayerTape:
 def _affine_rows(
     X: np.ndarray, m: np.ndarray, bias: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """``X @ m.T + bias`` for the rows of a 2-d ``X``, computed into ``out``.
+    """``X @ m.T + bias`` for the rows of a 2-d ``X``, computed gate-major
+    into ``out`` of shape (gates, rows, h): ``out[i]`` is the product with
+    gate i's block of rows of ``m``, one contiguous array per gate.
 
-    np.dot, not matmul: with ``out`` it costs less on the one-row products of
-    ``stack_step``, and gives the same bits.
+    Many rows take one batched matmul over the gate blocks. One row, whose
+    row layout already is its gate-major layout, takes one np.dot into the
+    flat row: with ``out`` it costs less than matmul on ``stack_step``'s
+    one-row products, and the bits of a one-row matmul differ from it.
     """
-    np.dot(X, m.T, out=out)
-    out += bias
+    g, n, h = out.shape
+    if n == 1:
+        np.dot(X, m.T, out=out.reshape(1, -1))
+    else:
+        np.matmul(X, m.reshape(g, h, -1).transpose(0, 2, 1), out=out)
+    out += bias.reshape(g, 1, h)
     return out
 
 
@@ -434,10 +451,10 @@ def _affine_rows(
 # operand shapes for one row, so the two paths give the same bits.
 
 
-def _gate_views(P: np.ndarray, hdim: int) -> tuple:
-    """Z, F and O (None when P has two gate blocks) as views of a product P."""
-    O = P[..., 2 * hdim :] if P.shape[-1] > 2 * hdim else None
-    return P[..., :hdim], P[..., hdim : 2 * hdim], O
+def _gate_views(P: np.ndarray) -> tuple:
+    """Z, F and O of a gate-major product P, None past its last block (the
+    one block of RNN and T-MR, their pre-activation, comes back as Z)."""
+    return (*P, None, None)[:3]
 
 
 def _gate_map(kind: CellKind, Z, F, O, A: np.ndarray) -> None:
@@ -534,16 +551,18 @@ def sequence_forward(
         XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
         XX[1:, :, :d] = src[:-1]
         XX[:, :, d:] = X
-    # The one input-side product. A scan cell's gates are views of it, so it
-    # is part of the tape; the loops of the other kinds read it as scratch.
+    # The one input-side product, gate-major. A scan cell's gates are its
+    # blocks, so it is part of the tape; the loops of the other kinds read
+    # it as scratch.
+    gates = _LEARNWARE_ROWS[kind]
     P = _affine_rows(
         XX.reshape(T * B, -1), params.U, params.bias,
-        (ws.own if kind in SCAN_KINDS else ws.get)("P", (T * B, params.U.shape[0])),
-    ).reshape(T, B, -1)
+        (ws.own if kind in SCAN_KINDS else ws.get)("P", (gates, T * B, hdim)),
+    ).reshape(gates, T, B, hdim)
     tape = LayerTape(kind, XX=XX)
 
     if kind in SCAN_KINDS:
-        tape.Z, tape.F, tape.O = Z, F, O = _gate_views(P, hdim)
+        tape.Z, tape.F, tape.O = Z, F, O = _gate_views(P)
         A = ws.get("A", seq)
         _gate_map(kind, Z, F, O, A)
         S = ws.own("S", (T + 1, B, hdim))
@@ -562,15 +581,15 @@ def sequence_forward(
     if kind == CellKind.RNN:
         V = params["V"]
         for t in range(T):
-            H[t + 1] = _rnn_body(V, H[t], P[t])
+            H[t + 1] = _rnn_body(V, H[t], P[0, t])
     elif kind == CellKind.T_MR:
         b = params["b"]
         tape.M = M = ws.own("M", seq, bool)
         for t in range(T):
-            pre, H[t + 1] = _tmr_body(b, H[t], P[t])
+            pre, H[t + 1] = _tmr_body(b, H[t], P[0, t])
             M[t] = pre > 0.0
     else:
-        pz, pf, po = _gate_views(P, hdim)
+        pz, pf, po = _gate_views(P)
         V = params["V_z"], params["V_f"], params["V_o"]
         tape.Z = Z = ws.own("Z", seq)
         tape.F = F = ws.own("F", seq)
@@ -607,9 +626,9 @@ class LayerState:
     ``xx`` is the learnware input row [x_prev | x], whose right half holds
     the previous raw input between calls (None for every other kind);
     ``stack_forward`` writes into these in place. The rows a step overwrites
-    are made by the first step, since a window needs none: the input-side
-    product ``p``, whose views are the gates (``gates``), and the increment
-    ``a`` of the scan kinds.
+    are made by the first step, since a window needs none: the gate-major
+    input-side product ``p`` of shape (gates, batch, h), whose blocks are the
+    gates (``gates``), and the increment ``a`` of the scan kinds.
     """
 
     def __init__(self, params: CellParams, batch: int = 1) -> None:
@@ -723,32 +742,32 @@ def stack_step(
     for params, st in zip(layers, state):
         kind = params.kind
         if st.p is None:
-            st.p = np.empty((len(st.h), params.U.shape[0]))
-            st.gates = _gate_views(st.p, params.hidden_dim)
+            st.p = np.empty((_LEARNWARE_ROWS[kind], *st.h.shape))
+            st.gates = _gate_views(st.p)
             st.a = np.empty_like(st.h)
         if st.xx is not None:
             d = params.input_dim
             st.xx[:, :d] = st.xx[:, d:]
             st.xx[:, d:] = x
             x = st.xx
-        p = _affine_rows(x, params.U, params.bias, st.p)
+        _affine_rows(x, params.U, params.bias, st.p)
+        Z, F, O = st.gates
         if kind in SCAN_KINDS:
-            Z, F, O = st.gates
             _gate_map(kind, Z, F, O, st.a)
             s = st.c if kind == CellKind.T_LSTM else st.h  # the scanned state
             s *= F
             s += st.a
             x = np.multiply(s, O, out=st.h) if kind == CellKind.T_LSTM else s
         elif kind == CellKind.RNN:
-            x = st.h = _rnn_body(params["V"], st.h, p)
+            x = st.h = _rnn_body(params["V"], st.h, Z)
         elif kind == CellKind.T_MR:
-            x = st.h = _tmr_body(params["b"], st.h, p)[1]
+            x = st.h = _tmr_body(params["b"], st.h, Z)[1]
         else:
             V = params["V_z"], params["V_f"], params["V_o"]
             if kind == CellKind.LSTM:
-                *_, st.c, _, x = _lstm_body(V, st.h, st.c, *st.gates)
+                *_, st.c, _, x = _lstm_body(V, st.h, st.c, Z, F, O)
             else:
-                *_, x = _gru_body(V, st.h, *st.gates)
+                *_, x = _gru_body(V, st.h, Z, F, O)
             st.h = x
         outs.append(x)
     return outs

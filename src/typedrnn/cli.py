@@ -25,6 +25,7 @@ from .cells import (
     CellParams,
     T_CELL_KINDS,
     TRAINABLE_KINDS,
+    Workspace,
     param_shapes,
     sequence_forward,
 )
@@ -146,20 +147,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--arch", choices=TRAIN_ARCHS, required=True,
                    help="cell architecture")
-    p.add_argument("--layers", type=int, default=1, metavar="N",
+    p.add_argument("--layers", type=_count_flag, default=1, metavar="N",
                    help="number of stacked layers (default 1)")
-    p.add_argument("--hidden", type=int, default=64, metavar="N",
+    p.add_argument("--hidden", type=_count_flag, default=64, metavar="N",
                    help="hidden units per layer (default 64)")
     p.add_argument("--level", choices=("char", "word"), default="char",
                    help="tokenization level (default char)")
     _add_corpus_flags(p)
     p.add_argument("--max-words", type=int, default=10000, metavar="N",
                    help="word-level vocabulary cap including <unk> (default 10000)")
-    p.add_argument("--seq-len", type=int, default=50, metavar="N",
+    p.add_argument("--seq-len", type=_count_flag, default=50, metavar="N",
                    help="truncated-backprop window length (default 50)")
-    p.add_argument("--batch", type=int, default=32, metavar="N",
+    p.add_argument("--batch", type=_count_flag, default=32, metavar="N",
                    help="parallel streams per step (default 32)")
-    p.add_argument("--epochs", type=int, default=1, metavar="N",
+    p.add_argument("--epochs", type=_count_flag, default=1, metavar="N",
                    help="passes over the training split (default 1)")
     p.add_argument("--lr", type=float, default=0.25, metavar="F",
                    help="SGD learning rate (default 0.25)")
@@ -209,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--split", choices=("train", "valid", "test"), default="test",
                    help="split to score (default test)")
-    p.add_argument("--seq-len", type=int, default=100, metavar="N",
+    p.add_argument("--seq-len", type=_count_flag, default=100, metavar="N",
                    help="evaluation window length (default 100)")
-    p.add_argument("--batch", type=int, default=16, metavar="N",
+    p.add_argument("--batch", type=_count_flag, default=16, metavar="N",
                    help="parallel streams (default 16)")
     p.set_defaults(func=_cmd_eval)
 
@@ -504,20 +505,23 @@ def _bench_ms(
 ) -> list[float]:
     """Median ms per step of forward plus backward for each kind, after one
     untimed run each. The kinds take turns within every rep, in an order that
-    flips from rep to rep, so drift in machine speed falls on all alike."""
+    flips from rep to rep, so drift in machine speed falls on all alike. Each
+    kind reuses one workspace across its reps, as training reuses one across
+    its windows."""
     runs = []
     for kind in kinds:
         rng = np.random.default_rng(seed)
         params = _rand_params(kind, hidden, hidden, rng)
-        runs.append((params, rng.uniform(-1.0, 1.0, size=(steps, batch, hidden)), []))
+        X = rng.uniform(-1.0, 1.0, size=(steps, batch, hidden))
+        runs.append((params, X, Workspace().layer(0), []))
     dH = np.full((steps, batch, hidden), 1.0 / (steps * batch))
     for rep in range(reps + 1):  # rep 0 is the warmup
-        for params, X, times in runs if rep % 2 else runs[::-1]:
+        for params, X, ws, times in runs if rep % 2 else runs[::-1]:
             t0 = time.perf_counter()
-            _, tape = sequence_forward(params, X)
-            sequence_backward(params, tape, dH)
+            _, tape = sequence_forward(params, X, ws=ws)
+            sequence_backward(params, tape, dH, ws=ws)
             times.append(time.perf_counter() - t0)
-    return [float(np.median(times[1:])) / steps * 1000.0 for _, _, times in runs]
+    return [float(np.median(times[1:])) / steps * 1000.0 for *_, times in runs]
 
 
 def _cmd_bench(args) -> int:

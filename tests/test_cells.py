@@ -1,12 +1,14 @@
 """Cell parameters, batched sequence runs, stacks, and carried state."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import TRAIN_KINDS, rand_params
 
-from typedrnn.autodiff import stack_backward
+from typedrnn.autodiff import sequence_backward, stack_backward
+from typedrnn import cells
 from typedrnn.cells import (
     CellKind,
     CellParams,
@@ -312,3 +314,55 @@ def test_calls_without_a_workspace_share_no_memory():
             runs.append(list(_arrays(outs, tape, grads, dX)))
         for a in runs[0]:
             assert not any(np.shares_memory(a, b) for b in runs[1]), kind
+
+
+@pytest.mark.parametrize("kind", TRAIN_KINDS, ids=lambda k: k.value)
+def test_gate_arrays_are_contiguous(kind, monkeypatch):
+    """The input-side product is gate-major: each gate the firmware reads,
+    the scan cells' taped gates and every step row the classical and T-MR
+    loops take, is one C-contiguous array, never a strided column view."""
+    rng = np.random.default_rng(14)
+    seen = []
+    # each loop body takes its step's gate rows as its last n arguments
+    bodies = {"_rnn_body": 1, "_lstm_body": 3, "_gru_body": 3, "_tmr_body": 1}
+    for name, n in bodies.items():
+        body = getattr(cells, name)
+
+        def spy(*args, body=body, n=n):
+            seen.extend(a.shape == (3, 4) and a.flags.c_contiguous for a in args[-n:])
+            return body(*args)
+
+        monkeypatch.setattr(cells, name, spy)
+    params = rand_params(kind, 5, 4, rng)
+    _, tape = sequence_forward(params, rng.uniform(-1.0, 1.0, size=(6, 3, 5)))
+    if kind in cells.SCAN_KINDS:
+        gates = [a for a in (tape.Z, tape.F, tape.O) if a is not None]
+        assert len(gates) == (2 if kind == CellKind.T_RNN else 3) and not seen
+        assert all(a.shape == (6, 3, 4) and a.flags.c_contiguous for a in gates)
+    else:
+        assert len(seen) == 6 * (3 if kind in (CellKind.LSTM, CellKind.GRU) else 1)
+        assert all(seen)
+
+
+def test_a_second_window_allocates_no_working_memory():
+    """Through one workspace, a layer's second window of forward and backward
+    passes adds no buffer and grows none, and allocates less than one
+    (T, B, h) array outside it: all its scratch comes from the workspace."""
+    rng = np.random.default_rng(15)
+    T, B, d, h = 50, 16, 6, 32
+    for kind in TRAIN_KINDS:
+        params = rand_params(kind, d, h, rng)
+        ws = Workspace()
+        for window in range(2):
+            X = rng.uniform(-1.0, 1.0, size=(T, B, d))
+            dH = rng.uniform(-1.0, 1.0, size=(T, B, h))
+            tracemalloc.start()
+            _, tape = sequence_forward(params, X, ws=ws.layer(0))
+            sequence_backward(params, tape, dH, ws=ws.layer(0))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            if window == 0:
+                bufs = dict(ws._bufs)
+        assert ws._bufs.keys() == bufs.keys(), kind
+        assert all(ws._bufs[k] is buf for k, buf in bufs.items()), kind
+        assert peak < T * B * h * 8, (kind, peak)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from typedrnn.cli import main
-from typedrnn.checkpoint import load_checkpoint
+from typedrnn.checkpoint import load_checkpoint, save_checkpoint
+from typedrnn.data import build_vocab
+from typedrnn.training import TrainConfig, build_model, model_to_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,9 +59,31 @@ def test_bad_clip_flag_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.fixture(scope="module")
+def untrained(tmp_path_factory):
+    """A directory holding a corpus ``c.txt`` and an untrained t-rnn
+    checkpoint ``m.ckpt`` over its characters."""
+    root = tmp_path_factory.mktemp("untrained")
+    text = "abcd " * 200
+    (root / "c.txt").write_text(text, encoding="utf-8")
+    config = TrainConfig(arch="t_rnn", hidden=4)
+    model = build_model(config, build_vocab(text, "char"), np.random.default_rng(0))
+    save_checkpoint(model_to_checkpoint(model), root / "m.ckpt")
+    return root
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--arch", "rnn", "--log-every", "0"],
     ["train", "--arch", "rnn", "--log-every", "-1"],
+    ["train", "--arch", "rnn", "--layers", "0"],
+    ["train", "--arch", "rnn", "--hidden", "0"],
+    ["train", "--arch", "rnn", "--seq-len", "0"],
+    ["train", "--arch", "rnn", "--batch", "0"],
+    ["train", "--arch", "rnn", "--epochs", "0"],
+    ["eval", "--ckpt", "m.ckpt", "--corpus", "c.txt", "--batch", "0"],
+    ["eval", "--ckpt", "m.ckpt", "--corpus", "c.txt", "--batch", "-2"],
+    ["eval", "--ckpt", "m.ckpt", "--corpus", "c.txt", "--seq-len", "0"],
+    ["eval", "--ckpt", "m.ckpt", "--corpus", "c.txt", "--seq-len", "-3"],
     ["bench", "--arch", "rnn", "--steps", "0"],
     ["bench", "--arch", "rnn", "--batch", "0"],
     ["bench", "--arch", "rnn", "--hidden", "0"],
@@ -70,7 +94,9 @@ def test_bad_clip_flag_rejected(capsys):
     ["semcheck", "--steps", "0"],
     ["semcheck", "--trials", "0"],
 ], ids=" ".join)
-def test_count_flags_must_be_positive(argv, capsys):
+def test_count_flags_must_be_positive(argv, untrained, capsys):
+    # eval gets a real checkpoint and corpus, so only the flag can fail it
+    argv = [str(untrained / a) if a in ("m.ckpt", "c.txt") else a for a in argv]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
