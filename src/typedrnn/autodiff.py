@@ -326,7 +326,11 @@ def stack_backward(
         if tape.masks[l] is not None:
             upstream *= tape.masks[l]
         if res.dX_prev is not None:
-            upstream[:-1] += res.dX_prev[1:]
+            # A step at a time: the two are interleaved halves of one buffer,
+            # and numpy copies an operand it cannot prove disjoint, which
+            # whole windows are not and single steps are.
+            for t in range(len(upstream) - 1):
+                upstream[t] += res.dX_prev[t + 1]
     return per_layer, upstream
 
 

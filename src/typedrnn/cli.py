@@ -4,9 +4,11 @@ typecheck, and bench subcommands over the library.
 Exit codes: 0 success, 1 usage error, 2 check failure (a gradcheck/semcheck
 assertion failed, or a cell description is ill-typed / unparseable), 3
 runtime or data error (unreadable files, corpus too small, divergence,
-malformed checkpoints). Every subcommand runs on one Python thread; the only
-parallelism is the BLAS library's threads inside the products (set
-``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``). With one BLAS thread every
+malformed checkpoints). Parallelism comes from the BLAS library's threads
+inside the products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``)
+and, in ``train`` with a vocabulary large enough that a window's logits
+span several blocks, from one worker thread in the output head when BLAS
+leaves a core idle (see ``training``). With one BLAS thread every
 subcommand is bitwise deterministic for a fixed ``--seed``.
 """
 

@@ -11,18 +11,23 @@ never on the recurrent path and never on the raw model input.
 
 The output head (projection, softmax cross-entropy and its gradients) walks
 the window's (T*B, hidden) top-layer rows in fixed blocks of about 2 MiB of
-logits in one reused buffer, so training and evaluation never allocate a
-(T, B, K) logit array and at most one block of logits exists at a time (a
-small vocabulary fits all rows in one block). Training and evaluation share
-that one head; the rows per block depend only on K, so the sums it groups
-are the same on every machine.
+logits, so training and evaluation never allocate a (T, B, K) logit array
+(a small vocabulary fits all rows in one block). Training and evaluation
+share that one head; the rows per block depend only on K, so the sums it
+groups are the same on every machine.
 
 The optimizer is plain SGD with optional global-norm clipping and a
 multiplicative per-epoch learning-rate decay that starts after a configured
-epoch. Each window is one forward and backward pass over the whole batch;
-the only parallelism is the BLAS library's own threads inside the large
-products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``). With one BLAS
-thread a run is bitwise deterministic for a fixed config, corpus and seed.
+epoch. Each window is one forward and backward pass over the whole batch.
+Parallelism comes from two places: the BLAS library's own threads inside
+the large products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``),
+and, when the process has at least twice as many cores as BLAS threads,
+one worker thread that computes a training head's gradient products for
+one block while the main thread computes the next block's logits (two
+logit blocks exist then). The head joins the worker before it returns and
+sums the blocks in the same order either way. With one BLAS thread a run is
+bitwise deterministic for a fixed config, corpus and seed, with or without
+the worker.
 
 ``train`` and ``evaluate`` each make one ``cells.Workspace`` per call and
 run every window through it (``train`` its per-epoch validation too), so a
@@ -39,12 +44,16 @@ per-token work is that step, one projection, the softmax and numpy's
 sampler.
 
 A non-finite loss or gradient norm aborts training with a diagnostic
-recording the epoch, step, loss, and gradient norm.
+recording the epoch, step, loss, gradient norm and what went non-finite
+first: the loss, or the first tensor whose gradient did.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,17 +96,39 @@ METRICS_HEADER = "epoch,step,split,loss_nats,perplexity,grad_norm,wall_ms"
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss or gradient norm stops being finite."""
+    """Raised when the loss or gradient norm stops being finite.
 
-    def __init__(self, epoch: int, step: int, loss: float, grad_norm: float):
+    ``tensor`` names what went non-finite first: ``"loss"``, or else the
+    first tensor in ``Model.tensors()`` order whose gradient's sum of squares
+    is not finite, because it holds a non-finite value or one too large to
+    square (``"grad_norm"`` if only the sum over all tensors overflowed).
+    """
+
+    def __init__(
+        self, epoch: int, step: int, loss: float, grad_norm: float, tensor: str
+    ):
         super().__init__(
             f"training diverged at epoch {epoch} step {step}: "
-            f"loss={loss!r} grad_norm={grad_norm!r}"
+            f"loss={loss!r} grad_norm={grad_norm!r}; first non-finite: {tensor}"
         )
         self.epoch = epoch
         self.step = step
         self.loss = loss
         self.grad_norm = grad_norm
+        self.tensor = tensor
+
+
+def _first_non_finite(
+    loss: float, grads: dict[str, np.ndarray], order: dict[str, np.ndarray]
+) -> str:
+    """What ``TrainingDiverged.tensor`` names for a window."""
+    if not math.isfinite(loss):
+        return "loss"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in order:
+            if not math.isfinite(float(np.square(grads[name]).sum())):
+                return name
+    return "grad_norm"
 
 
 @dataclass
@@ -231,6 +262,109 @@ def cross_entropy(logits: np.ndarray, target: int) -> float:
 _HEAD_BLOCK_BYTES = 2 * 2**20
 
 
+class _Worker:
+    """One daemon thread that runs submitted calls one at a time, in the
+    order they were submitted.
+
+    ``wait(pending)`` blocks until at most ``pending`` calls are unfinished
+    and then raises the first exception a call raised since the last wait,
+    if any; the thread itself survives it and runs later calls.
+    """
+
+    def __init__(self) -> None:
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._done = threading.Condition()
+        self._pending = 0
+        self._error: BaseException | None = None
+        threading.Thread(target=self._loop, name="typedrnn-head", daemon=True).start()
+
+    def submit(self, fn, *args) -> None:
+        with self._done:
+            self._pending += 1
+        self._tasks.put((fn, args))
+
+    def wait(self, pending: int = 0) -> None:
+        with self._done:
+            while self._pending > pending:
+                self._done.wait()
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def _loop(self) -> None:
+        while True:
+            fn, args = self._tasks.get()
+            error = None
+            try:
+                fn(*args)
+            except BaseException as exc:  # raised again by ``wait``
+                error = exc
+            with self._done:
+                self._error = self._error or error
+                self._pending -= 1
+                self._done.notify_all()
+            # hold no view of the caller's buffers between calls
+            del fn, args, error
+
+
+_worker: _Worker | None = None
+
+
+def _head_worker() -> _Worker:
+    """The process's worker, started on first use."""
+    global _worker
+    if _worker is None:
+        _worker = _Worker()
+    return _worker
+
+
+def _forget_worker() -> None:
+    # A forked child has no copy of the parent's thread: it starts its own.
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """BLAS threads as OpenBLAS sizes its pool: ``OPENBLAS_NUM_THREADS``,
+    else ``OMP_NUM_THREADS``, else one per core."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return _cores()
+
+
+def _spare_core() -> bool:
+    """True when this process has a core that BLAS leaves idle: at least
+    twice as many cores as BLAS threads."""
+    return _cores() >= 2 * _blas_threads()
+
+
+def _head_grads(z, x, w_out, gW, gW_block, gb, gb_block, d_rows) -> None:
+    """One block's gradient products from its logit gradient ``z`` and rows
+    ``x``: accumulate into ``gW`` and ``gb``, and write ``d_rows``. Writes
+    only the buffers it is given and allocates no array."""
+    np.matmul(z.T, x, out=gW_block)
+    gW += gW_block
+    np.sum(z, axis=0, out=gb_block)
+    gb += gb_block
+    np.matmul(z, w_out, out=d_rows)
+
+
 def _output_head(
     top: np.ndarray,
     Y: np.ndarray,
@@ -242,47 +376,71 @@ def _output_head(
     """Summed cross-entropy of the projection ``top @ w_out.T + b_out``.
 
     ``top`` is (N, h) and ``Y`` holds N target ids. The logits are computed
-    a block of rows at a time in one reused buffer of about
+    a block of rows at a time in a reused buffer of about
     ``_HEAD_BLOCK_BYTES``. Returns the loss in nats summed over the N rows
     and, when ``grad_scale`` is given, the gradients ``(gW, gb, d_top)`` of
     ``grad_scale`` times that sum with respect to ``w_out``, ``b_out`` and
-    ``top``; otherwise None. With ``ws`` the buffer and the gradients live
+    ``top``; otherwise None. With ``ws`` the buffers and the gradients live
     in the workspace.
+
+    A call that asks for gradients and walks more than one block, in a
+    process with a core that BLAS leaves idle (``_spare_core``), computes
+    the logits into two buffers in turn and hands each block's gradient
+    products (``_head_grads``) to one worker thread, which runs them in
+    block order while this thread computes the next block's logits and
+    softmax. Before a buffer is reused the block that last filled it is
+    done; before returning, this thread joins every pending block and runs
+    the last block's products itself. The gradients are summed in block
+    order either way, so the bits do not depend on the handoff.
     """
     ws = Workspace() if ws is None else ws
     n = len(top)
     k = w_out.shape[0]
     rows = min(n, max(1, _HEAD_BLOCK_BYTES // (8 * k)))
-    buf = ws.get("head.logits", (rows, k))
+    bufs = [ws.get("head.logits", (rows, k))]
     total = 0.0
+    worker = None
     if grad_scale is not None:
         gW = ws.get("head.gW", w_out.shape)
         gW.fill(0.0)
         gW_block = ws.get("head.gW_block", w_out.shape)
         gb = ws.get("head.gb", b_out.shape)
         gb.fill(0.0)
+        gb_block = ws.get("head.gb_block", b_out.shape)
         d_top = ws.get("head.d_top", top.shape)
-    for lo in range(0, n, rows):
-        x = top[lo : lo + rows]
-        y = Y[lo : lo + rows]
-        z = buf[: len(x)]
-        r = np.arange(len(x))
-        np.matmul(x, w_out.T, out=z)
-        z += b_out
-        z -= z.max(axis=1, keepdims=True)
-        tgt = z[r, y]
-        np.exp(z, out=z)
-        se = z.sum(axis=1)
-        total += float((np.log(se) - tgt).sum())
-        if grad_scale is None:
-            continue
-        # softmax minus one-hot, times the scale: the logit gradient
-        z *= (grad_scale / se)[:, None]
-        z[r, y] -= grad_scale
-        np.matmul(z.T, x, out=gW_block)
-        gW += gW_block
-        gb += z.sum(axis=0)
-        np.matmul(z, w_out, out=d_top[lo : lo + len(x)])
+        if rows < n and _spare_core():
+            worker = _head_worker()
+            bufs.append(ws.get("head.logits2", (rows, k)))
+    try:
+        for i, lo in enumerate(range(0, n, rows)):
+            x = top[lo : lo + rows]
+            y = Y[lo : lo + rows]
+            if worker is not None and i >= 2:
+                worker.wait(1)  # the block that last used this buffer
+            z = bufs[i % len(bufs)][: len(x)]
+            r = np.arange(len(x))
+            np.matmul(x, w_out.T, out=z)
+            z += b_out
+            z -= z.max(axis=1, keepdims=True)
+            tgt = z[r, y]
+            np.exp(z, out=z)
+            se = z.sum(axis=1)
+            total += float((np.log(se) - tgt).sum())
+            if grad_scale is None:
+                continue
+            # softmax minus one-hot, times the scale: the logit gradient
+            z *= (grad_scale / se)[:, None]
+            z[r, y] -= grad_scale
+            task = (z, x, w_out, gW, gW_block, gb, gb_block, d_top[lo : lo + len(x)])
+            if worker is None or lo + rows >= n:
+                if worker is not None:
+                    worker.wait()
+                _head_grads(*task)
+            else:
+                worker.submit(_head_grads, *task)
+    finally:
+        if worker is not None:
+            worker.wait()
     if grad_scale is None:
         return total, None
     return total, (gW, gb, d_top)
@@ -452,7 +610,10 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
             grads, grad_norm = clip_global_norm(grads, config.clip, ws=ws)
             step += 1
             if not (math.isfinite(loss) and math.isfinite(grad_norm)):
-                raise TrainingDiverged(epoch, step, loss, grad_norm)
+                raise TrainingDiverged(
+                    epoch, step, loss, grad_norm,
+                    _first_non_finite(loss, grads, tensors),
+                )
             for name, g in grads.items():
                 g *= lr  # in place: the same bits as ``lr * g``
                 tensors[name] -= g

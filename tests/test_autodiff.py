@@ -1,5 +1,7 @@
 """Hand-written backward passes against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import TRAIN_KINDS, draw_instance, rand_params
@@ -280,3 +282,24 @@ def test_stack_through_a_workspace_is_bitwise_fresh():
                     assert np.array_equal(ref[name], skip[name]), (kind, name)
             assert np.array_equal(dX_ref, dX_ws), kind
             assert dX_skip is None
+
+
+def test_stack_backward_passes_the_input_gradient_down_without_a_copy():
+    """A second window of a 2-layer stack through one workspace: the backward
+    pass, which adds a T-LSTM / T-GRU layer's shifted ``dX_prev`` into its
+    ``dX`` (interleaved halves of one buffer), allocates less than half of
+    one (T-1, B, h) array for every kind."""
+    rng = np.random.default_rng(16)
+    T, B, h = 50, 16, 32
+    for kind in TRAIN_KINDS:
+        layers = [rand_params(kind, h, h, rng) for _ in range(2)]
+        ws = Workspace()
+        for window in range(2):
+            X = rng.uniform(-1.0, 1.0, size=(T, B, h))
+            dH = rng.uniform(-1.0, 1.0, size=(T, B, h))
+            _, tape = stack_forward(layers, X, ws=ws)
+            tracemalloc.start()
+            stack_backward(layers, tape, dH, ws=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < (T - 1) * B * h * 8 // 2, (kind, peak)

@@ -3,6 +3,11 @@
 import csv
 import io
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -250,6 +255,165 @@ def test_window_pass_never_holds_a_full_logit_block():
     assert peak < T * B * K * 8  # one (T*B, K) float64 logit block, 51.2 MB
 
 
+class _SlowWorker(training._Worker):
+    """A head worker that sleeps before each task, so a block whose products
+    the caller does not wait for is still running when the caller reads."""
+
+    def submit(self, fn, *args):
+        def slow(*a):
+            time.sleep(0.005)
+            fn(*a)
+
+        super().submit(slow, *args)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that blocks for a minute, instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError("blocked for 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _word_setup(monkeypatch):
+    """A 2-layer word-level t-lstm whose head walks blocks of 5 rows."""
+    words = np.random.default_rng(2).choice(["ka", "lo", "mi", "nu", "pe"], 3000)
+    corpus = _tiny_corpus(" ".join(words), level="word")
+    cfg = TrainConfig(arch="t_lstm", level="word", layers=2, hidden=6,
+                      seq_len=8, batch=3, seed=5)
+    model = _spread(build_model(cfg, corpus.vocab, np.random.default_rng(cfg.seed)))
+    monkeypatch.setattr(training, "_HEAD_BLOCK_BYTES", 8 * corpus.vocab.size * 5)
+    return corpus, cfg, model
+
+
+def _head_windows(model, corpus, cfg):
+    """Loss, gradients and ``d_top`` of two windows through one workspace."""
+    ws = Workspace()
+    state = [LayerState(p, cfg.batch) for p in model.layers]
+    seen = []
+    for X_ids, Y_ids in list(batch_iter(corpus.train, cfg.seq_len, cfg.batch))[:2]:
+        loss, grads = _window_pass(model, X_ids, Y_ids, state, 0.0, None, ws)
+        d_top = ws.get("head.d_top", (cfg.seq_len * cfg.batch, cfg.hidden))
+        seen.append((loss, {n: g.copy() for n, g in grads.items()}, d_top.copy()))
+    return seen
+
+
+def _same_windows(run1, run2):
+    """Whether two ``_head_windows`` results hold the same bits."""
+    return all(
+        l1 == l2 and np.array_equal(d1, d2) and g1.keys() == g2.keys()
+        and all(np.array_equal(g1[n], g2[n]) for n in g1)
+        for (l1, g1, d1), (l2, g2, d2) in zip(run1, run2)
+    )
+
+
+def test_head_handoff_joins_every_block(monkeypatch, deadline):
+    """With a worker that runs each block's products late, and with one that
+    does not under a short thread switch interval, a 5-block head gives the
+    same bits as running them inline: the caller waits for a block before
+    reusing its logit buffer and for all before returning."""
+    corpus, cfg, model = _word_setup(monkeypatch)  # 24 rows: 5 blocks
+    monkeypatch.setattr(training, "_spare_core", lambda: False)
+    inline = _head_windows(model, corpus, cfg)
+    monkeypatch.setattr(training, "_spare_core", lambda: True)
+    own = training._head_worker()
+    monkeypatch.setattr(training, "_worker", _SlowWorker())
+    handed = [_head_windows(model, corpus, cfg)]
+    monkeypatch.setattr(training, "_worker", own)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        handed.append(_head_windows(model, corpus, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_same_windows(inline, run) for run in handed)
+
+
+def test_head_worker_raises_a_task_error_in_the_caller(monkeypatch, deadline):
+    corpus, cfg, model = _word_setup(monkeypatch)
+    monkeypatch.setattr(training, "_spare_core", lambda: True)
+    expected = _head_windows(model, corpus, cfg)
+    products = training._head_grads
+    calls = []
+
+    def fail_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise FloatingPointError("block 1")
+        products(*args)
+
+    monkeypatch.setattr(training, "_head_grads", fail_second)
+    with pytest.raises(FloatingPointError, match="block 1"):
+        _head_windows(model, corpus, cfg)
+    assert training._worker is not None
+    monkeypatch.setattr(training, "_head_grads", products)
+    # the same thread runs later handoffs, and the error is not raised again
+    assert _same_windows(expected, _head_windows(model, corpus, cfg))
+
+
+def test_head_worker_after_fork(monkeypatch, deadline):
+    """A forked child starts its own worker: the parent's thread is not
+    copied, and waiting on it would never end."""
+    corpus, cfg, model = _word_setup(monkeypatch)
+    monkeypatch.setattr(training, "_spare_core", lambda: True)
+    expected = _head_windows(model, corpus, cfg)  # the parent's worker runs
+    assert training._worker is not None
+    pid = os.fork()
+    if pid == 0:  # the child reports by exit status only
+        ok = False
+        try:
+            # a hang kills the child, whatever handler it inherited
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(30)
+            ok = _same_windows(expected, _head_windows(model, corpus, cfg))
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_repeated_training_keeps_one_head_worker(monkeypatch, deadline):
+    corpus, cfg, _ = _word_setup(monkeypatch)
+    monkeypatch.setattr(training, "_spare_core", lambda: True)
+    monkeypatch.setattr(training, "_worker", None)
+    before = threading.active_count()
+    for _ in range(3):
+        train(cfg, corpus)
+    assert training._worker is not None
+    assert threading.active_count() <= before + 1
+
+
+def test_char_training_starts_no_thread(monkeypatch):
+    """A character vocabulary fits a window's rows in one head block, which
+    is never handed off."""
+    corpus = _tiny_corpus(synthetic_corpus(6_000, seed=1))
+    monkeypatch.setattr(training, "_spare_core", lambda: True)
+    monkeypatch.setattr(training, "_worker", None)
+    before = threading.active_count()
+    train(TrainConfig(arch="t_lstm", layers=2, hidden=6, seq_len=20, batch=4), corpus)
+    assert training._worker is None
+    assert threading.active_count() == before
+
+
+def test_spare_core_reads_blas_threads_as_openblas_does(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert training._blas_threads() == 4 and not training._spare_core()
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert training._blas_threads() == 2 and training._spare_core()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert training._blas_threads() == 3 and not training._spare_core()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # unset, to OpenBLAS
+    assert training._blas_threads() == 2
+
+
 def _state_arrays(state):
     """Copies of the carried arrays of a list of ``LayerState``s."""
     arrays = (a for st in state for a in (st.h, st.c, st.xx))
@@ -406,6 +570,14 @@ def test_training_diverges_loudly_at_huge_lr():
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as e:
         train(cfg, corpus)
     assert e.value.epoch == 1 and e.value.step >= 1
+    # the loss is still finite; layer0.W, first in model order, is the first
+    # gradient whose entries square past float64's range
+    assert math.isfinite(e.value.loss) and not math.isfinite(e.value.grad_norm)
+    assert e.value.tensor == "layer0.W"
+    assert str(e.value).endswith("first non-finite: layer0.W")
+    grads = {"a": np.ones(2), "b": np.array([1.0, np.nan]), "c": np.ones(1)}
+    assert training._first_non_finite(math.nan, grads, grads) == "loss"
+    assert training._first_non_finite(1.0, grads, grads) == "b"
 
 
 def test_metrics_rows_and_csv_schema(tmp_path):
