@@ -17,9 +17,9 @@ gate's gradient in contiguous scratch and writes it into its block of ``DP``
 with its last product, so only that one pass per gate is strided. One shared
 tail finishes every kind: one matrix multiply for the gradient on the block,
 one sum for its bias, and one matrix multiply for the input gradient. The
-named learnware gradients are views of the block gradient, laid out by
-``cells.learnware_views`` as the parameters are; the state-side gradients
-(the classical V's, T-MR's b) are computed in the branches.
+branches compute the gradient on the firmware block ``CellParams.V``, and
+every named gradient is a view of a block gradient, laid out by
+``cells.tensor_views`` as the parameters are.
 
 The backward passes take their memory from a ``cells.Workspace`` (``ws=``;
 a call given none makes its own): they write parameter gradients into
@@ -53,8 +53,8 @@ from .cells import (
     TRAINABLE_KINDS,
     T_CELL_KINDS,
     Workspace,
-    learnware_views,
     sequence_forward,
+    tensor_views,
 )
 
 __all__ = [
@@ -128,10 +128,8 @@ def sequence_backward(
     DP = ws.get("DP", (T, B, params.U.shape[0]))
     dPz, dPf, dPo = (DP[..., i * h : (i + 1) * h] for i in range(3))
     tmp = ws.get("tmp", seq)
-    grads = {}  # the state-side gradients
-
-    def fold(name: str, D: np.ndarray, side: np.ndarray) -> np.ndarray:
-        return _fold(D, side, ws.own(f"g.{name}", params[name].shape))
+    V = params.V  # the firmware block; gV is the gradient on it
+    gV = None if V is None else ws.own("gV", V.shape)
 
     if kind in SCAN_KINDS:
         F, Z, O = tape.F, tape.Z, tape.O
@@ -167,31 +165,28 @@ def sequence_backward(
         boundary = {"dc0": g} if lstm else {"dh0": g}
 
     elif kind == CellKind.RNN:
-        H, V = tape.H, params["V"]
+        H = tape.H
         g = gh
         for t in range(T - 1, -1, -1):
             g = dH[t] + g
             dp = g * (1.0 - H[t + 1] * H[t + 1])
             DP[t] = dp
             g = dp @ V
-        grads["V"] = fold("V", DP, H[:-1])
+        _fold(DP, H[:-1], gV)
         boundary = {"dh0": g}
 
     elif kind == CellKind.T_MR:
-        H, M, b = tape.H, tape.M, params["b"]
+        H, M = tape.H, tape.M
         g = gh
         for t in range(T - 1, -1, -1):
             g = dH[t] + g
             DP[t] = g * M[t]
-            g = DP[t] * b
-        grads["b"] = np.sum(
-            np.multiply(DP, H[:-1], out=tmp), axis=(0, 1), out=ws.own("g.b", (h,))
-        )
+            g = DP[t] * V
+        np.sum(np.multiply(DP, H[:-1], out=tmp), axis=(0, 1), out=gV)
         boundary = {"dh0": g}
 
     else:
         H, F, Z, O = tape.H, tape.F, tape.Z, tape.O
-        Vz, Vf, Vo = params["V_z"], params["V_f"], params["V_o"]
         g, dc = gh, gc
         if kind == CellKind.LSTM:
             C, TC = tape.C, tape.TC
@@ -205,8 +200,8 @@ def sequence_backward(
                 dPz[t] = dZ * (1.0 - Z[t] * Z[t])
                 dPf[t] = dF * F[t] * (1.0 - F[t])
                 dPo[t] = dO * (1.0 - O[t] * O[t])
-                g = dPz[t] @ Vz + dPf[t] @ Vf + dPo[t] @ Vo
-            sides = (H[:-1], H[:-1], H[:-1])
+                g = DP[t] @ V
+            _fold(DP, H[:-1], gV)
             boundary = {"dh0": g, "dc0": dc}
         else:
             for t in range(T - 1, -1, -1):
@@ -215,16 +210,15 @@ def sequence_backward(
                 dO = g * (1.0 - F[t])
                 carry = g * F[t]
                 dPo[t] = dO * (1.0 - O[t] * O[t])
-                dG = dPo[t] @ Vo
+                dG = dPo[t] @ V[2 * h :]
                 dZ = dG * H[t]
                 carry = carry + dG * Z[t]
                 dPz[t] = dZ * Z[t] * (1.0 - Z[t])
                 dPf[t] = dF * F[t] * (1.0 - F[t])
-                g = carry + dPz[t] @ Vz + dPf[t] @ Vf
-            sides = (H[:-1], H[:-1], tape.G)
+                g = carry + DP[t, :, : 2 * h] @ V[: 2 * h]
+            _fold(DP[..., : 2 * h], H[:-1], gV[: 2 * h])  # z and f read h
+            _fold(dPo, tape.G, gV[2 * h :])
             boundary = {"dh0": g}
-        for n, dP, side in zip("zfo", (dPz, dPf, dPo), sides):
-            grads[f"V_{n}"] = fold(f"V_{n}", dP, side)
 
     # The learnware of every kind: one fold for the block, one bias sum, and
     # one product back to the input.
@@ -233,8 +227,8 @@ def sequence_backward(
         out=ws.own("gU", params.U.shape),
     )
     gb = np.sum(DP, axis=(0, 1), out=ws.own("gb", params.bias.shape))
-    grads.update(learnware_views(kind, gU, gb, params.input_dim))
-    grads = {name: grads[name] for name in params.tensors}
+    views = tensor_views(kind, gU, gb, gV, params.input_dim)
+    grads = {name: views[name] for name in params.tensors}
     if not input_grad:
         return Grads(grads, None, **boundary)
     dXX = _unfold(DP, params.U, ws.get(f"dX{ws.index % 2}", tape.XX.shape))
@@ -396,7 +390,7 @@ def clip_global_norm(
     """
     norm = global_norm(grads, ws)
     if max_norm is not None:
-        if max_norm <= 0:
+        if not max_norm > 0:
             raise ValueError(f"clip threshold must be positive, got {max_norm}")
         if norm > max_norm and norm > 0.0:
             factor = max_norm / norm

@@ -38,13 +38,13 @@ matrices inside the step. Update rules, writing s for sigmoid, tau for tanh,
     SCRN     s' = alpha * s + (1 - alpha) * (W_s x_t) (alpha a scalar in (0,1))
 
 Every trainable cell splits into stateless learnware and state-dependent
-firmware. The learnware is every matrix and bias that reads only the input.
-It is one stacked block per layer (``CellParams.U`` and ``CellParams.bias``;
-the named tensors are views of it, laid out by ``learnware_views``),
-multiplied in one product with the whole window's inputs: ``[x_{t-1}; x_t]``
-for T-LSTM and T-GRU, ``x_t`` for every other kind. The firmware is what
-touches the state; its tensors stay outside the block: the recurrent
-matrices V of the classical cells and the memory vector b of T-MR.
+firmware, each one block per layer; the named tensors are views of the
+blocks, laid out by ``tensor_views``. The learnware (``CellParams.U`` and
+``.bias``) is every matrix and bias that reads only the input, multiplied in
+one product with the whole window's inputs: ``[x_{t-1}; x_t]`` for T-LSTM
+and T-GRU, ``x_t`` for every other kind. The firmware block ``CellParams.V``
+holds what touches the state: the classical cells' recurrent matrices and
+T-MR's memory vector b. The typed scan cells' firmware has no parameters.
 
 The product is gate-major: a (gates, T*B, h) array whose block i holds gate
 i's pre-activations for every row, made by one batched matmul over the
@@ -66,9 +66,9 @@ for all three kinds:
 
 ``sequence_forward`` runs a whole time-major batch (T, B, d) this way and
 records a tape for the hand-written backward pass in ``autodiff``, which runs
-the same scan in reverse. The classical cells and T-MR read their input-side
-pre-activations as views of the same product and then run their own loops,
-because their state passes through a matrix or a relu. ``stack_forward`` runs
+the same scan in reverse. The classical cells and T-MR read each step's
+gate-major rows of the same product and run their own loops, because their
+state passes through a matrix or a relu. ``stack_forward`` runs
 a multi-layer stack with dropout applied only on vertical connections between
 layers, never on the recurrent path and never on the raw model input. The DSL
 interpreter (``dsl.interp``) is the independent per-step reference for every
@@ -117,12 +117,12 @@ __all__ = [
     "Workspace",
     "dropout_mask",
     "init_params",
-    "learnware_views",
     "param_shapes",
     "scrn_state_step",
     "sequence_forward",
     "stack_forward",
     "stack_step",
+    "tensor_views",
 ]
 
 
@@ -189,11 +189,11 @@ class CellParams:
 
     The constructor checks the given tensors' names and shapes against
     ``param_shapes`` (a ShapeError names a wrong, missing or extra tensor)
-    and copies every one. A trainable kind's learnware goes into one stacked
-    block ``U`` with bias ``bias`` (see ``learnware_views``), and its named
-    tensors are views of that block: update them in place. The state-side
-    tensors (the classical V's, T-MR's b) and the SCRN tensors are copied as
-    they are; SCRN has no block, so its ``U`` and ``bias`` are None.
+    and copies every one. A trainable kind's tensors go into its blocks, the
+    learnware ``U`` with bias ``bias`` and the firmware ``V`` (None for the
+    typed scan kinds), and its named tensors are views of them (see
+    ``tensor_views``): update them in place. SCRN has no blocks, so its
+    ``U``, ``bias`` and ``V`` are None and its tensors are copied as they are.
     """
 
     kind: CellKind
@@ -202,6 +202,7 @@ class CellParams:
     tensors: dict[str, np.ndarray]
     U: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     bias: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    V: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d, h = self.input_dim, self.hidden_dim
@@ -216,19 +217,20 @@ class CellParams:
                     f"{name} has shape {np.shape(self.tensors[name])}, "
                     f"expected {shapes[name]}"
                 )
-        views = {}
-        if self.kind in TRAINABLE_KINDS:
-            rows = _LEARNWARE_ROWS[self.kind] * h
-            self.U = np.empty((rows, (2 if self.kind in T_CELL_KINDS else 1) * d))
-            self.bias = np.zeros(rows)
-            views = learnware_views(self.kind, self.U, self.bias, d)
-        given, self.tensors = self.tensors, {}
+        if self.kind not in TRAINABLE_KINDS:
+            self.tensors = {n: np.array(self.tensors[n], np.float64) for n in shapes}
+            return
+        rows = _LEARNWARE_ROWS[self.kind] * h
+        self.U = np.empty((rows, (2 if self.kind in T_CELL_KINDS else 1) * d))
+        self.bias = np.zeros(rows)
+        if self.kind == CellKind.T_MR:
+            self.V = np.empty(h)
+        elif self.kind not in SCAN_KINDS:
+            self.V = np.empty((rows, h))  # one recurrent matrix per gate
+        views = tensor_views(self.kind, self.U, self.bias, self.V, d)
         for name in shapes:
-            if name in views:
-                views[name][...] = given[name]
-                self.tensors[name] = views[name]
-            else:
-                self.tensors[name] = np.array(given[name], dtype=np.float64)
+            views[name][...] = self.tensors[name]
+        self.tensors = {name: views[name] for name in shapes}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -252,23 +254,26 @@ _LEARNWARE_ROWS = {
 }
 
 
-def learnware_views(
-    kind: CellKind, U: np.ndarray, bias: np.ndarray, input_dim: int
+def tensor_views(
+    kind: CellKind, U: np.ndarray, bias: np.ndarray, V: np.ndarray | None, input_dim: int
 ) -> dict[str, np.ndarray]:
-    """Named views of a layer's stacked learnware block (or of a gradient on
-    it); the state-side tensors are not in it.
+    """Every named tensor of a trainable kind as a view of its layer's blocks
+    (or of the gradients on them).
 
-    RNN: U is W, bias is b. T-MR: U is W, bias is c. LSTM / GRU: U is (3h, d),
-    rows W_z, W_f, W_o; bias is [b_z; b_f; b_o]. T-LSTM / T-GRU: U is (3h, 2d),
-    rows z, f, o and columns [V | W] (previous input, current input); bias is
-    (3h,). T-RNN: U is (2h, d) over [W; V]; bias is (2h,), and its z half is
-    no tensor's (z carries no bias).
+    Learnware: RNN: U is W, bias is b. T-MR: U is W, bias is c. LSTM / GRU: U
+    is (3h, d), rows W_z, W_f, W_o; bias is [b_z; b_f; b_o]. T-LSTM / T-GRU:
+    U is (3h, 2d), rows z, f, o and columns [V | W] (previous input, current
+    input); bias is (3h,). T-RNN: U is (2h, d) over [W; V]; bias is (2h,),
+    and its z half is no tensor's (z carries no bias).
+
+    Firmware: RNN: V is V. LSTM / GRU: V is (3h, h), rows V_z, V_f, V_o.
+    T-MR: V is b. T-RNN, T-LSTM and T-GRU: V is None.
     """
     h, d = U.shape[0] // _LEARNWARE_ROWS[kind], input_dim
     if kind == CellKind.RNN:
-        return {"W": U, "b": bias}
+        return {"V": V, "W": U, "b": bias}
     if kind == CellKind.T_MR:
-        return {"W": U, "c": bias}
+        return {"W": U, "b": V, "c": bias}
     if kind == CellKind.T_RNN:
         return {"W": U[:h], "V": U[h:], "b": bias[h:]}
     views = {}
@@ -278,6 +283,7 @@ def learnware_views(
             views[f"V_{g}"] = U[rows, :d]
             views[f"W_{g}"] = U[rows, d:]
         else:
+            views[f"V_{g}"] = V[rows]
             views[f"W_{g}"] = U[rows]
         views[f"b_{g}"] = bias[rows]
     return views
@@ -474,24 +480,26 @@ def _rnn_body(V, h, pre):
     return np.tanh(h @ V.T + pre)
 
 
-def _lstm_body(V, h, c, pz, pf, po):
-    """Returns z, f, o, c', tanh(c'), h'."""
-    Vz, Vf, Vo = V
-    z = np.tanh(h @ Vz.T + pz)
-    f = sigmoid(h @ Vf.T + pf)
-    o = np.tanh(h @ Vo.T + po)
+def _lstm_body(V, h, c, p):
+    """Returns z, f, o, c', tanh(c'), h' from the step's (3, B, h) product p."""
+    n = h.shape[1]
+    z, f, o = np.matmul(h, V.reshape(3, n, n).transpose(0, 2, 1)) + p
+    np.tanh(z, out=z)
+    sigmoid(f, out=f)
+    np.tanh(o, out=o)
     c = f * c + (1.0 - f) * z
     tc = np.tanh(c)
     return z, f, o, c, tc, tc * o
 
 
-def _gru_body(V, h, pz, pf, po):
-    """Returns z, f, z (*) h, o, h'."""
-    Vz, Vf, Vo = V
-    z = sigmoid(h @ Vz.T + pz)
-    f = sigmoid(h @ Vf.T + pf)
+def _gru_body(V, h, p):
+    """Returns z, f, z (*) h, o, h'; o reads z (*) h, so only z and f batch."""
+    n = h.shape[1]
+    z, f = np.matmul(h, V[: 2 * n].reshape(2, n, n).transpose(0, 2, 1)) + p[:2]
+    sigmoid(z, out=z)
+    sigmoid(f, out=f)
     g = z * h
-    o = np.tanh(g @ Vo.T + po)
+    o = np.tanh(g @ V[2 * n :].T + p[2])
     return z, f, g, o, f * h + (1.0 - f) * o
 
 
@@ -578,19 +586,16 @@ def sequence_forward(
 
     tape.H = H = ws.own("H", (T + 1, B, hdim))
     H[0] = _zeros_state(B, hdim, h0)
+    V = params.V
     if kind == CellKind.RNN:
-        V = params["V"]
         for t in range(T):
             H[t + 1] = _rnn_body(V, H[t], P[0, t])
     elif kind == CellKind.T_MR:
-        b = params["b"]
         tape.M = M = ws.own("M", seq, bool)
         for t in range(T):
-            pre, H[t + 1] = _tmr_body(b, H[t], P[0, t])
+            pre, H[t + 1] = _tmr_body(V, H[t], P[0, t])
             M[t] = pre > 0.0
     else:
-        pz, pf, po = _gate_views(P)
-        V = params["V_z"], params["V_f"], params["V_o"]
         tape.Z = Z = ws.own("Z", seq)
         tape.F = F = ws.own("F", seq)
         tape.O = O = ws.own("O", seq)
@@ -600,14 +605,12 @@ def sequence_forward(
             C[0] = _zeros_state(B, hdim, c0)
             for t in range(T):
                 Z[t], F[t], O[t], C[t + 1], TC[t], H[t + 1] = _lstm_body(
-                    V, H[t], C[t], pz[t], pf[t], po[t]
+                    V, H[t], C[t], P[:, t]
                 )
         else:
             tape.G = G = ws.own("G", seq)
             for t in range(T):
-                Z[t], F[t], G[t], O[t], H[t + 1] = _gru_body(
-                    V, H[t], pz[t], pf[t], po[t]
-                )
+                Z[t], F[t], G[t], O[t], H[t + 1] = _gru_body(V, H[t], P[:, t])
     return H[1:], tape
 
 
@@ -759,15 +762,13 @@ def stack_step(
             s += st.a
             x = np.multiply(s, O, out=st.h) if kind == CellKind.T_LSTM else s
         elif kind == CellKind.RNN:
-            x = st.h = _rnn_body(params["V"], st.h, Z)
+            x = st.h = _rnn_body(params.V, st.h, Z)
         elif kind == CellKind.T_MR:
-            x = st.h = _tmr_body(params["b"], st.h, Z)[1]
-        else:
-            V = params["V_z"], params["V_f"], params["V_o"]
-            if kind == CellKind.LSTM:
-                *_, st.c, _, x = _lstm_body(V, st.h, st.c, Z, F, O)
-            else:
-                *_, x = _gru_body(V, st.h, Z, F, O)
+            x = st.h = _tmr_body(params.V, st.h, Z)[1]
+        elif kind == CellKind.LSTM:
+            *_, st.c, _, x = _lstm_body(params.V, st.h, st.c, st.p)
             st.h = x
+        else:
+            x = st.h = _gru_body(params.V, st.h, st.p)[-1]
         outs.append(x)
     return outs

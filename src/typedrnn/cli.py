@@ -75,18 +75,18 @@ def _dashed(kind: CellKind) -> str:
     return kind.value.replace("_", "-")
 
 
-def _clip_flag(text: str):
-    if text.lower() == "none":
-        return None
+def _positive_flag(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or 'none', got {text!r}"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("clip threshold must be positive or 'none'")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value
+
+
+def _clip_flag(text: str) -> float | None:
+    return None if text.lower() == "none" else _positive_flag(text)
 
 
 def _count_flag(text: str) -> int:
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=("char", "word"), default="char",
                    help="tokenization level (default char)")
     _add_corpus_flags(p)
-    p.add_argument("--max-words", type=int, default=10000, metavar="N",
+    p.add_argument("--max-words", type=_count_flag, default=10000, metavar="N",
                    help="word-level vocabulary cap including <unk> (default 10000)")
     p.add_argument("--seq-len", type=_count_flag, default=50, metavar="N",
                    help="truncated-backprop window length (default 50)")
@@ -234,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sequence length (default 8)")
     p.add_argument("--trials", type=_count_flag, default=20, metavar="K",
                    help="random instances per architecture (default 20)")
-    p.add_argument("--eps", type=float, default=1e-5, metavar="F",
+    p.add_argument("--eps", type=_positive_flag, default=1e-5, metavar="F",
                    help="finite-difference step (default 1e-5)")
-    p.add_argument("--tol", type=float, default=1e-4, metavar="F",
+    p.add_argument("--tol", type=_positive_flag, default=1e-4, metavar="F",
                    help="max allowed relative error (default 1e-4)")
-    p.add_argument("--cf-tol", type=float, default=1e-8, metavar="F",
+    p.add_argument("--cf-tol", type=_positive_flag, default=1e-8, metavar="F",
                    help="max allowed absolute error vs analytic pooled-form "
                    "gradients (default 1e-8)")
     p.add_argument("--seed", type=int, default=0, metavar="N",
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max sequence length (default 20)")
     p.add_argument("--trials", type=_count_flag, default=100, metavar="K",
                    help="random instances per architecture (default 100)")
-    p.add_argument("--tol", type=float, default=1e-10, metavar="F",
+    p.add_argument("--tol", type=_positive_flag, default=1e-10, metavar="F",
                    help="max allowed absolute error (default 1e-10)")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="RNG seed (default 0)")
@@ -434,25 +434,25 @@ def _cmd_gradcheck(args) -> int:
                 num = float(np.max(np.abs(g - fd[name])))
                 den = max(float(np.max(np.abs(fd[name]))), 1e-8)
                 rel = num / den
-                worst[name] = max(worst.get(name, 0.0), rel)
+                worst[name] = float(np.maximum(worst.get(name, 0.0), rel))
             if kind in _POOLED_FORWARD:
                 u_last = U[-1]
                 cf = closed_form_gradients(params, X, u_last)
                 res_last = bptt(params, X, u_last)
                 for name, g in res_last.params.items():
-                    cf_worst = max(
-                        cf_worst, float(np.max(np.abs(g - cf[name])))
+                    cf_worst = float(
+                        np.maximum(cf_worst, np.max(np.abs(g - cf[name])))
                     )
         label = _dashed(kind)
         for name, rel in worst.items():
             print(f"{label}: {name} max relative error {rel:.3e}")
-        if max(worst.values()) > args.tol:
+        if not all(rel <= args.tol for rel in worst.values()):
             failed = True
         if kind in _POOLED_FORWARD:
             print(
                 f"{label}: pooled-form gradients max absolute error {cf_worst:.3e}"
             )
-            if cf_worst > args.cf_tol:
+            if not cf_worst <= args.cf_tol:
                 failed = True
     if failed:
         print("FAIL")
@@ -476,9 +476,9 @@ def _cmd_semcheck(args) -> int:
             params, X = _draw_instance(kind, args.hidden, steps, rng)
             out, _ = sequence_forward(params, X[:, None, :])
             pooled = _POOLED_FORWARD[kind](params, X)
-            worst = max(worst, float(np.max(np.abs(out[-1, 0] - pooled))))
+            worst = float(np.maximum(worst, np.max(np.abs(out[-1, 0] - pooled))))
         print(f"{_dashed(kind)}: max absolute gap {worst:.3e}")
-        if worst > args.tol:
+        if not worst <= args.tol:
             failed = True
     if failed:
         print("FAIL")

@@ -166,13 +166,15 @@ class TrainConfig:
                 "threads must be 1; set OPENBLAS_NUM_THREADS (or "
                 "OMP_NUM_THREADS) for parallel BLAS products instead"
             )
-        if self.lr <= 0:
+        if self.decay_start < 0:
+            raise ValueError("decay_start must be at least 0")
+        if not self.lr > 0:
             raise ValueError("lr must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.clip is not None and self.clip <= 0:
+        if self.clip is not None and not self.clip > 0:
             raise ValueError("clip must be positive or None")
         if self.init not in ("uniform008", "identity"):
             raise ValueError(f"unknown init scheme {self.init!r}")
@@ -703,7 +705,7 @@ def sample(
     ``temperature`` before softmax sampling; n = 0 returns the seed
     unchanged.
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ValueError("temperature must be positive")
     vocab = model.vocab
     if vocab.level == "word":

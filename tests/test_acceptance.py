@@ -16,6 +16,7 @@ from conftest import T_KINDS, TRAIN_KINDS, draw_instance, rand_params
 from typedrnn.autodiff import bptt, finite_diff, sequence_backward, state_jacobian
 from typedrnn.cells import (
     CellKind,
+    CellParams,
     init_params,
     scrn_state_step,
     sequence_forward,
@@ -166,7 +167,7 @@ def _rnn_horizon_norms(seed: int) -> tuple[list[float], float]:
     params = init_params(CellKind.RNN, 8, 16, rng)
     V = rng.standard_normal((16, 16))
     V *= 3.0 / spectral_norm(V)
-    params.tensors["V"] = V
+    params = CellParams(CellKind.RNN, 8, 16, {**params.tensors, "V": V})
     X = np.zeros((20, 8))
     norms: list[float] = []
     power_gap = 0.0

@@ -220,8 +220,9 @@ def test_global_norm_and_clip():
     assert norm == pytest.approx(5.0)
     assert np.array_equal(passthrough["a"], [3.0, 0.0])
 
-    with pytest.raises(ValueError):
-        clip_global_norm(fresh(), 0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            clip_global_norm(fresh(), bad)
 
 
 def test_state_jacobian_matches_finite_differences():

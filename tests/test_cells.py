@@ -111,12 +111,13 @@ def test_scrn_state_step_is_a_leaky_average():
         scrn_state_step(params, s, X[0])
 
 
-#: The state-side tensors of each kind, kept outside the learnware block.
+#: The state-side tensors of each kind: the firmware block V, laid out as
+#: these names in this row order (the typed scan kinds have none).
 STATE_SIDE = {
-    CellKind.RNN: {"V"},
-    CellKind.LSTM: {"V_z", "V_f", "V_o"},
-    CellKind.GRU: {"V_z", "V_f", "V_o"},
-    CellKind.T_MR: {"b"},
+    CellKind.RNN: ("V",),
+    CellKind.LSTM: ("V_z", "V_f", "V_o"),
+    CellKind.GRU: ("V_z", "V_f", "V_o"),
+    CellKind.T_MR: ("b",),
 }
 
 
@@ -146,16 +147,29 @@ def test_learnware_block(kind):
     assert stacked.shape == ref.shape
     assert np.max(np.abs(stacked - ref)) < 1e-14
 
-    # every input-side tensor is a view of the block; the state side is not
-    state_side = STATE_SIDE.get(kind, set())
+    # every input-side tensor is a view of the learnware block, every
+    # state-side tensor one of the firmware block, in its row order
+    state_side = STATE_SIDE.get(kind, ())
     for name, t in p.tensors.items():
         in_block = np.shares_memory(t, p.U) or np.shares_memory(t, p.bias)
-        assert in_block != (name in state_side), name
-    # a named view edits the block in place
+        in_firmware = p.V is not None and np.shares_memory(t, p.V)
+        assert in_firmware == (name in state_side), name
+        assert in_block != in_firmware, name
+    if state_side:
+        assert np.array_equal(p.V, np.concatenate([p[n] for n in state_side]))
+    else:
+        assert p.V is None
+    # a named view edits its block in place
     name = "W_f" if "W_f" in p.tensors else "W"
     p[name][1, 2] += 1.0
     assert np.max(np.abs(p.U @ (np.concatenate([xp, x]) if t_cell else x) + p.bias
                          - np.concatenate(_input_side(p, kind, xp, x)))) < 1e-14
+    if state_side:
+        name = "V_f" if "V_f" in state_side else state_side[0]
+        before = p.V.copy()
+        p[name][1] += 1.0
+        assert np.array_equal(p.V, np.concatenate([p[n] for n in state_side]))
+        assert np.count_nonzero(p.V != before) == np.size(p[name][1])
     # the constructor copies what it is given, and a copy owns its tensors
     given = {k: v.copy() for k, v in p.tensors.items()}
     q = CellParams(kind, d, h, given)
@@ -167,6 +181,7 @@ def test_learnware_block(kind):
         assert not np.shares_memory(t, p[k]), k
         assert np.array_equal(t, p[k]), k
     assert not np.shares_memory(c.U, p.U) and not np.shares_memory(c.bias, p.bias)
+    assert c.V is None or not np.shares_memory(c.V, p.V)
 
 
 @pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
@@ -319,17 +334,20 @@ def test_calls_without_a_workspace_share_no_memory():
 @pytest.mark.parametrize("kind", TRAIN_KINDS, ids=lambda k: k.value)
 def test_gate_arrays_are_contiguous(kind, monkeypatch):
     """The input-side product is gate-major: each gate the firmware reads,
-    the scan cells' taped gates and every step row the classical and T-MR
-    loops take, is one C-contiguous array, never a strided column view."""
+    the scan cells' taped gates and every step's gate rows the classical and
+    T-MR loops take, is one C-contiguous array, never a strided column
+    view."""
     rng = np.random.default_rng(14)
     seen = []
-    # each loop body takes its step's gate rows as its last n arguments
-    bodies = {"_rnn_body": 1, "_lstm_body": 3, "_gru_body": 3, "_tmr_body": 1}
-    for name, n in bodies.items():
+    # the classical LSTM and GRU bodies take the step's (3, B, h) product as
+    # their last argument, the RNN and T-MR bodies its one (B, h) block
+    for name in ("_rnn_body", "_lstm_body", "_gru_body", "_tmr_body"):
         body = getattr(cells, name)
 
-        def spy(*args, body=body, n=n):
-            seen.extend(a.shape == (3, 4) and a.flags.c_contiguous for a in args[-n:])
+        def spy(*args, body=body):
+            p = args[-1]
+            seen.extend(a.shape == (3, 4) and a.flags.c_contiguous
+                        for a in (p if p.ndim == 3 else [p]))
             return body(*args)
 
         monkeypatch.setattr(cells, name, spy)

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from typedrnn import cli
+from typedrnn.cells import CellKind
 from typedrnn.cli import main
 from typedrnn.checkpoint import load_checkpoint, save_checkpoint
 from typedrnn.data import build_vocab
@@ -54,9 +56,9 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 
 
 def test_bad_clip_flag_rejected(capsys):
-    assert main(["train", "--arch", "rnn", "--clip", "zero"]) == 1
-    assert main(["train", "--arch", "rnn", "--clip", "-1"]) == 1
-    capsys.readouterr()
+    for value in ("zero", "-1", "nan"):
+        assert main(["train", "--arch", "rnn", "--clip", value]) == 1
+        assert "argument --clip: " in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,8 @@ def untrained(tmp_path_factory):
     ["train", "--arch", "rnn", "--seq-len", "0"],
     ["train", "--arch", "rnn", "--batch", "0"],
     ["train", "--arch", "rnn", "--epochs", "0"],
+    ["train", "--arch", "rnn", "--level", "word", "--max-words", "0"],
+    ["train", "--arch", "rnn", "--level", "word", "--max-words", "-3"],
     ["eval", "--ckpt", "m.ckpt", "--corpus", "c.txt", "--batch", "0"],
     ["eval", "--ckpt", "m.ckpt", "--corpus", "c.txt", "--batch", "-2"],
     ["eval", "--ckpt", "m.ckpt", "--corpus", "c.txt", "--seq-len", "0"],
@@ -93,6 +97,14 @@ def untrained(tmp_path_factory):
     ["gradcheck", "--steps", "2.5"],
     ["semcheck", "--steps", "0"],
     ["semcheck", "--trials", "0"],
+    # the real-valued oracle flags: NaN, and a step that is not finite and
+    # positive, are rejected too
+    ["gradcheck", "--eps", "nan"],
+    ["gradcheck", "--eps", "0"],
+    ["gradcheck", "--eps", "inf"],
+    ["gradcheck", "--tol", "nan"],
+    ["gradcheck", "--cf-tol", "nan"],
+    ["semcheck", "--tol", "nan"],
 ], ids=" ".join)
 def test_count_flags_must_be_positive(argv, untrained, capsys):
     # eval gets a real checkpoint and corpus, so only the flag can fail it
@@ -101,6 +113,13 @@ def test_count_flags_must_be_positive(argv, untrained, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"argument {argv[-2]}: " in err and "Traceback" not in err
+
+
+def test_negative_decay_start_is_a_usage_error(untrained, capsys):
+    argv = ["train", "--arch", "rnn", "--corpus", str(untrained / "c.txt")]
+    assert main([*argv, "--decay-start", "-4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: decay_start must be at least 0\n"
 
 
 def test_corpus_flags_are_mutually_exclusive(tmp_path, capsys):
@@ -244,13 +263,14 @@ def test_sample_bad_temperature(trained, capsys):
     if not ckpt.exists():
         main(argv)
         capsys.readouterr()
-    code = main([
-        "sample", "--ckpt", str(ckpt), "--seed-text", "a",
-        "--temperature", "0",
-    ])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:")
+    for temperature in ("0", "nan"):
+        code = main([
+            "sample", "--ckpt", str(ckpt), "--seed-text", "a",
+            "--temperature", temperature,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: temperature must be positive\n"
 
 
 def test_eval_reports_split_loss(trained, capsys):
@@ -306,6 +326,32 @@ def test_gradcheck_classical_arch_has_no_pooled_line(capsys):
     assert "gru: " in out
     assert "pooled-form" not in out
     assert out.rstrip().endswith("OK")
+
+
+def _nan_grads(params, *args, **kwargs):
+    """A gradient oracle whose every entry is NaN."""
+    return {n: np.full(t.shape, np.nan) for n, t in params.tensors.items()}
+
+
+@pytest.mark.parametrize("arch,oracle", [
+    ("gru", "finite_diff"), ("t-rnn", "closed_form_gradients"),
+])
+def test_a_nan_error_fails_gradcheck(arch, oracle, monkeypatch, capsys):
+    monkeypatch.setattr(cli, oracle, _nan_grads)
+    code = main(["gradcheck", "--arch", arch, "--hidden", "3", "--steps", "4",
+                 "--trials", "2"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "error nan" in out and out.rstrip().endswith("FAIL")
+
+
+def test_a_nan_gap_fails_semcheck(monkeypatch, capsys):
+    monkeypatch.setitem(cli._POOLED_FORWARD, CellKind.T_GRU,
+                        lambda params, X: np.full(params.hidden_dim, np.nan))
+    code = main(["semcheck", "--arch", "t-gru", "--hidden", "3", "--trials", "2"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "gap nan" in out and out.rstrip().endswith("FAIL")
 
 
 def test_semcheck_passes(capsys):

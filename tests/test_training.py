@@ -63,6 +63,12 @@ def test_train_config_validation():
         TrainConfig(arch="t_rnn", dropout=1.0)
     with pytest.raises(ValueError):
         TrainConfig(arch="t_rnn", clip=-1.0)
+    for name in ("lr", "clip"):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(arch="t_rnn", **{name: float("nan")})
+    with pytest.raises(ValueError, match="decay_start"):
+        TrainConfig(arch="t_rnn", decay_start=-1)
+    TrainConfig(arch="t_rnn", decay_start=0)
     with pytest.raises(ValueError):
         TrainConfig(arch="t_rnn", init="he")
     with pytest.raises(ValueError, match="log_every"):
