@@ -7,9 +7,9 @@ runtime or data error (unreadable files, corpus too small, divergence,
 malformed checkpoints). Parallelism comes from the BLAS library's threads
 inside the products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``)
 and, in ``train`` with a vocabulary large enough that a window's logits
-span several blocks, from one worker thread in the output head when BLAS
-leaves a core idle (see ``training``). With one BLAS thread every
-subcommand is bitwise deterministic for a fixed ``--seed``.
+span several blocks, from a thread that the output head starts for each
+window when BLAS leaves a core idle (see ``training``). With one BLAS
+thread every subcommand is bitwise deterministic for a fixed ``--seed``.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel streams per step (default 32)")
     p.add_argument("--epochs", type=_count_flag, default=1, metavar="N",
                    help="passes over the training split (default 1)")
-    p.add_argument("--lr", type=float, default=0.25, metavar="F",
+    p.add_argument("--lr", type=_positive_flag, default=0.25, metavar="F",
                    help="SGD learning rate (default 0.25)")
     p.add_argument("--lr-decay", type=float, default=1.0, metavar="F",
                    help="multiplicative per-epoch decay factor (default 1.0)")

@@ -22,12 +22,12 @@ epoch. Each window is one forward and backward pass over the whole batch.
 Parallelism comes from two places: the BLAS library's own threads inside
 the large products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``),
 and, when the process has at least twice as many cores as BLAS threads,
-one worker thread that computes a training head's gradient products for
-one block while the main thread computes the next block's logits (two
-logit blocks exist then). The head joins the worker before it returns and
-sums the blocks in the same order either way. With one BLAS thread a run is
-bitwise deterministic for a fixed config, corpus and seed, with or without
-the worker.
+a thread that a multi-block training head starts for that call alone: it
+computes one block's gradient products while the calling thread computes
+the next block's logits (two logit blocks exist then). The head joins the
+thread before it returns or raises and sums the blocks in the same order
+either way. With one BLAS thread a run is bitwise deterministic for a fixed
+config, corpus and seed, with or without the thread.
 
 ``train`` and ``evaluate`` each make one ``cells.Workspace`` per call and
 run every window through it (``train`` its per-epoch validation too), so a
@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,8 +167,8 @@ class TrainConfig:
             )
         if self.decay_start < 0:
             raise ValueError("decay_start must be at least 0")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
         if not 0.0 <= self.dropout < 1.0:
@@ -264,72 +263,6 @@ def cross_entropy(logits: np.ndarray, target: int) -> float:
 _HEAD_BLOCK_BYTES = 2 * 2**20
 
 
-class _Worker:
-    """One daemon thread that runs submitted calls one at a time, in the
-    order they were submitted.
-
-    ``wait(pending)`` blocks until at most ``pending`` calls are unfinished
-    and then raises the first exception a call raised since the last wait,
-    if any; the thread itself survives it and runs later calls.
-    """
-
-    def __init__(self) -> None:
-        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._done = threading.Condition()
-        self._pending = 0
-        self._error: BaseException | None = None
-        threading.Thread(target=self._loop, name="typedrnn-head", daemon=True).start()
-
-    def submit(self, fn, *args) -> None:
-        with self._done:
-            self._pending += 1
-        self._tasks.put((fn, args))
-
-    def wait(self, pending: int = 0) -> None:
-        with self._done:
-            while self._pending > pending:
-                self._done.wait()
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def _loop(self) -> None:
-        while True:
-            fn, args = self._tasks.get()
-            error = None
-            try:
-                fn(*args)
-            except BaseException as exc:  # raised again by ``wait``
-                error = exc
-            with self._done:
-                self._error = self._error or error
-                self._pending -= 1
-                self._done.notify_all()
-            # hold no view of the caller's buffers between calls
-            del fn, args, error
-
-
-_worker: _Worker | None = None
-
-
-def _head_worker() -> _Worker:
-    """The process's worker, started on first use."""
-    global _worker
-    if _worker is None:
-        _worker = _Worker()
-    return _worker
-
-
-def _forget_worker() -> None:
-    # A forked child has no copy of the parent's thread: it starts its own.
-    global _worker
-    _worker = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
 def _cores() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -388,12 +321,15 @@ def _output_head(
     A call that asks for gradients and walks more than one block, in a
     process with a core that BLAS leaves idle (``_spare_core``), computes
     the logits into two buffers in turn and hands each block's gradient
-    products (``_head_grads``) to one worker thread, which runs them in
-    block order while this thread computes the next block's logits and
-    softmax. Before a buffer is reused the block that last filled it is
-    done; before returning, this thread joins every pending block and runs
-    the last block's products itself. The gradients are summed in block
-    order either way, so the bits do not depend on the handoff.
+    products (``_head_grads``) to a one-thread executor that lives for this
+    call. Its thread runs them in block order while this thread computes
+    the next block's logits and softmax. Before a buffer is reused the
+    block that last filled it is done; before running the last block's
+    products itself, this thread reads the result of every handed-off
+    block, so a block's error is raised here. The executor is shut down,
+    its thread joined, before the call returns or raises. The gradients are
+    summed in block order either way, so the bits do not depend on the
+    handoff.
     """
     ws = Workspace() if ws is None else ws
     n = len(top)
@@ -401,7 +337,8 @@ def _output_head(
     rows = min(n, max(1, _HEAD_BLOCK_BYTES // (8 * k)))
     bufs = [ws.get("head.logits", (rows, k))]
     total = 0.0
-    worker = None
+    pool = None
+    done = []  # the futures of the handed-off blocks, in block order
     if grad_scale is not None:
         gW = ws.get("head.gW", w_out.shape)
         gW.fill(0.0)
@@ -411,14 +348,14 @@ def _output_head(
         gb_block = ws.get("head.gb_block", b_out.shape)
         d_top = ws.get("head.d_top", top.shape)
         if rows < n and _spare_core():
-            worker = _head_worker()
+            pool = ThreadPoolExecutor(1, thread_name_prefix="typedrnn-head")
             bufs.append(ws.get("head.logits2", (rows, k)))
     try:
         for i, lo in enumerate(range(0, n, rows)):
             x = top[lo : lo + rows]
             y = Y[lo : lo + rows]
-            if worker is not None and i >= 2:
-                worker.wait(1)  # the block that last used this buffer
+            if pool is not None and i >= 2:
+                done[i - 2].result()  # the block that last used this buffer
             z = bufs[i % len(bufs)][: len(x)]
             r = np.arange(len(x))
             np.matmul(x, w_out.T, out=z)
@@ -434,15 +371,15 @@ def _output_head(
             z *= (grad_scale / se)[:, None]
             z[r, y] -= grad_scale
             task = (z, x, w_out, gW, gW_block, gb, gb_block, d_top[lo : lo + len(x)])
-            if worker is None or lo + rows >= n:
-                if worker is not None:
-                    worker.wait()
+            if pool is None or lo + rows >= n:
+                for f in done:
+                    f.result()
                 _head_grads(*task)
             else:
-                worker.submit(_head_grads, *task)
+                done.append(pool.submit(_head_grads, *task))
     finally:
-        if worker is not None:
-            worker.wait()
+        if pool is not None:
+            pool.shutdown()
     if grad_scale is None:
         return total, None
     return total, (gW, gb, d_top)

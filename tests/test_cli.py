@@ -102,6 +102,7 @@ def untrained(tmp_path_factory):
     ["gradcheck", "--eps", "nan"],
     ["gradcheck", "--eps", "0"],
     ["gradcheck", "--eps", "inf"],
+    ["train", "--arch", "rnn", "--lr", "inf"],
     ["gradcheck", "--tol", "nan"],
     ["gradcheck", "--cf-tol", "nan"],
     ["semcheck", "--tol", "nan"],

@@ -66,6 +66,8 @@ def test_train_config_validation():
     for name in ("lr", "clip"):
         with pytest.raises(ValueError, match=name):
             TrainConfig(arch="t_rnn", **{name: float("nan")})
+    with pytest.raises(ValueError, match="lr"):
+        TrainConfig(arch="t_rnn", lr=float("inf"))
     with pytest.raises(ValueError, match="decay_start"):
         TrainConfig(arch="t_rnn", decay_start=-1)
     TrainConfig(arch="t_rnn", decay_start=0)
@@ -261,18 +263,6 @@ def test_window_pass_never_holds_a_full_logit_block():
     assert peak < T * B * K * 8  # one (T*B, K) float64 logit block, 51.2 MB
 
 
-class _SlowWorker(training._Worker):
-    """A head worker that sleeps before each task, so a block whose products
-    the caller does not wait for is still running when the caller reads."""
-
-    def submit(self, fn, *args):
-        def slow(*a):
-            time.sleep(0.005)
-            fn(*a)
-
-        super().submit(slow, *args)
-
-
 @pytest.fixture
 def deadline():
     """Fail a test that blocks for a minute, instead of hanging the run."""
@@ -285,6 +275,20 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
 
 
 def _word_setup(monkeypatch):
@@ -320,18 +324,23 @@ def _same_windows(run1, run2):
 
 
 def test_head_handoff_joins_every_block(monkeypatch, deadline):
-    """With a worker that runs each block's products late, and with one that
-    does not under a short thread switch interval, a 5-block head gives the
-    same bits as running them inline: the caller waits for a block before
-    reusing its logit buffer and for all before returning."""
+    """With products that start each block late, and with products that do
+    not under a short thread switch interval, a 5-block head gives the same
+    bits as running them inline: the caller waits for a block before
+    reusing its logit buffer, and for all before the last block's products."""
     corpus, cfg, model = _word_setup(monkeypatch)  # 24 rows: 5 blocks
     monkeypatch.setattr(training, "_spare_core", lambda: False)
     inline = _head_windows(model, corpus, cfg)
     monkeypatch.setattr(training, "_spare_core", lambda: True)
-    own = training._head_worker()
-    monkeypatch.setattr(training, "_worker", _SlowWorker())
+    products = training._head_grads
+
+    def slow(*args):
+        time.sleep(0.005)
+        products(*args)
+
+    monkeypatch.setattr(training, "_head_grads", slow)
     handed = [_head_windows(model, corpus, cfg)]
-    monkeypatch.setattr(training, "_worker", own)
+    monkeypatch.setattr(training, "_head_grads", products)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -341,35 +350,42 @@ def test_head_handoff_joins_every_block(monkeypatch, deadline):
     assert all(_same_windows(inline, run) for run in handed)
 
 
-def test_head_worker_raises_a_task_error_in_the_caller(monkeypatch, deadline):
-    corpus, cfg, model = _word_setup(monkeypatch)
+@pytest.mark.parametrize("block", [1, 3])
+def test_head_worker_raises_a_task_error_in_the_caller(
+    monkeypatch, deadline, thread_starts, block
+):
+    """Block 1's error reaches the caller through the wait before block 3
+    reuses its buffer, block 3's (the last handed off) only through the
+    join before the last block; either way the head's thread is gone."""
+    corpus, cfg, model = _word_setup(monkeypatch)  # 24 rows: 5 blocks
     monkeypatch.setattr(training, "_spare_core", lambda: True)
     expected = _head_windows(model, corpus, cfg)
     products = training._head_grads
     calls = []
 
-    def fail_second(*args):
+    def fail_one(*args):
         calls.append(1)
-        if len(calls) == 2:
-            raise FloatingPointError("block 1")
+        if len(calls) == block + 1:
+            raise FloatingPointError(f"block {block}")
         products(*args)
 
-    monkeypatch.setattr(training, "_head_grads", fail_second)
-    with pytest.raises(FloatingPointError, match="block 1"):
+    before = threading.active_count()
+    monkeypatch.setattr(training, "_head_grads", fail_one)
+    with pytest.raises(FloatingPointError, match=f"block {block}"):
         _head_windows(model, corpus, cfg)
-    assert training._worker is not None
+    assert thread_starts and not any(t.is_alive() for t in thread_starts)
+    assert threading.active_count() == before
     monkeypatch.setattr(training, "_head_grads", products)
-    # the same thread runs later handoffs, and the error is not raised again
+    # later handoffs run, and the error is not raised again
     assert _same_windows(expected, _head_windows(model, corpus, cfg))
 
 
-def test_head_worker_after_fork(monkeypatch, deadline):
-    """A forked child starts its own worker: the parent's thread is not
-    copied, and waiting on it would never end."""
+def test_forked_child_head_matches_the_parent(monkeypatch, deadline):
+    """A child forked after the parent handed off head blocks gets the
+    parent's bits from its own handoffs."""
     corpus, cfg, model = _word_setup(monkeypatch)
     monkeypatch.setattr(training, "_spare_core", lambda: True)
-    expected = _head_windows(model, corpus, cfg)  # the parent's worker runs
-    assert training._worker is not None
+    expected = _head_windows(model, corpus, cfg)
     pid = os.fork()
     if pid == 0:  # the child reports by exit status only
         ok = False
@@ -384,27 +400,24 @@ def test_head_worker_after_fork(monkeypatch, deadline):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_repeated_training_keeps_one_head_worker(monkeypatch, deadline):
+def test_train_leaves_no_thread_running(monkeypatch, deadline, thread_starts):
     corpus, cfg, _ = _word_setup(monkeypatch)
     monkeypatch.setattr(training, "_spare_core", lambda: True)
-    monkeypatch.setattr(training, "_worker", None)
     before = threading.active_count()
     for _ in range(3):
         train(cfg, corpus)
-    assert training._worker is not None
-    assert threading.active_count() <= before + 1
+    assert thread_starts  # the head handed blocks off
+    assert not any(t.is_alive() for t in thread_starts)
+    assert threading.active_count() == before
 
 
-def test_char_training_starts_no_thread(monkeypatch):
+def test_char_training_starts_no_thread(monkeypatch, thread_starts):
     """A character vocabulary fits a window's rows in one head block, which
     is never handed off."""
     corpus = _tiny_corpus(synthetic_corpus(6_000, seed=1))
     monkeypatch.setattr(training, "_spare_core", lambda: True)
-    monkeypatch.setattr(training, "_worker", None)
-    before = threading.active_count()
     train(TrainConfig(arch="t_lstm", layers=2, hidden=6, seq_len=20, batch=4), corpus)
-    assert training._worker is None
-    assert threading.active_count() == before
+    assert thread_starts == []
 
 
 def test_spare_core_reads_blas_threads_as_openblas_does(monkeypatch):
