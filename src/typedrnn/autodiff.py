@@ -8,7 +8,8 @@ is what the central-difference oracle ``finite_diff`` checks them against.
 T-RNN, T-LSTM and T-GRU share one backward, the mirror of their shared
 forward: one reverse scan ``G[t] = dS[t] + F[t] (*) G[t+1]`` for the gradient
 on the scanned state, then one coordinatewise pass back through the gate maps.
-The classical cells and T-MR keep their own reverse loops, as in the forward.
+The classical cells and T-MR keep their own reverse loops; T-MR reads its
+relu's mask from its taped pre-activation ``Z``.
 Every branch fills one stacked gradient ``DP`` on the input-side product,
 laid out as the rows of the learnware block ``CellParams.U`` (the forward's
 product is gate-major, so the gates it reads are contiguous; ``DP`` keeps
@@ -176,11 +177,11 @@ def sequence_backward(
         boundary = {"dh0": g}
 
     elif kind == CellKind.T_MR:
-        H, M = tape.H, tape.M
+        H, Z = tape.H, tape.Z  # Z is the pre-activation
         g = gh
         for t in range(T - 1, -1, -1):
             g = dH[t] + g
-            DP[t] = g * M[t]
+            DP[t] = g * (Z[t] > 0.0)
             g = DP[t] * V
         np.sum(np.multiply(DP, H[:-1], out=tmp), axis=(0, 1), out=gV)
         boundary = {"dh0": g}

@@ -66,13 +66,15 @@ for all three kinds:
 
 ``sequence_forward`` runs a whole time-major batch (T, B, d) this way and
 records a tape for the hand-written backward pass in ``autodiff``, which runs
-the same scan in reverse. The classical cells and T-MR read each step's
-gate-major rows of the same product and run their own loops, because their
-state passes through a matrix or a relu. ``stack_forward`` runs
-a multi-layer stack with dropout applied only on vertical connections between
-layers, never on the recurrent path and never on the raw model input. The DSL
-interpreter (``dsl.interp``) is the independent per-step reference for every
-update rule above.
+the same scan in reverse. The classical cells and T-MR, whose state passes
+through a matrix or a relu, run one loop instead: each step adds the
+recurrent term into its rows of the same product and squashes them there
+(``_recurrent_step``). So for every kind the product is the tape: its blocks
+are the gates the backward pass reads (for RNN and T-MR, the
+pre-activation). ``stack_forward`` runs a multi-layer stack with dropout
+applied only on vertical connections between layers, never on the recurrent
+path and never on the raw model input. The DSL interpreter (``dsl.interp``)
+is the independent per-step reference for every update rule above.
 
 What outlives a call is said once per layer, in a ``LayerState``: the
 firmware state (h, c for LSTM and T-LSTM, and x_prev for T-LSTM / T-GRU),
@@ -83,10 +85,10 @@ the learnware / firmware split, for generation: it advances the same states
 by one token with no tape. A step is one product of the layer's input row
 ([x_prev; x] for T-LSTM / T-GRU) with ``U``, the same ``_affine_rows`` call
 as a one-token window's, then either the gate map and
-``s *= f; s += a`` in place, or one pass of a classical or T-MR loop body.
-The gate map and the loop bodies are helpers that ``sequence_forward`` calls
-too, so each update rule is written once and a one-token step gives the bits
-of a one-token ``stack_forward``.
+``s *= f; s += a`` in place, or one ``_recurrent_step`` that writes h (and
+the LSTM's c) in place. The gate map and ``_recurrent_step`` are helpers
+that ``sequence_forward`` calls too, so each update rule is written once and
+a one-token step gives the bits of a one-token ``stack_forward``.
 
 Everything else is working memory, and it all comes from a ``Workspace``
 (``ws=``): the trainer and ``evaluate`` pass one, so a window reuses the
@@ -412,10 +414,12 @@ class LayerTape:
     state; gate arrays have T rows. ``XX`` is the block the stacked learnware
     multiplied: for T-LSTM / T-GRU the undropped previous input beside the
     (possibly dropout-masked) input, for every other kind the input itself.
-    The scanned state is ``C`` for T-LSTM and ``H`` for every other kind;
-    ``Z``, ``F`` and ``O`` of a scan cell are the contiguous gate blocks of
-    its one gate-major learnware product. The layer input ``X`` is accepted
-    but not kept: the backward pass reads ``XX``.
+    The scanned state is ``C`` for T-LSTM and ``H`` for every other kind.
+    ``Z``, ``F`` and ``O`` are the blocks of the layer's one gate-major
+    learnware product, squashed in place into the gates (None past the last
+    block; for RNN and T-MR, ``Z`` is the pre-activation). ``TC`` is the
+    LSTM's tanh(c') and ``G`` the GRU's z (*) h. The layer input ``X`` is
+    accepted but not kept: the backward pass reads ``XX``.
     """
 
     kind: CellKind
@@ -427,7 +431,6 @@ class LayerTape:
     Z: np.ndarray | None = None
     O: np.ndarray | None = None
     G: np.ndarray | None = None
-    M: np.ndarray | None = None
     TC: np.ndarray | None = None
 
 
@@ -476,37 +479,48 @@ def _gate_map(kind: CellKind, Z, F, O, A: np.ndarray) -> None:
         A *= Z
 
 
-def _rnn_body(V, h, pre):
-    return np.tanh(h @ V.T + pre)
-
-
-def _lstm_body(V, h, c, p):
-    """Returns z, f, o, c', tanh(c'), h' from the step's (3, B, h) product p."""
+def _recurrent_step(kind: CellKind, V, p, h, c, h_out, c_out, aux) -> None:
+    """One step of a classical cell or T-MR, in place. The recurrent term is
+    added into the step's (gates, B, h) product rows ``p`` and they are
+    squashed there, so ``p`` becomes the step's gates (the one block of RNN
+    and T-MR, its pre-activation). h' goes into ``h_out``, the LSTM's c'
+    into ``c_out``, and the row the backward pass reads into ``aux``:
+    tanh(c') for the LSTM, z (*) h for the GRU. ``h_out`` and ``c_out`` may
+    be ``h`` and ``c``."""
     n = h.shape[1]
-    z, f, o = np.matmul(h, V.reshape(3, n, n).transpose(0, 2, 1)) + p
-    np.tanh(z, out=z)
-    sigmoid(f, out=f)
-    np.tanh(o, out=o)
-    c = f * c + (1.0 - f) * z
-    tc = np.tanh(c)
-    return z, f, o, c, tc, tc * o
-
-
-def _gru_body(V, h, p):
-    """Returns z, f, z (*) h, o, h'; o reads z (*) h, so only z and f batch."""
-    n = h.shape[1]
-    z, f = np.matmul(h, V[: 2 * n].reshape(2, n, n).transpose(0, 2, 1)) + p[:2]
-    sigmoid(z, out=z)
-    sigmoid(f, out=f)
-    g = z * h
-    o = np.tanh(g @ V[2 * n :].T + p[2])
-    return z, f, g, o, f * h + (1.0 - f) * o
-
-
-def _tmr_body(b, h, pre_in):
-    """Returns the pre-activation and h'."""
-    pre = b * h + pre_in
-    return pre, np.maximum(pre, 0.0)
+    if kind == CellKind.RNN:
+        pre = p[0]
+        pre += h @ V.T
+        np.tanh(pre, out=h_out)
+    elif kind == CellKind.T_MR:
+        pre = p[0]
+        pre += V * h
+        np.maximum(pre, 0.0, out=h_out)
+    elif kind == CellKind.LSTM:
+        p += np.matmul(h, V.reshape(3, n, n).transpose(0, 2, 1))
+        z, f, o = p
+        np.tanh(z, out=z)
+        sigmoid(f, out=f)
+        np.tanh(o, out=o)
+        np.subtract(1.0, f, out=aux)
+        aux *= z
+        np.multiply(f, c, out=c_out)
+        c_out += aux
+        np.tanh(c_out, out=aux)
+        np.multiply(aux, o, out=h_out)
+    else:  # GRU: o reads z (*) h, so only z and f batch
+        z, f, o = p
+        zf = p[:2]
+        zf += np.matmul(h, V[: 2 * n].reshape(2, n, n).transpose(0, 2, 1))
+        sigmoid(z, out=z)
+        sigmoid(f, out=f)
+        np.multiply(z, h, out=aux)
+        o += aux @ V[2 * n :].T
+        np.tanh(o, out=o)
+        inc = np.subtract(1.0, f)
+        inc *= o
+        np.multiply(f, h, out=h_out)
+        h_out += inc
 
 
 def _zeros_state(B: int, h: int, like: np.ndarray | None) -> np.ndarray:
@@ -559,18 +573,16 @@ def sequence_forward(
         XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
         XX[1:, :, :d] = src[:-1]
         XX[:, :, d:] = X
-    # The one input-side product, gate-major. A scan cell's gates are its
-    # blocks, so it is part of the tape; the loops of the other kinds read
-    # it as scratch.
-    gates = _LEARNWARE_ROWS[kind]
+    # The one input-side product, gate-major. Its blocks become the gates,
+    # so it is every kind's tape.
     P = _affine_rows(
         XX.reshape(T * B, -1), params.U, params.bias,
-        (ws.own if kind in SCAN_KINDS else ws.get)("P", (gates, T * B, hdim)),
-    ).reshape(gates, T, B, hdim)
+        ws.own("P", (_LEARNWARE_ROWS[kind], T * B, hdim)),
+    ).reshape(-1, T, B, hdim)
     tape = LayerTape(kind, XX=XX)
+    tape.Z, tape.F, tape.O = Z, F, O = _gate_views(P)
 
     if kind in SCAN_KINDS:
-        tape.Z, tape.F, tape.O = Z, F, O = _gate_views(P)
         A = ws.get("A", seq)
         _gate_map(kind, Z, F, O, A)
         S = ws.own("S", (T + 1, B, hdim))
@@ -586,31 +598,15 @@ def sequence_forward(
 
     tape.H = H = ws.own("H", (T + 1, B, hdim))
     H[0] = _zeros_state(B, hdim, h0)
-    V = params.V
-    if kind == CellKind.RNN:
-        for t in range(T):
-            H[t + 1] = _rnn_body(V, H[t], P[0, t])
-    elif kind == CellKind.T_MR:
-        tape.M = M = ws.own("M", seq, bool)
-        for t in range(T):
-            pre, H[t + 1] = _tmr_body(V, H[t], P[0, t])
-            M[t] = pre > 0.0
-    else:
-        tape.Z = Z = ws.own("Z", seq)
-        tape.F = F = ws.own("F", seq)
-        tape.O = O = ws.own("O", seq)
-        if kind == CellKind.LSTM:
-            tape.C = C = ws.own("C", (T + 1, B, hdim))
-            tape.TC = TC = ws.own("TC", seq)
-            C[0] = _zeros_state(B, hdim, c0)
-            for t in range(T):
-                Z[t], F[t], O[t], C[t + 1], TC[t], H[t + 1] = _lstm_body(
-                    V, H[t], C[t], P[:, t]
-                )
-        else:
-            tape.G = G = ws.own("G", seq)
-            for t in range(T):
-                Z[t], F[t], G[t], O[t], H[t + 1] = _gru_body(V, H[t], P[:, t])
+    C = aux = [None] * (T + 1)  # no cell state and no backward row
+    if kind == CellKind.LSTM:
+        tape.C = C = ws.own("C", (T + 1, B, hdim))
+        C[0] = _zeros_state(B, hdim, c0)
+        tape.TC = aux = ws.own("TC", seq)
+    elif kind == CellKind.GRU:
+        tape.G = aux = ws.own("G", seq)
+    for t in range(T):
+        _recurrent_step(kind, params.V, P[:, t], H[t], C[t], H[t + 1], C[t + 1], aux[t])
     return H[1:], tape
 
 
@@ -631,7 +627,9 @@ class LayerState:
     ``stack_forward`` writes into these in place. The rows a step overwrites
     are made by the first step, since a window needs none: the gate-major
     input-side product ``p`` of shape (gates, batch, h), whose blocks are the
-    gates (``gates``), and the increment ``a`` of the scan kinds.
+    gates (``gates``), and ``a``, the increment of the scan kinds, the
+    LSTM's tanh(c') and the GRU's z (*) h. A step writes ``h`` and ``c`` in
+    place, as a window does.
     """
 
     def __init__(self, params: CellParams, batch: int = 1) -> None:
@@ -738,7 +736,8 @@ def stack_step(
     """Advance a stack by one token of (1, d) input ``x``, without a tape.
 
     ``state`` (one ``LayerState`` per layer) is updated in place. Returns
-    each layer's (1, h) output row, valid until the next step. The numbers
+    each layer's (1, h) output row, which is its state's ``h``, so valid
+    until the next step. The numbers
     are those of ``stack_forward`` over the same tokens, bit for bit.
     """
     outs = []
@@ -754,21 +753,16 @@ def stack_step(
             st.xx[:, d:] = x
             x = st.xx
         _affine_rows(x, params.U, params.bias, st.p)
-        Z, F, O = st.gates
         if kind in SCAN_KINDS:
+            Z, F, O = st.gates
             _gate_map(kind, Z, F, O, st.a)
             s = st.c if kind == CellKind.T_LSTM else st.h  # the scanned state
             s *= F
             s += st.a
-            x = np.multiply(s, O, out=st.h) if kind == CellKind.T_LSTM else s
-        elif kind == CellKind.RNN:
-            x = st.h = _rnn_body(params.V, st.h, Z)
-        elif kind == CellKind.T_MR:
-            x = st.h = _tmr_body(params.V, st.h, Z)[1]
-        elif kind == CellKind.LSTM:
-            *_, st.c, _, x = _lstm_body(params.V, st.h, st.c, st.p)
-            st.h = x
+            if kind == CellKind.T_LSTM:
+                np.multiply(s, O, out=st.h)
         else:
-            x = st.h = _gru_body(params.V, st.h, st.p)[-1]
+            _recurrent_step(kind, params.V, st.p, st.h, st.c, st.h, st.c, st.a)
+        x = st.h
         outs.append(x)
     return outs

@@ -15,10 +15,11 @@ Layout, all integers little-endian:
             rank-0..n float64 data, little-endian, row-major
 
 There is no tensor-count field; the reader consumes records until EOF and
-rejects truncated files. Loading refuses unknown magic or version, a symbol
-or tensor name that is not valid UTF-8, and names any tensor holding NaN or
-infinity; shape validation against an architecture happens when a model is
-rebuilt from the checkpoint. Round-trips are bit-exact.
+rejects truncated files. Loading refuses unknown magic or version, a layer
+count or hidden size of 0, a symbol or tensor name that is not valid UTF-8,
+and names any tensor holding NaN or infinity; shape validation against an
+architecture happens when a model is rebuilt from the checkpoint.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -140,7 +141,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if level_code not in _LEVEL_FROM_CODE:
         raise CheckpointError(f"unknown level code {level_code}")
     layers = struct.unpack("<H", r.take(2, "layer count"))[0]
+    if layers == 0:
+        raise CheckpointError("checkpoint has layer count 0")
     hidden = r.u32("hidden size")
+    if hidden == 0:
+        raise CheckpointError("checkpoint has hidden size 0")
     vocab_size = r.u32("vocab size")
     symbols = [r.text(f"vocab entry {i}") for i in range(vocab_size)]
     tensors: dict[str, np.ndarray] = {}

@@ -398,9 +398,8 @@ def _rand_params(
 
 def _tmr_margin(params: CellParams, X: np.ndarray) -> float:
     """Smallest |pre-activation| the rectifier sees along the rollout."""
-    out, tape = sequence_forward(params, X[:, None, :])
-    pre = tape.H[:-1] * params["b"] + X[:, None, :] @ params["W"].T + params["c"]
-    return float(np.min(np.abs(pre)))
+    _, tape = sequence_forward(params, X[:, None, :])
+    return float(np.min(np.abs(tape.Z)))  # Z is T-MR's pre-activation
 
 
 def _draw_instance(kind: CellKind, hidden: int, steps: int, rng):

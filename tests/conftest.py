@@ -33,8 +33,7 @@ def tmr_margin(params, X):
     """Smallest |pre-activation| seen on a T-MR run (distance to the relu
     kink, where finite differences are not trustworthy)."""
     _, tape = sequence_forward(params, X)
-    pre = tape.H[:-1] * params["b"] + X @ params["W"].T + params["c"]
-    return float(np.min(np.abs(pre)))
+    return float(np.min(np.abs(tape.Z)))  # Z is T-MR's pre-activation
 
 
 def draw_instance(kind, rng, h_max=8, t_max=20, d_max=6, margin=1e-3):

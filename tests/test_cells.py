@@ -8,7 +8,6 @@ import pytest
 from conftest import TRAIN_KINDS, rand_params
 
 from typedrnn.autodiff import sequence_backward, stack_backward
-from typedrnn import cells
 from typedrnn.cells import (
     CellKind,
     CellParams,
@@ -332,34 +331,24 @@ def test_calls_without_a_workspace_share_no_memory():
 
 
 @pytest.mark.parametrize("kind", TRAIN_KINDS, ids=lambda k: k.value)
-def test_gate_arrays_are_contiguous(kind, monkeypatch):
-    """The input-side product is gate-major: each gate the firmware reads,
-    the scan cells' taped gates and every step's gate rows the classical and
-    T-MR loops take, is one C-contiguous array, never a strided column
-    view."""
+def test_gate_arrays_are_contiguous(kind):
+    """Every kind's taped gates are its gate-major input-side product: one
+    block for RNN and T-MR (their pre-activation), two for T-RNN, three
+    otherwise, each a C-contiguous (T, B, h) view of the layer's own "P"
+    buffer, never a strided column view or a copy."""
     rng = np.random.default_rng(14)
-    seen = []
-    # the classical LSTM and GRU bodies take the step's (3, B, h) product as
-    # their last argument, the RNN and T-MR bodies its one (B, h) block
-    for name in ("_rnn_body", "_lstm_body", "_gru_body", "_tmr_body"):
-        body = getattr(cells, name)
-
-        def spy(*args, body=body):
-            p = args[-1]
-            seen.extend(a.shape == (3, 4) and a.flags.c_contiguous
-                        for a in (p if p.ndim == 3 else [p]))
-            return body(*args)
-
-        monkeypatch.setattr(cells, name, spy)
     params = rand_params(kind, 5, 4, rng)
-    _, tape = sequence_forward(params, rng.uniform(-1.0, 1.0, size=(6, 3, 5)))
-    if kind in cells.SCAN_KINDS:
-        gates = [a for a in (tape.Z, tape.F, tape.O) if a is not None]
-        assert len(gates) == (2 if kind == CellKind.T_RNN else 3) and not seen
-        assert all(a.shape == (6, 3, 4) and a.flags.c_contiguous for a in gates)
-    else:
-        assert len(seen) == 6 * (3 if kind in (CellKind.LSTM, CellKind.GRU) else 1)
-        assert all(seen)
+    ws = Workspace()
+    _, tape = sequence_forward(
+        params, rng.uniform(-1.0, 1.0, size=(6, 3, 5)), ws=ws.layer(0)
+    )
+    gates = [a for a in (tape.Z, tape.F, tape.O) if a is not None]
+    want = {CellKind.RNN: 1, CellKind.T_MR: 1, CellKind.T_RNN: 2}.get(kind, 3)
+    assert len(gates) == want
+    P = ws.layer(0).own("P", (want, 6 * 3, 4))
+    for a in gates:
+        assert a.shape == (6, 3, 4) and a.flags.c_contiguous
+        assert np.shares_memory(a, P) and a.base is P.base
 
 
 def test_a_second_window_allocates_no_working_memory():

@@ -178,3 +178,20 @@ def test_word_checkpoint_without_unk_first_is_rejected(tmp_path, capsys):
         model_from_checkpoint(load_checkpoint(path))
     assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
     assert "<unk>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["layer count", "hidden size"])
+def test_zero_layers_or_hidden_size_is_rejected(tmp_path, capsys, field):
+    ckpt, corpus = _model_ckpt(tmp_path, "char")
+    if field == "layer count":
+        ckpt.layers = 0
+    else:
+        ckpt.hidden = 0
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert field in capsys.readouterr().err
+    assert main(["sample", "--ckpt", str(path), "--seed-text", "ab"]) == 3
+    assert field in capsys.readouterr().err

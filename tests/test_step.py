@@ -100,3 +100,19 @@ def test_step_from_an_empty_carry_starts_at_zero_state():
             outs, _ = stack_forward(model.layers, X, state=taped)
             rows = stack_step(model.layers, X[0], state)
             assert all(np.array_equal(o[0], r) for o, r in zip(outs, rows))
+
+
+@pytest.mark.parametrize("kind", [k.value for k in TRAIN_KINDS])
+def test_stepping_updates_the_state_in_place(kind):
+    """A window and a step write every carried array of a ``LayerState`` in
+    place, and the row a step returns for a layer is that layer's ``h``."""
+    model = _model(kind, "char")
+    state = [LayerState(p) for p in model.layers]
+    arrays = [(st.h, st.c, st.xx) for st in state]
+    X = _encode_inputs(model, np.array([[2], [5], [3], [1]]))
+    stack_forward(model.layers, X[:2], state=state)
+    for x in X[2:]:
+        rows = stack_step(model.layers, x, state)
+        assert all(row is st.h for row, st in zip(rows, state))
+    for st, (h, c, xx) in zip(state, arrays):
+        assert st.h is h and st.c is c and st.xx is xx
