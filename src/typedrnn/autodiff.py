@@ -228,8 +228,7 @@ def sequence_backward(
         out=ws.own("gU", params.U.shape),
     )
     gb = np.sum(DP, axis=(0, 1), out=ws.own("gb", params.bias.shape))
-    views = tensor_views(kind, gU, gb, gV, params.input_dim)
-    grads = {name: views[name] for name in params.tensors}
+    grads = tensor_views(kind, gU, gb, gV, params.input_dim)
     if not input_grad:
         return Grads(grads, None, **boundary)
     dXX = _unfold(DP, params.U, ws.get(f"dX{ws.index % 2}", tape.XX.shape))
@@ -243,9 +242,6 @@ def bptt(
     params: CellParams,
     X: np.ndarray,
     upstream: np.ndarray,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
-    xp0: np.ndarray | None = None,
 ) -> Grads:
     """Forward + backward over one window of a single layer.
 
@@ -260,18 +256,12 @@ def bptt(
     squeeze = X.ndim == 2
     if squeeze:
         X = X[:, None, :]
-        if h0 is not None:
-            h0 = np.asarray(h0)[None, :]
-        if c0 is not None:
-            c0 = np.asarray(c0)[None, :]
-        if xp0 is not None:
-            xp0 = np.asarray(xp0)[None, :]
         if upstream.ndim == 1:
             upstream = upstream[None, :]
         elif upstream.ndim == 2:
             upstream = upstream[:, None, :]
     T = X.shape[0]
-    out, tape = sequence_forward(params, X, h0=h0, c0=c0, xp0=xp0)
+    out, tape = sequence_forward(params, X)
     if upstream.ndim == 2:
         dH = np.zeros_like(out)
         dH[T - 1] = upstream

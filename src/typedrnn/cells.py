@@ -39,12 +39,15 @@ matrices inside the step. Update rules, writing s for sigmoid, tau for tanh,
 
 Every trainable cell splits into stateless learnware and state-dependent
 firmware, each one block per layer; the named tensors are views of the
-blocks, laid out by ``tensor_views``. The learnware (``CellParams.U`` and
-``.bias``) is every matrix and bias that reads only the input, multiplied in
-one product with the whole window's inputs: ``[x_{t-1}; x_t]`` for T-LSTM
-and T-GRU, ``x_t`` for every other kind. The firmware block ``CellParams.V``
-holds what touches the state: the classical cells' recurrent matrices and
-T-MR's memory vector b. The typed scan cells' firmware has no parameters.
+blocks, laid out by ``tensor_views``. That layout is written once: a new
+``CellParams`` is made from it, ``param_shapes`` reads its shapes, and the
+backward pass lays out its gradients with it. The learnware
+(``CellParams.U`` and ``.bias``) is every matrix and bias that reads only
+the input, multiplied in one product with the whole window's inputs:
+``[x_{t-1}; x_t]`` for T-LSTM and T-GRU, ``x_t`` for every other kind. The
+firmware block ``CellParams.V`` holds what touches the state: the classical
+cells' recurrent matrices and T-MR's memory vector b. The typed scan cells'
+firmware has no parameters.
 
 The product is gate-major: a (gates, T*B, h) array whose block i holds gate
 i's pre-activations for every row, made by one batched matmul over the
@@ -158,44 +161,28 @@ SCAN_KINDS = (CellKind.T_RNN, CellKind.T_LSTM, CellKind.T_GRU)
 
 
 def param_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> dict[str, tuple]:
-    """Tensor names and shapes for a cell, in canonical (serialization) order."""
-    h, d = hidden_dim, input_dim
-    if kind == CellKind.RNN:
-        return {"V": (h, h), "W": (h, d), "b": (h,)}
-    if kind in (CellKind.LSTM, CellKind.GRU):
-        out = {}
-        for g in ("z", "f", "o"):
-            out[f"V_{g}"] = (h, h)
-            out[f"W_{g}"] = (h, d)
-            out[f"b_{g}"] = (h,)
-        return out
-    if kind == CellKind.T_RNN:
-        return {"W": (h, d), "V": (h, d), "b": (h,)}
-    if kind in (CellKind.T_LSTM, CellKind.T_GRU):
-        out = {}
-        for g in ("z", "f", "o"):
-            out[f"V_{g}"] = (h, d)
-            out[f"W_{g}"] = (h, d)
-            out[f"b_{g}"] = (h,)
-        return out
-    if kind == CellKind.T_MR:
-        return {"W": (h, d), "b": (h,), "c": (h,)}
-    if kind == CellKind.SCRN_STATE:
-        return {"alpha": (), "W_s": (h, d)}
-    raise ValueError(f"unknown cell kind {kind!r}")
+    """Tensor names and shapes for a cell, in canonical (serialization) order,
+    read off read-only zero-stride blocks (nothing of their size is made)."""
+    tensors = _new_tensors(kind, input_dim, hidden_dim, _no_memory)[-1]
+    return {name: t.shape for name, t in tensors.items()}
+
+
+def _no_memory(shape: tuple) -> np.ndarray:
+    return np.ndarray(shape, buffer=bytes(8), strides=(0,) * len(shape))
 
 
 @dataclass
 class CellParams:
     """Parameters of one cell layer. ``tensors`` preserves canonical order.
 
-    The constructor checks the given tensors' names and shapes against
-    ``param_shapes`` (a ShapeError names a wrong, missing or extra tensor)
-    and copies every one. A trainable kind's tensors go into its blocks, the
-    learnware ``U`` with bias ``bias`` and the firmware ``V`` (None for the
-    typed scan kinds), and its named tensors are views of them (see
-    ``tensor_views``): update them in place. SCRN has no blocks, so its
-    ``U``, ``bias`` and ``V`` are None and its tensors are copied as they are.
+    The constructor makes the kind's new zeroed blocks, the learnware ``U``
+    with bias ``bias`` and the firmware ``V`` (None for the typed scan
+    kinds), and checks the given tensors' names and shapes against the named
+    views of them (``tensor_views``; a ShapeError names a wrong, missing or
+    extra tensor), then copies every given tensor into its view. So ``tensors``
+    holds views of the blocks: update them in place. SCRN has no blocks, so
+    its ``U``, ``bias`` and ``V`` are None and its two tensors are arrays of
+    their own.
     """
 
     kind: CellKind
@@ -207,38 +194,24 @@ class CellParams:
     V: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        d, h = self.input_dim, self.hidden_dim
-        shapes = param_shapes(self.kind, d, h)
-        for name in {**shapes, **self.tensors}:
+        U, bias, V, tensors = _new_tensors(
+            self.kind, self.input_dim, self.hidden_dim, np.zeros
+        )
+        for name in {**tensors, **self.tensors}:
             if name not in self.tensors:
                 raise ShapeError(f"{self.kind.value} cell is missing tensor {name}")
-            if name not in shapes:
+            if name not in tensors:
                 raise ShapeError(f"{self.kind.value} cell has no tensor {name}")
-            if np.shape(self.tensors[name]) != shapes[name]:
+            if np.shape(self.tensors[name]) != tensors[name].shape:
                 raise ShapeError(
                     f"{name} has shape {np.shape(self.tensors[name])}, "
-                    f"expected {shapes[name]}"
+                    f"expected {tensors[name].shape}"
                 )
-        if self.kind not in TRAINABLE_KINDS:
-            self.tensors = {n: np.array(self.tensors[n], np.float64) for n in shapes}
-            return
-        rows = _LEARNWARE_ROWS[self.kind] * h
-        self.U = np.empty((rows, (2 if self.kind in T_CELL_KINDS else 1) * d))
-        self.bias = np.zeros(rows)
-        if self.kind == CellKind.T_MR:
-            self.V = np.empty(h)
-        elif self.kind not in SCAN_KINDS:
-            self.V = np.empty((rows, h))  # one recurrent matrix per gate
-        views = tensor_views(self.kind, self.U, self.bias, self.V, d)
-        for name in shapes:
-            views[name][...] = self.tensors[name]
-        self.tensors = {name: views[name] for name in shapes}
+            tensors[name][...] = self.tensors[name]
+        self.U, self.bias, self.V, self.tensors = U, bias, V, tensors
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
-
-    def num_params(self) -> int:
-        return int(sum(t.size for t in self.tensors.values()))
 
     def copy(self) -> "CellParams":
         return CellParams(self.kind, self.input_dim, self.hidden_dim, self.tensors)
@@ -254,6 +227,24 @@ _LEARNWARE_ROWS = {
     CellKind.T_LSTM: 3,
     CellKind.T_GRU: 3,
 }
+
+
+def _new_tensors(kind: CellKind, input_dim: int, hidden_dim: int, make) -> tuple:
+    """New blocks ``(U, bias, V)`` of a kind, each ``make(shape)``, and its named
+    views (``tensor_views``); SCRN has no blocks and ``make``s its two tensors."""
+    d, h = input_dim, hidden_dim
+    if kind == CellKind.SCRN_STATE:
+        return None, None, None, {"alpha": make(()), "W_s": make((h, d))}
+    if kind not in TRAINABLE_KINDS:
+        raise ValueError(f"unknown cell kind {kind!r}")
+    rows = _LEARNWARE_ROWS[kind] * h
+    U = make((rows, (2 if kind in T_CELL_KINDS else 1) * d))
+    bias = make((rows,))  # T-RNN's z half is no tensor's: CellParams zeroes it
+    if kind == CellKind.T_MR:
+        V = make((h,))
+    else:  # one recurrent matrix per gate, none for a scan
+        V = None if kind in SCAN_KINDS else make((rows, h))
+    return U, bias, V, tensor_views(kind, U, bias, V, d)
 
 
 def tensor_views(
@@ -561,6 +552,8 @@ def sequence_forward(
     T, B, d = X.shape
     if d != params.input_dim:
         raise ShapeError(f"input has dim {d}, cell expects {params.input_dim}")
+    if T == 0 or B == 0:
+        raise ShapeError(f"sequence input {X.shape} is an empty window")
     hdim = params.hidden_dim
     seq = (T, B, hdim)
 

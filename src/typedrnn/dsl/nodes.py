@@ -161,20 +161,6 @@ class CellSpec:
     def inputs(self) -> list[PortDecl]:
         return [p for p in self.ports if not p.is_state]
 
-    def affine_nodes(self) -> list[Affine]:
-        found: list[Affine] = []
-
-        def walk(e: Expr) -> None:
-            if isinstance(e, Affine):
-                found.append(e)
-            for child in children(e):
-                walk(child)
-
-        for s in self.stmts:
-            walk(s.expr)
-        found.sort(key=lambda a: a.node_id)
-        return found
-
 
 def children(e: Expr) -> tuple[Expr, ...]:
     """Operand subexpressions of a node, in source order."""

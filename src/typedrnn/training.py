@@ -200,18 +200,26 @@ class Model:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """All trainable tensors in canonical serialization order."""
-        out: dict[str, np.ndarray] = {}
-        if self.embed is not None:
-            out["embed.E"] = self.embed
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.tensors.items():
-                out[f"layer{i}.{name}"] = arr
-        out["out.W"] = self.w_out
-        out["out.b"] = self.b_out
-        return out
+        layers = [p.tensors for p in self.layers]
+        return _named(self.embed, layers, self.w_out, self.b_out)
 
-    def num_params(self) -> int:
-        return int(sum(t.size for t in self.tensors().values()))
+
+def _named(embed, layers: list[dict], w_out, b_out) -> dict:
+    """A model's tensors (or their shapes) by name, in canonical serialization
+    order; ``embed`` is None at char level and ``layers`` holds dicts."""
+    out = {} if embed is None else {"embed.E": embed}
+    out.update((f"layer{i}.{n}", t) for i, d in enumerate(layers) for n, t in d.items())
+    return {**out, "out.W": w_out, "out.b": b_out}
+
+
+def _layout(level: str, k: int, layers: int, hidden: int, matrix, layer) -> tuple:
+    """A model's ``(embed, layers, out.W)`` over ``k`` symbols from two makers,
+    called in this order: ``matrix(shape)`` for the word-level embedding (None
+    at char level), ``layer(input_dim)`` for each layer, ``matrix(shape)``."""
+    embed = matrix((k, hidden)) if level == "word" else None
+    in0 = hidden if level == "word" else k
+    stack = [layer(in0 if i == 0 else hidden) for i in range(layers)]
+    return embed, stack, matrix((k, hidden))
 
 
 def build_model(config: TrainConfig, vocab: Vocab, rng: np.random.Generator) -> Model:
@@ -221,23 +229,12 @@ def build_model(config: TrainConfig, vocab: Vocab, rng: np.random.Generator) -> 
             f"{config.level!r}"
         )
     k = vocab.size
-    h = config.hidden
-    embed = rng.uniform(-0.08, 0.08, size=(k, h)) if config.level == "word" else None
-    in0 = h if config.level == "word" else k
-    layers = []
-    for i in range(config.layers):
-        layers.append(
-            init_params(
-                config.arch,
-                in0 if i == 0 else h,
-                h,
-                rng,
-                scheme=config.init,
-            )
-        )
-    w_out = rng.uniform(-0.08, 0.08, size=(k, h))
-    b_out = np.zeros(k)
-    return Model(config.arch, config.level, vocab, layers, embed, w_out, b_out)
+    embed, layers, w_out = _layout(
+        config.level, k, config.layers, config.hidden,
+        lambda shape: rng.uniform(-0.08, 0.08, size=shape),
+        lambda dim: init_params(config.arch, dim, config.hidden, rng, config.init),
+    )
+    return Model(config.arch, config.level, vocab, layers, embed, w_out, np.zeros(k))
 
 
 # ---------------------------------------------------------------------------
@@ -700,63 +697,40 @@ def model_to_checkpoint(model: Model) -> Checkpoint:
     )
 
 
-def _expected_shapes(
-    arch: CellKind, level: str, layers: int, hidden: int, k: int
-) -> dict[str, tuple]:
-    out: dict[str, tuple] = {}
-    if level == "word":
-        out["embed.E"] = (k, hidden)
-    in0 = hidden if level == "word" else k
-    for i in range(layers):
-        for name, shape in param_shapes(arch, in0 if i == 0 else hidden, hidden).items():
-            out[f"layer{i}.{name}"] = shape
-    out["out.W"] = (k, hidden)
-    out["out.b"] = (k,)
-    return out
-
-
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    vocab = Vocab(ckpt.level, list(ckpt.vocab_symbols))
-    expected = _expected_shapes(
-        ckpt.arch, ckpt.level, ckpt.layers, ckpt.hidden, vocab.size
+    """The checkpoint's model. Its tensors must be those of the model its
+    header describes, by name and shape (a CheckpointError lists every
+    missing, unexpected and misshapen one; a layer count above the number of
+    tensors, or a hidden size above every dimension, fits no file), before
+    anything of the header's size is allocated. Then they are copied in."""
+    arch, level, layers, hidden = ckpt.arch, ckpt.level, ckpt.layers, ckpt.hidden
+    vocab = Vocab(level, list(ckpt.vocab_symbols))
+    k, n = vocab.size, len(ckpt.tensors)
+    if layers > n:
+        raise CheckpointError(f"layer count {layers} exceeds the {n} tensors")
+    if hidden > max((d for t in ckpt.tensors.values() for d in t.shape), default=0):
+        raise CheckpointError(f"hidden size {hidden} exceeds every tensor dimension")
+    embed, stack, w_out = _layout(
+        level, k, layers, hidden, tuple, lambda d: param_shapes(arch, d, hidden)
     )
+    expected = _named(embed, stack, w_out, (k,))
     got = {name: tuple(arr.shape) for name, arr in ckpt.tensors.items()}
     if got != expected:
-        missing = sorted(set(expected) - set(got))
-        extra = sorted(set(got) - set(expected))
-        wrong = sorted(
-            name
-            for name in set(got) & set(expected)
-            if got[name] != expected[name]
-        )
-        parts = []
-        if missing:
-            parts.append(f"missing tensors: {', '.join(missing)}")
-        if extra:
-            parts.append(f"unexpected tensors: {', '.join(extra)}")
-        if wrong:
-            parts.append(
-                "shape mismatch: "
-                + ", ".join(
-                    f"{n} is {got[n]}, expected {expected[n]}" for n in wrong
-                )
-            )
+        both = sorted(set(got) & set(expected))
+        parts = [f"{what}: {', '.join(names)}" for what, names in (
+            ("missing tensors", sorted(set(expected) - set(got))),
+            ("unexpected tensors", sorted(set(got) - set(expected))),
+            ("shape mismatch", [f"{m} is {got[m]}, expected {expected[m]}"
+                                for m in both if got[m] != expected[m]]),
+        ) if names]
         raise CheckpointError("; ".join(parts))
-    embed = ckpt.tensors.get("embed.E")
-    in0 = ckpt.hidden if ckpt.level == "word" else vocab.size
-    layers = []
-    for i in range(ckpt.layers):
-        dim = in0 if i == 0 else ckpt.hidden
-        names = param_shapes(ckpt.arch, dim, ckpt.hidden)
-        # the constructor copies what it is given
-        tensors = {n: ckpt.tensors[f"layer{i}.{n}"] for n in names}
-        layers.append(CellParams(ckpt.arch, dim, ckpt.hidden, tensors))
-    return Model(
-        arch=ckpt.arch,
-        level=ckpt.level,
-        vocab=vocab,
-        layers=layers,
-        embed=None if embed is None else embed.copy(),
-        w_out=ckpt.tensors["out.W"].copy(),
-        b_out=ckpt.tensors["out.b"].copy(),
-    )
+
+    def new_layer(d: int) -> CellParams:
+        shapes = param_shapes(arch, d, hidden).items()
+        return CellParams(arch, d, hidden, {m: np.empty(s) for m, s in shapes})
+
+    embed, stack, w_out = _layout(level, k, layers, hidden, np.empty, new_layer)
+    model = Model(arch, level, vocab, stack, embed, w_out, np.empty(k))
+    for name, t in model.tensors().items():
+        t[...] = ckpt.tensors[name]
+    return model

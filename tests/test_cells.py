@@ -1,13 +1,14 @@
 """Cell parameters, batched sequence runs, stacks, and carried state."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import TRAIN_KINDS, rand_params
 
-from typedrnn.autodiff import sequence_backward, stack_backward
+from typedrnn.autodiff import bptt, sequence_backward, stack_backward
 from typedrnn.cells import (
     CellKind,
     CellParams,
@@ -23,19 +24,47 @@ from typedrnn.linalg import ShapeError
 
 
 def test_param_shapes():
-    assert param_shapes(CellKind.T_RNN, 3, 5) == {
-        "W": (5, 3), "V": (5, 3), "b": (5,),
+    """Names and shapes in canonical order: ``init_params`` draws in it and
+    checkpoints are written in it, and a ``CellParams`` keeps it whatever
+    order it is given."""
+
+    def gated(v_shape):
+        return [
+            item
+            for g in "zfo"
+            for item in ((f"V_{g}", v_shape), (f"W_{g}", (5, 3)), (f"b_{g}", (5,)))
+        ]
+
+    want = {
+        CellKind.RNN: [("V", (5, 5)), ("W", (5, 3)), ("b", (5,))],
+        CellKind.LSTM: gated((5, 5)),
+        CellKind.GRU: gated((5, 5)),
+        CellKind.T_RNN: [("W", (5, 3)), ("V", (5, 3)), ("b", (5,))],
+        CellKind.T_LSTM: gated((5, 3)),
+        CellKind.T_GRU: gated((5, 3)),
+        CellKind.T_MR: [("W", (5, 3)), ("b", (5,)), ("c", (5,))],
+        CellKind.SCRN_STATE: [("alpha", ()), ("W_s", (5, 3))],
     }
-    assert param_shapes(CellKind.RNN, 3, 5) == {
-        "V": (5, 5), "W": (5, 3), "b": (5,),
-    }
-    tl = param_shapes(CellKind.T_LSTM, 3, 5)
-    assert set(tl) == {"V_z", "W_z", "b_z", "V_f", "W_f", "b_f", "V_o", "W_o", "b_o"}
-    assert tl["V_z"] == (5, 3) and tl["b_o"] == (5,)
-    lt = param_shapes(CellKind.LSTM, 3, 5)
-    assert lt["V_z"] == (5, 5) and lt["W_z"] == (5, 3)
-    assert param_shapes(CellKind.T_MR, 3, 5) == {"W": (5, 3), "b": (5,), "c": (5,)}
-    assert param_shapes(CellKind.SCRN_STATE, 3, 5) == {"alpha": (), "W_s": (5, 3)}
+    assert set(want) == set(CellKind)
+    rng = np.random.default_rng(0)
+    for kind, items in want.items():
+        assert list(param_shapes(kind, 3, 5).items()) == items, kind
+        if kind in TRAIN_KINDS:
+            given = rand_params(kind, 3, 5, rng).tensors
+            p = CellParams(kind, 3, 5, dict(reversed(given.items())))
+            assert list(p.tensors) == list(param_shapes(kind, 3, 5)), kind
+
+
+def test_param_shapes_allocate_nothing():
+    # an LSTM at d = h = 10**5 would hold 240 GB of learnware and firmware
+    tracemalloc.start()
+    try:
+        shapes = param_shapes(CellKind.LSTM, 10**5, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes["V_o"] == (10**5, 10**5) and shapes["b_z"] == (10**5,)
+    assert peak < 2**20
 
 
 def test_init_params_uniform008():
@@ -266,6 +295,20 @@ def test_sequence_forward_rejects_bad_shapes_and_kinds():
         stack_forward([p], np.ones((5, 2, 3)), dropout=0.5)  # rng required
     with pytest.raises(ValueError):
         stack_forward([], np.ones((5, 2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3)], ids=["T0", "B0"])
+@pytest.mark.parametrize("kind", TRAIN_KINDS, ids=lambda k: k.value)
+def test_empty_windows_raise_shape_error(kind, shape):
+    p = rand_params(kind, 3, 4, np.random.default_rng(16))
+    X = np.zeros(shape)
+    named = re.escape(str(shape))
+    with pytest.raises(ShapeError, match=named):
+        sequence_forward(p, X)
+    with pytest.raises(ShapeError, match=named):
+        stack_forward([p], X)
+    with pytest.raises(ShapeError, match=named):
+        bptt(p, X, np.zeros((shape[1], 4)))
 
 
 def test_new_layer_state_is_the_zero_state():

@@ -1,5 +1,7 @@
 """Binary checkpoint format: exact round trips and corruption handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,12 +143,13 @@ def test_non_finite_tensor_is_rejected(tmp_path, capsys):
     assert "layer0.W_f" in capsys.readouterr().err
 
 
-def _model_ckpt(tmp_path, level):
-    """A saved t-rnn checkpoint and the corpus file it was built for."""
+def _model_ckpt(tmp_path, level, arch=CellKind.T_RNN):
+    """A one-layer checkpoint at hidden size 4 and the corpus file it was
+    built for."""
     text = "abc cab bca " * 40
     corpus = tmp_path / "c.txt"
     corpus.write_text(text, encoding="utf-8")
-    config = TrainConfig(arch=CellKind.T_RNN, hidden=4, level=level)
+    config = TrainConfig(arch=arch, hidden=4, level=level)
     vocab = build_vocab(text, level)
     model = build_model(config, vocab, np.random.default_rng(0))
     return model_to_checkpoint(model), corpus
@@ -195,3 +198,75 @@ def test_zero_layers_or_hidden_size_is_rejected(tmp_path, capsys, field):
     assert field in capsys.readouterr().err
     assert main(["sample", "--ckpt", str(path), "--seed-text", "ab"]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, tensor, message",
+    [
+        ("out.b", None, "missing tensors: out.b"),
+        ("layer1.W", np.zeros((4, 4)), "unexpected tensors: layer1.W"),
+        (
+            "layer0.V_f",
+            np.zeros((4, 5)),
+            "shape mismatch: layer0.V_f is (4, 5), expected (4, 4)",
+        ),
+    ],
+    ids=["missing", "extra", "misshapen"],
+)
+def test_tensors_that_do_not_fit_the_header_are_rejected(
+    tmp_path, capsys, name, tensor, message
+):
+    ckpt, corpus = _model_ckpt(tmp_path, "char", arch=CellKind.LSTM)
+    if tensor is None:
+        del ckpt.tensors[name]
+    else:
+        ckpt.tensors[name] = tensor
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError) as err:
+        model_from_checkpoint(load_checkpoint(path))
+    assert str(err.value) == message
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["sample", "--ckpt", str(path), "--seed-text", "ab"]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("layer count", 65535), ("hidden size", 2**30)],
+)
+def test_header_larger_than_its_tensors_is_rejected(tmp_path, capsys, field, value):
+    ckpt, corpus = _model_ckpt(tmp_path, "char", arch=CellKind.LSTM)
+    if field == "layer count":
+        ckpt.layers = value
+    else:
+        ckpt.hidden = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError, match=f"{field} {value} exceeds"):
+        model_from_checkpoint(load_checkpoint(path))
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert f"{field} {value}" in capsys.readouterr().err
+    assert main(["sample", "--ckpt", str(path), "--seed-text", "ab"]) == 3
+    assert f"{field} {value}" in capsys.readouterr().err
+
+
+def test_tensors_are_checked_before_the_model_is_allocated(tmp_path):
+    # A hidden size of 3000 fits the (3000, 4) output weights, so only the
+    # shape check rejects it; building the model first would allocate its
+    # (9000, 3000) blocks, 216 MB each.
+    words = [f"w{i}" for i in range(2999)]
+    vocab = build_vocab(" ".join(words), "word")
+    config = TrainConfig(arch=CellKind.LSTM, hidden=4, level="word")
+    ckpt = model_to_checkpoint(build_model(config, vocab, np.random.default_rng(0)))
+    assert ckpt.tensors["out.W"].shape == (3000, 4)
+    ckpt.hidden = 3000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="shape mismatch: embed.E"):
+            model_from_checkpoint(ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
