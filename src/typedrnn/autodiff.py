@@ -324,20 +324,18 @@ def stack_backward(
 # ---------------------------------------------------------------------------
 
 
-def finite_diff(params, loss_fn, eps: float = 1e-5) -> dict[str, np.ndarray]:
+def finite_diff(
+    params: CellParams, loss_fn, eps: float = 1e-5
+) -> dict[str, np.ndarray]:
     """Central-difference gradient of ``loss_fn`` w.r.t. every tensor entry.
 
-    ``params`` is a CellParams or a plain name->array dict; ``loss_fn`` must
-    be deterministic and is called with a perturbed copy. O(P) forward passes
-    at two evaluations each: an oracle, not a training tool.
+    ``loss_fn`` must be deterministic and is called with a perturbed copy of
+    ``params``. O(P) forward passes at two evaluations each: an oracle, not a
+    training tool.
     """
-    if isinstance(params, CellParams):
-        probe = params.copy()
-        work = probe.tensors
-    else:
-        probe = work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+    probe = params.copy()
     grads: dict[str, np.ndarray] = {}
-    for name, arr in work.items():
+    for name, arr in probe.tensors.items():
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"], op_flags=["readwrite"])
         while not it.finished:
@@ -396,20 +394,13 @@ def state_jacobian(params: CellParams, X: np.ndarray) -> np.ndarray:
 
     The carried state is h for every kind except T-LSTM, whose recurrence
     runs through c (h = c (*) o is pure output); there the Jacobian is
-    dc_T / dc_0. Computed exactly, one backward pass per state coordinate.
+    dc_T / dc_0. Computed exactly, in one backward pass: the batch carries
+    the h basis vectors, one copy of X per state coordinate.
     """
-    X = np.asarray(X, dtype=np.float64)[:, None, :]
+    X = np.asarray(X, dtype=np.float64)
     h = params.hidden_dim
-    _, tape = sequence_forward(params, X)
-    J = np.empty((h, h))
-    dH = np.zeros((X.shape[0], 1, h))
-    for i in range(h):
-        basis = np.zeros((1, h))
-        basis[0, i] = 1.0
-        if params.kind == CellKind.T_LSTM:
-            res = sequence_backward(params, tape, dH, dc_final=basis)
-            J[i] = res.dc0[0]
-        else:
-            res = sequence_backward(params, tape, dH, dh_final=basis)
-            J[i] = res.dh0[0]
-    return J
+    _, tape = sequence_forward(params, np.repeat(X[:, None, :], h, axis=1))
+    dH = np.zeros((X.shape[0], h, h))
+    if params.kind == CellKind.T_LSTM:
+        return sequence_backward(params, tape, dH, dc_final=np.eye(h)).dc0
+    return sequence_backward(params, tape, dH, dh_final=np.eye(h)).dh0

@@ -175,14 +175,15 @@ def _no_memory(shape: tuple) -> np.ndarray:
 class CellParams:
     """Parameters of one cell layer. ``tensors`` preserves canonical order.
 
-    The constructor makes the kind's new zeroed blocks, the learnware ``U``
-    with bias ``bias`` and the firmware ``V`` (None for the typed scan
-    kinds), and checks the given tensors' names and shapes against the named
-    views of them (``tensor_views``; a ShapeError names a wrong, missing or
-    extra tensor), then copies every given tensor into its view. So ``tensors``
-    holds views of the blocks: update them in place. SCRN has no blocks, so
-    its ``U``, ``bias`` and ``V`` are None and its two tensors are arrays of
-    their own.
+    The constructor makes the kind's blocks, the learnware ``U`` with bias
+    ``bias`` and the firmware ``V`` (None for the typed scan kinds), checks
+    the given tensors' names and shapes against the named views of them
+    (``tensor_views``; a ShapeError names a wrong, missing or extra tensor)
+    and copies every given tensor into its view, so each block entry is
+    written once: T-RNN's z bias half, which no tensor views, is zeroed. So
+    ``tensors`` holds views of the blocks: update them in place. SCRN has no
+    blocks, so its ``U``, ``bias`` and ``V`` are None and its two tensors are
+    arrays of their own.
     """
 
     kind: CellKind
@@ -195,8 +196,10 @@ class CellParams:
 
     def __post_init__(self) -> None:
         U, bias, V, tensors = _new_tensors(
-            self.kind, self.input_dim, self.hidden_dim, np.zeros
+            self.kind, self.input_dim, self.hidden_dim, np.empty
         )
+        if self.kind == CellKind.T_RNN:
+            bias[: self.hidden_dim] = 0.0  # z carries no bias
         for name in {**tensors, **self.tensors}:
             if name not in self.tensors:
                 raise ShapeError(f"{self.kind.value} cell is missing tensor {name}")
@@ -239,7 +242,7 @@ def _new_tensors(kind: CellKind, input_dim: int, hidden_dim: int, make) -> tuple
         raise ValueError(f"unknown cell kind {kind!r}")
     rows = _LEARNWARE_ROWS[kind] * h
     U = make((rows, (2 if kind in T_CELL_KINDS else 1) * d))
-    bias = make((rows,))  # T-RNN's z half is no tensor's: CellParams zeroes it
+    bias = make((rows,))
     if kind == CellKind.T_MR:
         V = make((h,))
     else:  # one recurrent matrix per gate, none for a scan
@@ -618,11 +621,10 @@ class LayerState:
     ``xx`` is the learnware input row [x_prev | x], whose right half holds
     the previous raw input between calls (None for every other kind);
     ``stack_forward`` writes into these in place. The rows a step overwrites
-    are made by the first step, since a window needs none: the gate-major
-    input-side product ``p`` of shape (gates, batch, h), whose blocks are the
-    gates (``gates``), and ``a``, the increment of the scan kinds, the
-    LSTM's tanh(c') and the GRU's z (*) h. A step writes ``h`` and ``c`` in
-    place, as a window does.
+    are made with the state: the gate-major input-side product ``p`` of
+    shape (gates, batch, h), whose blocks are the gates (``gates``), and
+    ``a``, the increment of the scan kinds, the LSTM's tanh(c') and the
+    GRU's z (*) h. A step writes ``h`` and ``c`` in place, as a window does.
     """
 
     def __init__(self, params: CellParams, batch: int = 1) -> None:
@@ -634,7 +636,9 @@ class LayerState:
         self.c = np.zeros((batch, h)) if lstm else None
         # the previous input waits in the right half: a step shifts it left
         self.xx = np.zeros((batch, 2 * d)) if kind in T_CELL_KINDS else None
-        self.p = self.gates = self.a = None
+        self.p = np.empty((_LEARNWARE_ROWS[kind], batch, h))
+        self.gates = _gate_views(self.p)
+        self.a = np.empty((batch, h))
 
 
 @dataclass
@@ -736,10 +740,6 @@ def stack_step(
     outs = []
     for params, st in zip(layers, state):
         kind = params.kind
-        if st.p is None:
-            st.p = np.empty((_LEARNWARE_ROWS[kind], *st.h.shape))
-            st.gates = _gate_views(st.p)
-            st.a = np.empty_like(st.h)
         if st.xx is not None:
             d = params.input_dim
             st.xx[:, :d] = st.xx[:, d:]

@@ -212,14 +212,10 @@ def _named(embed, layers: list[dict], w_out, b_out) -> dict:
     return {**out, "out.W": w_out, "out.b": b_out}
 
 
-def _layout(level: str, k: int, layers: int, hidden: int, matrix, layer) -> tuple:
-    """A model's ``(embed, layers, out.W)`` over ``k`` symbols from two makers,
-    called in this order: ``matrix(shape)`` for the word-level embedding (None
-    at char level), ``layer(input_dim)`` for each layer, ``matrix(shape)``."""
-    embed = matrix((k, hidden)) if level == "word" else None
-    in0 = hidden if level == "word" else k
-    stack = [layer(in0 if i == 0 else hidden) for i in range(layers)]
-    return embed, stack, matrix((k, hidden))
+def _widths(level: str, k: int, layers: int, hidden: int) -> list[int]:
+    """Each layer's input width in a model over ``k`` symbols: layer 0 reads
+    the one-hot code at char level and the embedding at word level."""
+    return [hidden if level == "word" or i else k for i in range(layers)]
 
 
 def build_model(config: TrainConfig, vocab: Vocab, rng: np.random.Generator) -> Model:
@@ -228,12 +224,14 @@ def build_model(config: TrainConfig, vocab: Vocab, rng: np.random.Generator) -> 
             f"vocab level {vocab.level!r} does not match config level "
             f"{config.level!r}"
         )
-    k = vocab.size
-    embed, layers, w_out = _layout(
-        config.level, k, config.layers, config.hidden,
-        lambda shape: rng.uniform(-0.08, 0.08, size=shape),
-        lambda dim: init_params(config.arch, dim, config.hidden, rng, config.init),
-    )
+    k, h = vocab.size, config.hidden
+    # drawn in this order: the embedding, each layer, the output weights
+    embed = rng.uniform(-0.08, 0.08, size=(k, h)) if config.level == "word" else None
+    layers = [
+        init_params(config.arch, d, h, rng, config.init)
+        for d in _widths(config.level, k, config.layers, h)
+    ]
+    w_out = rng.uniform(-0.08, 0.08, size=(k, h))
     return Model(config.arch, config.level, vocab, layers, embed, w_out, np.zeros(k))
 
 
@@ -317,16 +315,15 @@ def _output_head(
 
     A call that asks for gradients and walks more than one block, in a
     process with a core that BLAS leaves idle (``_spare_core``), computes
-    the logits into two buffers in turn and hands each block's gradient
-    products (``_head_grads``) to a one-thread executor that lives for this
-    call. Its thread runs them in block order while this thread computes
-    the next block's logits and softmax. Before a buffer is reused the
-    block that last filled it is done; before running the last block's
-    products itself, this thread reads the result of every handed-off
-    block, so a block's error is raised here. The executor is shut down,
-    its thread joined, before the call returns or raises. The gradients are
-    summed in block order either way, so the bits do not depend on the
-    handoff.
+    the logits into two buffers in turn and hands every block's gradient
+    products (``_head_grads``), the last block's too, to a one-thread
+    executor that lives for this call. Its thread runs them in block order
+    while this thread computes the next block's logits and softmax. Before
+    a buffer is reused the block that last filled it is done; after the
+    last block this thread reads the result of every block, so a block's
+    error is raised here. The executor is shut down, its thread joined,
+    before the call returns or raises. The gradients are summed in block
+    order either way, so the bits do not depend on the handoff.
     """
     ws = Workspace() if ws is None else ws
     n = len(top)
@@ -368,12 +365,12 @@ def _output_head(
             z *= (grad_scale / se)[:, None]
             z[r, y] -= grad_scale
             task = (z, x, w_out, gW, gW_block, gb, gb_block, d_top[lo : lo + len(x)])
-            if pool is None or lo + rows >= n:
-                for f in done:
-                    f.result()
+            if pool is None:
                 _head_grads(*task)
             else:
                 done.append(pool.submit(_head_grads, *task))
+        for f in done:
+            f.result()
     finally:
         if pool is not None:
             pool.shutdown()
@@ -702,35 +699,36 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     header describes, by name and shape (a CheckpointError lists every
     missing, unexpected and misshapen one; a layer count above the number of
     tensors, or a hidden size above every dimension, fits no file), before
-    anything of the header's size is allocated. Then they are copied in."""
+    anything of the header's size is allocated. Then each layer is made from
+    its tensors and the other tensors are copied, one copy of each."""
     arch, level, layers, hidden = ckpt.arch, ckpt.level, ckpt.layers, ckpt.hidden
     vocab = Vocab(level, list(ckpt.vocab_symbols))
-    k, n = vocab.size, len(ckpt.tensors)
+    tensors = ckpt.tensors
+    k, n = vocab.size, len(tensors)
     if layers > n:
         raise CheckpointError(f"layer count {layers} exceeds the {n} tensors")
-    if hidden > max((d for t in ckpt.tensors.values() for d in t.shape), default=0):
+    if hidden > max((d for a in tensors.values() for d in a.shape), default=0):
         raise CheckpointError(f"hidden size {hidden} exceeds every tensor dimension")
-    embed, stack, w_out = _layout(
-        level, k, layers, hidden, tuple, lambda d: param_shapes(arch, d, hidden)
-    )
-    expected = _named(embed, stack, w_out, (k,))
-    got = {name: tuple(arr.shape) for name, arr in ckpt.tensors.items()}
+    widths = _widths(level, k, layers, hidden)
+    shapes = [param_shapes(arch, d, hidden) for d in widths]
+    word = level == "word"
+    expected = _named((k, hidden) if word else None, shapes, (k, hidden), (k,))
+    got = {name: tuple(a.shape) for name, a in tensors.items()}
     if got != expected:
         both = sorted(set(got) & set(expected))
-        parts = [f"{what}: {', '.join(names)}" for what, names in (
-            ("missing tensors", sorted(set(expected) - set(got))),
-            ("unexpected tensors", sorted(set(got) - set(expected))),
-            ("shape mismatch", [f"{m} is {got[m]}, expected {expected[m]}"
-                                for m in both if got[m] != expected[m]]),
-        ) if names]
-        raise CheckpointError("; ".join(parts))
-
-    def new_layer(d: int) -> CellParams:
-        shapes = param_shapes(arch, d, hidden).items()
-        return CellParams(arch, d, hidden, {m: np.empty(s) for m, s in shapes})
-
-    embed, stack, w_out = _layout(level, k, layers, hidden, np.empty, new_layer)
-    model = Model(arch, level, vocab, stack, embed, w_out, np.empty(k))
-    for name, t in model.tensors().items():
-        t[...] = ckpt.tensors[name]
-    return model
+        faults = {
+            "missing tensors": sorted(set(expected) - set(got)),
+            "unexpected tensors": sorted(set(got) - set(expected)),
+            "shape mismatch": [f"{m} is {got[m]}, expected {expected[m]}"
+                               for m in both if got[m] != expected[m]],
+        }
+        raise CheckpointError("; ".join(
+            f"{fault}: {', '.join(names)}" for fault, names in faults.items() if names
+        ))
+    stack = [
+        CellParams(arch, d, hidden, {m: tensors[f"layer{i}.{m}"] for m in shapes[i]})
+        for i, d in enumerate(widths)
+    ]
+    embed = np.array(tensors["embed.E"], dtype=np.float64) if word else None
+    w_out, b_out = (np.array(tensors[m], dtype=np.float64) for m in ("out.W", "out.b"))
+    return Model(arch, level, vocab, stack, embed, w_out, b_out)

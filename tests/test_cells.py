@@ -67,6 +67,29 @@ def test_param_shapes_allocate_nothing():
     assert peak < 2**20
 
 
+def test_new_params_write_every_block_entry(monkeypatch):
+    """A new ``CellParams`` fills blocks made uninitialized: every entry is a
+    given tensor's, or T-RNN's zero z bias, which no tensor views."""
+    empty = np.empty
+
+    def nan_filled(shape, *args, **kwargs):
+        out = empty(shape, *args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    rng = np.random.default_rng(5)
+    for kind in CellKind:
+        given = rand_params(kind, 3, 4, rng).tensors
+        monkeypatch.setattr(np, "empty", nan_filled)
+        p = CellParams(kind, 3, 4, given)
+        monkeypatch.setattr(np, "empty", empty)
+        blocks = [p.U, p.bias, p.V] if p.U is not None else list(p.tensors.values())
+        assert not any(np.isnan(b).any() for b in blocks if b is not None), kind
+        assert all(np.array_equal(p[n], t) for n, t in given.items()), kind
+        if kind == CellKind.T_RNN:
+            assert np.all(p.bias[:4] == 0.0)
+
+
 def test_init_params_uniform008():
     rng = np.random.default_rng(0)
     p = init_params(CellKind.T_LSTM, 4, 6, rng)
@@ -320,6 +343,9 @@ def test_new_layer_state_is_the_zero_state():
         assert st.c is None or (st.c.shape == (2, 4) and not st.c.any())
         assert (st.xx is None) == (kind not in (CellKind.T_LSTM, CellKind.T_GRU))
         assert st.xx is None or (st.xx.shape == (2, 6) and not st.xx.any())
+        # the rows a step overwrites come with the state
+        assert st.p.shape[1:] == (2, 4) and st.a.shape == (2, 4)
+        assert all(g is None or np.shares_memory(g, st.p) for g in st.gates)
     with pytest.raises(ValueError):
         LayerState(rand_params(CellKind.SCRN_STATE, 3, 4, rng))
 

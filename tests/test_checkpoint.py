@@ -270,3 +270,22 @@ def test_tensors_are_checked_before_the_model_is_allocated(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("level", ["char", "word"])
+def test_loaded_model_copies_the_file_tensors(tmp_path, level):
+    """The loaded model holds the file's tensors bit for bit, in arrays of
+    its own."""
+    config = TrainConfig(arch=CellKind.T_LSTM, layers=2, hidden=4, level=level)
+    vocab = build_vocab("abc cab bca " * 40, level)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(
+        model_to_checkpoint(build_model(config, vocab, np.random.default_rng(0))), path
+    )
+    ckpt = load_checkpoint(path)
+    model = model_from_checkpoint(ckpt)
+    tensors = model.tensors()
+    assert list(tensors) == list(ckpt.tensors)
+    for name, t in tensors.items():
+        assert np.array_equal(t, ckpt.tensors[name]), name
+        assert not any(np.shares_memory(t, c) for c in ckpt.tensors.values()), name

@@ -327,7 +327,8 @@ def test_head_handoff_joins_every_block(monkeypatch, deadline):
     """With products that start each block late, and with products that do
     not under a short thread switch interval, a 5-block head gives the same
     bits as running them inline: the caller waits for a block before
-    reusing its logit buffer, and for all before the last block's products."""
+    reusing its logit buffer, and for every block, the last one included,
+    before it returns."""
     corpus, cfg, model = _word_setup(monkeypatch)  # 24 rows: 5 blocks
     monkeypatch.setattr(training, "_spare_core", lambda: False)
     inline = _head_windows(model, corpus, cfg)
@@ -350,13 +351,14 @@ def test_head_handoff_joins_every_block(monkeypatch, deadline):
     assert all(_same_windows(inline, run) for run in handed)
 
 
-@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("block", [1, 3, 4])
 def test_head_worker_raises_a_task_error_in_the_caller(
     monkeypatch, deadline, thread_starts, block
 ):
     """Block 1's error reaches the caller through the wait before block 3
-    reuses its buffer, block 3's (the last handed off) only through the
-    join before the last block; either way the head's thread is gone."""
+    reuses its buffer, the errors of block 3 and of block 4 (the last) only
+    through the reads after the last block; either way the head's thread is
+    gone."""
     corpus, cfg, model = _word_setup(monkeypatch)  # 24 rows: 5 blocks
     monkeypatch.setattr(training, "_spare_core", lambda: True)
     expected = _head_windows(model, corpus, cfg)

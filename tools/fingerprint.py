@@ -1,0 +1,156 @@
+"""Parity fingerprint: one SHA-256 over what typedrnn computes, per case.
+
+    python3 tools/fingerprint.py [--src DIR]
+
+Imports ``typedrnn`` from ``--src`` (by default this checkout's ``src``), so
+the same script also runs on another tree, for example a parent commit
+unpacked with ``git archive``. BLAS runs on one thread, the mode in which
+typedrnn is bitwise deterministic, so two trees that compute the same bits
+print the same lines.
+
+The cases are every trainable kind at char and word level, with dropout 0
+and 0.25: 2 layers, h=16, one epoch of ``synthetic_corpus(6_000, seed=3)``
+at T=10, B=4. Each case line holds one short digest per component:
+
+    init    the ``build_model`` tensors, by name, in order
+    train   the trained tensors
+    rows    the logged metric rows without ``wall_ms``
+    ckpt    the model after a checkpoint save and load, by name, in order
+    eval    ``evaluate`` of the loaded model on the test split
+    sample  30 sampled tokens from the loaded model
+
+A last word-level t-lstm case has a vocabulary wide enough that a window's
+head walks two blocks; it is trained with the head's handoff to a second
+thread forced off and then on (through ``training._spare_core``), and the
+script exits 1 if the two differ. The last line is ``combined <sha256>``
+over every component digest of every case.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+COMPONENTS = ("init", "train", "rows", "ckpt", "eval", "sample")
+DROPOUTS = (0.0, 0.25)
+WIDE_VOCAB = 7_500  # words; 40 head rows of K > 6,554 logits exceed one block
+
+
+def _digest(*parts) -> str:
+    """SHA-256 over strings, floats and name-to-array dicts, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, dict):
+            for name, arr in part.items():
+                arr = np.ascontiguousarray(arr, dtype=np.float64)
+                h.update(f"{name}{arr.shape}".encode())
+                h.update(arr.tobytes())
+        elif isinstance(part, float):
+            h.update(part.hex().encode())
+        else:
+            h.update(str(part).encode())
+    return h.hexdigest()
+
+
+def _case(corpus, config, workdir: Path) -> dict[str, str]:
+    """The component digests of one training configuration."""
+    from typedrnn import checkpoint, training
+
+    init = training.build_model(
+        config, corpus.vocab, np.random.default_rng(config.seed)
+    )
+    model, metrics = training.train(config, corpus)
+    rows = [
+        (r.epoch, r.step, r.split, r.loss_nats, r.perplexity, r.grad_norm)
+        for r in metrics.rows
+    ]
+    path = workdir / f"{config.arch.value}.ckpt"
+    checkpoint.save_checkpoint(training.model_to_checkpoint(model), path)
+    loaded = training.model_from_checkpoint(checkpoint.load_checkpoint(path))
+    loss, ppl = training.evaluate(loaded, corpus, "test")
+    seed_text = corpus.vocab.decode(corpus.test[:5])
+    text = training.sample(loaded, seed_text, 30, seed=config.seed)
+    return {
+        "init": _digest(init.tensors()),
+        "train": _digest(model.tensors()),
+        "rows": _digest(*(x for row in rows for x in row)),
+        "ckpt": _digest(list(loaded.tensors()), loaded.tensors()),
+        "eval": _digest(loss, ppl),
+        "sample": _digest(text),
+    }
+
+
+def _line(label: str, digests: dict[str, str]) -> str:
+    return " ".join([label] + [f"{c}={digests[c][:12]}" for c in COMPONENTS])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    default_src = Path(__file__).resolve().parent.parent / "src"
+    parser.add_argument("--src", type=Path, default=default_src,
+                        help="directory that holds the typedrnn package")
+    args = parser.parse_args(argv)
+    if not (args.src / "typedrnn" / "__init__.py").is_file():
+        parser.error(f"no typedrnn package under {args.src}")
+    sys.path.insert(0, str(args.src.resolve()))
+    from typedrnn import data, training
+    from typedrnn.cells import TRAINABLE_KINDS
+
+    text = data.synthetic_corpus(6_000, seed=3)
+    corpora = {
+        level: data.encode_and_split(text, data.build_vocab(text, level))
+        for level in ("char", "word")
+    }
+    combined = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
+        workdir = Path(tmp)
+        for level, corpus in corpora.items():
+            for kind in TRAINABLE_KINDS:
+                for dropout in DROPOUTS:
+                    config = training.TrainConfig(
+                        arch=kind, layers=2, hidden=16, level=level, seq_len=10,
+                        batch=4, epochs=1, dropout=dropout, seed=3,
+                    )
+                    digests = _case(corpus, config, workdir)
+                    print(_line(f"{kind.value} {level} dropout={dropout}", digests))
+                    combined.update("".join(digests.values()).encode())
+
+        words = [f"w{i}" for i in range(WIDE_VOCAB)]
+        order = np.random.default_rng(3).permutation(2 * WIDE_VOCAB) % WIDE_VOCAB
+        wide_text = " ".join(words[i] for i in order)
+        wide = data.encode_and_split(wide_text, data.build_vocab(wide_text, "word"))
+        config = training.TrainConfig(
+            arch="t_lstm", layers=2, hidden=16, level="word", seq_len=10,
+            batch=4, epochs=1, dropout=0.25, seed=3,
+        )
+        spare_core = training._spare_core
+        runs = {}
+        try:
+            for handoff in (False, True):
+                training._spare_core = lambda: handoff
+                runs[handoff] = _case(wide, config, workdir)
+        finally:
+            training._spare_core = spare_core
+    label = f"t_lstm word K={wide.vocab.size} dropout=0.25"
+    print(_line(f"{label} handoff=off", runs[False]))
+    print(_line(f"{label} handoff=on", runs[True]))
+    combined.update("".join(runs[False].values()).encode())
+    print(f"combined {combined.hexdigest()}")
+    if runs[False] != runs[True]:
+        print("the head's handoff changed the result", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
