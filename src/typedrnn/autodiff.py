@@ -243,44 +243,23 @@ def bptt(
     X: np.ndarray,
     upstream: np.ndarray,
 ) -> Grads:
-    """Forward + backward over one window of a single layer.
+    """Forward + backward over one (T, B, d) window of a single layer, from
+    the zero state.
 
-    ``upstream`` is either the gradient on the final output h_T with shape
-    (B, h) (or (h,) when X is unbatched (T, d)), or a full per-step array
-    matching the output sequence. Returns parameter gradients and gradients
-    on the inputs: for T-LSTM / T-GRU ``dX`` (W-side) and ``dX_prev``
-    (V-side) apart, which ``stack_backward`` adds into one array.
+    ``upstream`` is either the gradient on the final output h_T, shape
+    (B, h), or a (T, B, h) array with one gradient per output step. Returns
+    parameter gradients and gradients on the inputs: for T-LSTM / T-GRU
+    ``dX`` (W-side) and ``dX_prev`` (V-side) apart, which ``stack_backward``
+    adds into one array.
     """
-    X = np.asarray(X, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    squeeze = X.ndim == 2
-    if squeeze:
-        X = X[:, None, :]
-        if upstream.ndim == 1:
-            upstream = upstream[None, :]
-        elif upstream.ndim == 2:
-            upstream = upstream[:, None, :]
-    T = X.shape[0]
     out, tape = sequence_forward(params, X)
-    if upstream.ndim == 2:
+    dH = np.asarray(upstream, dtype=np.float64)
+    if dH.ndim == 2:
         dH = np.zeros_like(out)
-        dH[T - 1] = upstream
-    else:
-        if upstream.shape != out.shape:
-            raise ValueError(
-                f"per-step upstream has shape {upstream.shape}, expected {out.shape}"
-            )
-        dH = upstream
-    res = sequence_backward(params, tape, dH)
-    if squeeze:
-        res.dX = res.dX[:, 0, :]
-        if res.dX_prev is not None:
-            res.dX_prev = res.dX_prev[:, 0, :]
-        if res.dh0 is not None:
-            res.dh0 = res.dh0[0]
-        if res.dc0 is not None:
-            res.dc0 = res.dc0[0]
-    return res
+        dH[-1] = upstream
+    elif dH.shape != out.shape:
+        raise ValueError(f"per-step upstream has shape {dH.shape}, expected {out.shape}")
+    return sequence_backward(params, tape, dH)
 
 
 def stack_backward(

@@ -81,13 +81,15 @@ is the independent per-step reference for every update rule above.
 
 What outlives a call is said once per layer, in a ``LayerState``: the
 firmware state (h, c for LSTM and T-LSTM, and x_prev for T-LSTM / T-GRU),
-zero when new. ``stack_forward`` reads it as a window's initial state and
-writes the window's final state back into it, so training and evaluation
-carry it from window to window. ``stack_step`` is the firmware-only half of
-the learnware / firmware split, for generation: it advances the same states
-by one token with no tape. A step is one product of the layer's input row
-([x_prev; x] for T-LSTM / T-GRU) with ``U``, the same ``_affine_rows`` call
-as a one-token window's, then either the gate map and
+zero when new. It is the one carrier of state across a window boundary:
+``sequence_forward`` checks its shapes against the layer, reads it as the
+window's initial state and writes the window's final state back into it at
+its one exit, and ``stack_forward`` hands each layer its own, so training
+and evaluation carry it from window to window. ``stack_step`` is the
+firmware-only half of the learnware / firmware split, for generation: it
+advances the same states by one token with no tape. A step is one product of
+the layer's input row ([x_prev; x] for T-LSTM / T-GRU) with ``U``, the same
+``_affine_rows`` call as a one-token window's, then either the gate map and
 ``s *= f; s += a`` in place, or one ``_recurrent_step`` that writes h (and
 the LSTM's c) in place. The gate map and ``_recurrent_step`` are helpers
 that ``sequence_forward`` calls too, so each update rule is written once and
@@ -517,29 +519,20 @@ def _recurrent_step(kind: CellKind, V, p, h, c, h_out, c_out, aux) -> None:
         h_out += inc
 
 
-def _zeros_state(B: int, h: int, like: np.ndarray | None) -> np.ndarray:
-    if like is None:
-        return np.zeros((B, h))
-    out = np.asarray(like, dtype=np.float64)
-    if out.shape != (B, h):
-        raise ShapeError(f"carried state has shape {out.shape}, expected {(B, h)}")
-    return out
-
-
 def sequence_forward(
     params: CellParams,
     X: np.ndarray,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
+    state: LayerState | None = None,
     x_prev_src: np.ndarray | None = None,
-    xp0: np.ndarray | None = None,
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray, LayerTape]:
     """Run one layer over a (T, B, input_dim) batch; returns (outputs, tape).
 
+    ``state`` (a ``LayerState`` for B streams; zero when not given) is the
+    window's initial state, and the window's final h, c and last raw input
+    are written back into it, in place, for the next window.
     ``x_prev_src`` is the sequence the V-side of T-LSTM / T-GRU reads at t-1
-    (defaults to ``X``; differs when dropout masks the W-side input). ``xp0``
-    is the previous-window input at the left boundary (zeros by default).
+    (defaults to ``X``; differs when dropout masks the W-side input).
     Every kind's input side is one matrix multiply over the whole window;
     for T-RNN, T-LSTM and T-GRU it is the only one, and only the
     coordinatewise scan is sequential. With ``ws`` (a
@@ -559,14 +552,19 @@ def sequence_forward(
         raise ShapeError(f"sequence input {X.shape} is an empty window")
     hdim = params.hidden_dim
     seq = (T, B, hdim)
+    state = LayerState(params, B) if state is None else state
+    for name, want in _state_shapes(params, B).items():
+        got = getattr(getattr(state, name), "shape", None)  # None: no such array
+        if got != want:
+            raise ShapeError(f"carried state {name} has shape {got}, expected {want}")
 
-    XX = X
+    XX = src = X
     if kind in T_CELL_KINDS:
         src = X if x_prev_src is None else np.asarray(x_prev_src, dtype=np.float64)
         if src.shape != X.shape:
             raise ShapeError(f"x_prev_src has shape {src.shape}, input has {X.shape}")
         XX = ws.own("XX", (T, B, 2 * d))
-        XX[0, :, :d] = 0.0 if xp0 is None else np.asarray(xp0, dtype=np.float64)
+        XX[0, :, :d] = state.xx[:, d:]
         XX[1:, :, :d] = src[:-1]
         XX[:, :, d:] = X
     # The one input-side product, gate-major. Its blocks become the gates,
@@ -582,28 +580,35 @@ def sequence_forward(
         A = ws.get("A", seq)
         _gate_map(kind, Z, F, O, A)
         S = ws.own("S", (T + 1, B, hdim))
-        S[0] = _zeros_state(B, hdim, c0 if kind == CellKind.T_LSTM else h0)
+        S[0] = state.c if kind == CellKind.T_LSTM else state.h
         for t in range(T):
             np.multiply(F[t], S[t], out=S[t + 1])
             S[t + 1] += A[t]
         if kind == CellKind.T_LSTM:
             tape.C = S
-            return np.multiply(S[1:], O, out=ws.own("out", seq)), tape
-        tape.H = S
-        return S[1:], tape
+            out = np.multiply(S[1:], O, out=ws.own("out", seq))
+        else:
+            tape.H, out = S, S[1:]
+    else:
+        tape.H = H = ws.own("H", (T + 1, B, hdim))
+        H[0] = state.h
+        C = aux = [None] * (T + 1)  # no cell state and no backward row
+        if kind == CellKind.LSTM:
+            tape.C = C = ws.own("C", (T + 1, B, hdim))
+            C[0] = state.c
+            tape.TC = aux = ws.own("TC", seq)
+        elif kind == CellKind.GRU:
+            tape.G = aux = ws.own("G", seq)
+        for t in range(T):
+            _recurrent_step(kind, params.V, P[:, t], H[t], C[t], H[t + 1], C[t + 1], aux[t])
+        out = H[1:]
 
-    tape.H = H = ws.own("H", (T + 1, B, hdim))
-    H[0] = _zeros_state(B, hdim, h0)
-    C = aux = [None] * (T + 1)  # no cell state and no backward row
-    if kind == CellKind.LSTM:
-        tape.C = C = ws.own("C", (T + 1, B, hdim))
-        C[0] = _zeros_state(B, hdim, c0)
-        tape.TC = aux = ws.own("TC", seq)
-    elif kind == CellKind.GRU:
-        tape.G = aux = ws.own("G", seq)
-    for t in range(T):
-        _recurrent_step(kind, params.V, P[:, t], H[t], C[t], H[t + 1], C[t + 1], aux[t])
-    return H[1:], tape
+    state.h[...] = out[-1]
+    if state.c is not None:
+        state.c[...] = tape.C[-1]
+    if state.xx is not None:
+        state.xx[:, d:] = src[-1]
+    return out, tape
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +618,14 @@ def sequence_forward(
 
 class LayerState:
     """One layer's firmware state, carried from window to window by
-    ``stack_forward`` and from token to token by ``stack_step``. A new one is
-    the zero state of a batch of ``batch`` streams.
+    ``sequence_forward`` and from token to token by ``stack_step``. A new one
+    is the zero state of a batch of ``batch`` streams.
 
     ``h`` is the layer's last output (for T-LSTM, c (*) o); ``c`` the cell
     state of LSTM and T-LSTM, None for every other kind; for T-LSTM and T-GRU
     ``xx`` is the learnware input row [x_prev | x], whose right half holds
     the previous raw input between calls (None for every other kind);
-    ``stack_forward`` writes into these in place. The rows a step overwrites
+    ``sequence_forward`` writes into these in place. The rows a step overwrites
     are made with the state: the gate-major input-side product ``p`` of
     shape (gates, batch, h), whose blocks are the gates (``gates``), and
     ``a``, the increment of the scan kinds, the LSTM's tanh(c') and the
@@ -628,17 +633,25 @@ class LayerState:
     """
 
     def __init__(self, params: CellParams, batch: int = 1) -> None:
-        kind, h, d = params.kind, params.hidden_dim, params.input_dim
+        kind, h = params.kind, params.hidden_dim
         if kind not in TRAINABLE_KINDS:
             raise ValueError(f"cell kind {kind.value!r} cannot be stacked")
-        self.h = np.zeros((batch, h))
-        lstm = kind in (CellKind.LSTM, CellKind.T_LSTM)
-        self.c = np.zeros((batch, h)) if lstm else None
-        # the previous input waits in the right half: a step shifts it left
-        self.xx = np.zeros((batch, 2 * d)) if kind in T_CELL_KINDS else None
+        shapes = _state_shapes(params, batch).values()
+        self.h, self.c, self.xx = (None if s is None else np.zeros(s) for s in shapes)
         self.p = np.empty((_LEARNWARE_ROWS[kind], batch, h))
         self.gates = _gate_views(self.p)
         self.a = np.empty((batch, h))
+
+
+def _state_shapes(params: CellParams, batch: int) -> dict[str, tuple | None]:
+    """The shapes of a layer's carried ``h``, ``c`` and ``xx`` for ``batch``
+    streams, None where its kind carries no such array."""
+    kind, h, d = params.kind, params.hidden_dim, params.input_dim
+    return {
+        "h": (batch, h),
+        "c": (batch, h) if kind in (CellKind.LSTM, CellKind.T_LSTM) else None,
+        "xx": (batch, 2 * d) if kind in T_CELL_KINDS else None,
+    }
 
 
 @dataclass
@@ -669,9 +682,9 @@ def stack_forward(
     l-1's output on its learnable W-side, while the x_prev stream of T-LSTM /
     T-GRU always reads the unmasked layer l-1 output at t-1 (the recurrent
     path is never masked). ``state`` (one ``LayerState`` per layer, for B
-    streams) is each layer's initial state, and the window's final h, c and
-    last raw input are copied back into it, in place, for the next window;
-    without it every layer starts from zeros. With ``ws`` the outputs, tape
+    streams) is handed layer by layer to ``sequence_forward``, which starts
+    the window from it and leaves the window's final state in it; without it
+    every layer starts from zeros. With ``ws`` the outputs, tape
     and masks live in the workspace (see ``Workspace`` for their lifetime).
     """
     if not layers:
@@ -689,36 +702,20 @@ def stack_forward(
 
     tape = StackTape()
     outputs: list[np.ndarray] = []
-    inp = np.asarray(X, dtype=np.float64)
-    raw_inp = inp
+    inp = raw_inp = np.asarray(X, dtype=np.float64)
     for l, params in enumerate(layers):
         lws = ws.layer(l)
         mask = None
         if dropout > 0.0 and l > 0:
             mask = dropout_mask(rng, dropout, lws.own("mask", inp.shape), ws)
             inp = np.multiply(inp, mask, out=lws.own("in", inp.shape))
-        st = None if state is None else state[l]
-        xp = None if st is None or st.xx is None else st.xx[:, params.input_dim :]
         out, ltape = sequence_forward(
-            params,
-            inp,
-            h0=None if st is None else st.h,
-            c0=None if st is None else st.c,
-            x_prev_src=raw_inp if params.kind in T_CELL_KINDS else None,
-            xp0=xp,
-            ws=lws,
+            params, inp, None if state is None else state[l], raw_inp, ws=lws
         )
-        if st is not None:
-            st.h[...] = out[-1]
-            if st.c is not None:
-                st.c[...] = ltape.C[-1]
-            if xp is not None:
-                xp[...] = raw_inp[-1]
         tape.masks.append(mask)
         tape.layer_tapes.append(ltape)
         outputs.append(out)
-        raw_inp = out
-        inp = out
+        raw_inp = inp = out
     return outputs, tape
 
 

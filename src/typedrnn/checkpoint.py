@@ -20,10 +20,13 @@ count or hidden size of 0, a symbol or tensor name that is not valid UTF-8,
 and names any tensor holding NaN or infinity; shape validation against an
 architecture happens when a model is rebuilt from the checkpoint.
 Round-trips are bit-exact.
+A loaded ``Checkpoint``'s tensors are read-only views of the file's bytes;
+``training.model_from_checkpoint`` copies each once, into the model.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,6 +125,14 @@ class _Reader:
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{what} is not valid UTF-8 ({e.reason})") from None
 
+    def floats(self, dims: tuple, what: str) -> np.ndarray:
+        """The next float64 array of shape ``dims``, viewed, not copied."""
+        start, count = self.pos, math.prod(dims)
+        self.pos += 8 * count
+        if self.pos > len(self.data):
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        return np.frombuffer(self.data, "<f8", count, start).reshape(dims)
+
     def at_end(self) -> bool:
         return self.pos == len(self.data)
 
@@ -157,11 +168,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if rank > 8:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
         dims = tuple(r.u32(f"dim of {name}") for _ in range(rank))
-        count = 1
-        for dim in dims:
-            count *= dim
-        raw = r.take(8 * count, f"data of {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        tensors[name] = r.floats(dims, f"data of {name}")
         if not np.isfinite(tensors[name]).all():
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
     return Checkpoint(

@@ -53,9 +53,6 @@ from .training import (
 
 __all__ = ["build_parser", "console_main", "main"]
 
-TRAIN_ARCHS = ("rnn", "lstm", "gru", "t-rnn", "t-lstm", "t-gru", "t-mr")
-POOLED_ARCHS = ("t-rnn", "t-lstm", "t-gru")
-
 _POOLED_FORWARD = {
     CellKind.T_RNN: trnn_forward_pooled,
     CellKind.T_LSTM: tlstm_forward_pooled,
@@ -73,6 +70,10 @@ def _kind(name: str) -> CellKind:
 
 def _dashed(kind: CellKind) -> str:
     return kind.value.replace("_", "-")
+
+
+TRAIN_ARCHS = tuple(map(_dashed, TRAINABLE_KINDS))
+POOLED_ARCHS = tuple(map(_dashed, _POOLED_FORWARD))
 
 
 def _positive_flag(text: str) -> float:
@@ -422,7 +423,7 @@ def _cmd_gradcheck(args) -> int:
         for _ in range(args.trials):
             params, X = _draw_instance(kind, args.hidden, args.steps, rng)
             U = rng.uniform(-1.0, 1.0, size=(args.steps, params.hidden_dim))
-            res = bptt(params, X, U)
+            res = bptt(params, X[:, None, :], U[:, None, :])
 
             def probe(p, X=X, U=U):
                 out, _ = sequence_forward(p, X[:, None, :])
@@ -437,7 +438,7 @@ def _cmd_gradcheck(args) -> int:
             if kind in _POOLED_FORWARD:
                 u_last = U[-1]
                 cf = closed_form_gradients(params, X, u_last)
-                res_last = bptt(params, X, u_last)
+                res_last = bptt(params, X[:, None, :], u_last[None, :])
                 for name, g in res_last.params.items():
                     cf_worst = float(
                         np.maximum(cf_worst, np.max(np.abs(g - cf[name])))
@@ -461,11 +462,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_semcheck(args) -> int:
-    kinds = (
-        [_kind(args.arch)]
-        if args.arch
-        else [CellKind.T_RNN, CellKind.T_LSTM, CellKind.T_GRU]
-    )
+    kinds = [_kind(args.arch)] if args.arch else list(_POOLED_FORWARD)
     rng = np.random.default_rng(args.seed)
     failed = False
     for kind in kinds:

@@ -2,19 +2,17 @@
 
 import numpy as np
 
-from typedrnn.cells import CellKind, CellParams, param_shapes, sequence_forward
-
-TRAIN_KINDS = (
-    CellKind.RNN,
-    CellKind.LSTM,
-    CellKind.GRU,
-    CellKind.T_RNN,
-    CellKind.T_LSTM,
-    CellKind.T_GRU,
-    CellKind.T_MR,
+from typedrnn.cells import (
+    SCAN_KINDS,
+    TRAINABLE_KINDS,
+    CellKind,
+    CellParams,
+    param_shapes,
+    sequence_forward,
 )
 
-T_KINDS = (CellKind.T_RNN, CellKind.T_LSTM, CellKind.T_GRU)
+TRAIN_KINDS = TRAINABLE_KINDS
+T_KINDS = SCAN_KINDS  # the typed kinds with a pooled closed form
 
 
 def rand_params(kind, input_dim, hidden, rng, lo=-0.6, hi=0.6):

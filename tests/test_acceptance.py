@@ -17,6 +17,7 @@ from typedrnn.autodiff import bptt, finite_diff, sequence_backward, state_jacobi
 from typedrnn.cells import (
     CellKind,
     CellParams,
+    LayerState,
     init_params,
     scrn_state_step,
     sequence_forward,
@@ -172,8 +173,9 @@ def _rnn_horizon_norms(seed: int) -> tuple[list[float], float]:
     norms: list[float] = []
     power_gap = 0.0
     for T in (5, 10, 20):
-        h1, _ = sequence_forward(params, X[:1][:, None, :])
-        _, tape = sequence_forward(params, X[1:T][:, None, :], h0=h1[0])
+        state = LayerState(params)  # carries h_1 into the window that follows
+        sequence_forward(params, X[:1][:, None, :], state)
+        _, tape = sequence_forward(params, X[1:T][:, None, :], state)
         J = np.empty((16, 16))
         dH = np.zeros((T - 1, 1, 16))
         for i in range(16):

@@ -15,7 +15,13 @@ from typedrnn.autodiff import (
     stack_backward,
     state_jacobian,
 )
-from typedrnn.cells import CellKind, Workspace, sequence_forward, stack_forward
+from typedrnn.cells import (
+    CellKind,
+    LayerState,
+    Workspace,
+    sequence_forward,
+    stack_forward,
+)
 
 
 def _rel_gap(grads, fd):
@@ -88,6 +94,17 @@ def test_input_gradients_match_finite_differences():
             assert abs(dX[t, 0, j] - fd) < 1e-6 * max(1.0, abs(fd)), kind
 
 
+def _state(params, h0=None, c0=None):
+    """A one-stream ``LayerState`` that starts from h0 and, where the kind
+    carries a cell state, c0 (zero where not given)."""
+    st = LayerState(params, 1)
+    if h0 is not None:
+        st.h[...] = h0
+    if c0 is not None and st.c is not None:
+        st.c[...] = c0
+    return st
+
+
 def test_initial_state_gradients():
     rng = np.random.default_rng(3)
     kinds = (CellKind.T_RNN, CellKind.T_LSTM, CellKind.RNN, CellKind.LSTM, CellKind.T_GRU)
@@ -98,7 +115,7 @@ def test_initial_state_gradients():
         c0 = rng.uniform(-0.5, 0.5, size=(1, h))
         u = rng.uniform(-1.0, 1.0, size=(1, h))
 
-        out, tape = sequence_forward(params, X, h0=h0, c0=c0)
+        out, tape = sequence_forward(params, X, _state(params, h0, c0))
         dH = np.zeros_like(out)
         dH[-1] = u
         res = sequence_backward(params, tape, dH)
@@ -118,8 +135,8 @@ def test_initial_state_gradients():
                 kw_m = {"h0": h0, "c0": c0}
                 kw_p["h0" if grad_name == "dh0" else "c0"] = bp
                 kw_m["h0" if grad_name == "dh0" else "c0"] = bm
-                op, _ = sequence_forward(params, X, **kw_p)
-                om, _ = sequence_forward(params, X, **kw_m)
+                op, _ = sequence_forward(params, X, _state(params, **kw_p))
+                om, _ = sequence_forward(params, X, _state(params, **kw_m))
                 fd = float(np.sum(u * (op[-1] - om[-1]))) / (2 * eps)
                 assert abs(got[0, j] - fd) < 1e-6 * max(1.0, abs(fd)), (kind, grad_name)
 
@@ -242,12 +259,12 @@ def test_state_jacobian_matches_finite_differences():
             sm = s.copy()
             sm[0, j] -= eps
             if kind == CellKind.T_LSTM:
-                op, tp = sequence_forward(params, X3, c0=sp)
-                om, tm = sequence_forward(params, X3, c0=sm)
+                op, tp = sequence_forward(params, X3, _state(params, c0=sp))
+                om, tm = sequence_forward(params, X3, _state(params, c0=sm))
                 fp, fm = tp.C[-1][0], tm.C[-1][0]
             else:
-                op, _ = sequence_forward(params, X3, h0=sp)
-                om, _ = sequence_forward(params, X3, h0=sm)
+                op, _ = sequence_forward(params, X3, _state(params, h0=sp))
+                om, _ = sequence_forward(params, X3, _state(params, h0=sm))
                 fp, fm = op[-1][0], om[-1][0]
             fd = (fp - fm) / (2 * eps)
             assert np.max(np.abs(J[:, j] - fd)) < 1e-6, kind

@@ -136,11 +136,9 @@ def test_window_split_with_carry_matches_full_run():
         full, _ = sequence_forward(params, X)
 
         cut = 5
-        out1, tape1 = sequence_forward(params, X[:cut])
-        h0 = None if tape1.H is None else tape1.H[-1]
-        c0 = None if tape1.C is None else tape1.C[-1]
-        xp0 = X[cut - 1]
-        out2, _ = sequence_forward(params, X[cut:], h0=h0, c0=c0, xp0=xp0)
+        state = LayerState(params, B)
+        out1, _ = sequence_forward(params, X[:cut], state)
+        out2, _ = sequence_forward(params, X[cut:], state)
         glued = np.concatenate([out1, out2], axis=0)
         assert np.max(np.abs(glued - full)) < 1e-13, kind
 
@@ -348,6 +346,42 @@ def test_new_layer_state_is_the_zero_state():
         assert all(g is None or np.shares_memory(g, st.p) for g in st.gates)
     with pytest.raises(ValueError):
         LayerState(rand_params(CellKind.SCRN_STATE, 3, 4, rng))
+
+
+# A state that does not fit a (d=3, h=4, B=2) layer: the layer's kind, then
+# the kind, input width, hidden width and batch the state was made for, and
+# the array of it that does not fit.
+_MISFITS = {
+    "wrong-batch": (CellKind.T_LSTM, CellKind.T_LSTM, 3, 4, 3, "h"),
+    "wrong-hidden": (CellKind.GRU, CellKind.GRU, 3, 5, 2, "h"),
+    "wrong-input": (CellKind.T_GRU, CellKind.T_GRU, 5, 4, 2, "xx"),
+    "lstm-missing-c": (CellKind.LSTM, CellKind.RNN, 3, 4, 2, "c"),
+    "t_lstm-missing-c": (CellKind.T_LSTM, CellKind.T_GRU, 3, 4, 2, "c"),
+    "t_lstm-missing-xx": (CellKind.T_LSTM, CellKind.LSTM, 3, 4, 2, "xx"),
+    "t_gru-missing-xx": (CellKind.T_GRU, CellKind.T_RNN, 3, 4, 2, "xx"),
+    "rnn-extra-c": (CellKind.RNN, CellKind.LSTM, 3, 4, 2, "c"),
+    "t_gru-extra-c": (CellKind.T_GRU, CellKind.T_LSTM, 3, 4, 2, "c"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISFITS))
+def test_a_state_that_does_not_fit_its_layer_raises(case):
+    kind, state_kind, d, h, batch, name = _MISFITS[case]
+    rng = np.random.default_rng(18)
+    params = rand_params(kind, 3, 4, rng)
+    X = rng.uniform(-1.0, 1.0, size=(5, 2, 3))
+    misfit = LayerState(rand_params(state_kind, d, h, rng), batch)
+    want, got = (
+        getattr(getattr(st, name), "shape", None) for st in (LayerState(params, 2), misfit)
+    )
+    assert got != want
+    named = re.escape(f"carried state {name} has shape {got}, expected {want}")
+    with pytest.raises(ShapeError, match=named):
+        sequence_forward(params, X, misfit)
+    with pytest.raises(ShapeError, match=named):
+        stack_forward([params], X, state=[misfit])
+    # nothing of the state was written before the check
+    assert not any(a.any() for a in (misfit.h, misfit.c, misfit.xx) if a is not None)
 
 
 def test_workspace_grows_and_scopes_buffers():

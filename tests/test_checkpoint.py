@@ -58,6 +58,27 @@ def test_round_trip_is_exact(tmp_path):
         assert back.tensors[name].dtype == np.float64
 
 
+def test_loaded_tensors_are_read_only_views_of_the_file(tmp_path):
+    """Loading copies no tensor: each is a read-only view of the file's bytes,
+    and saving what was loaded writes the same file back. The model rebuilt
+    from it owns writeable copies."""
+    config = TrainConfig(arch="t_lstm", layers=2, hidden=4)
+    model = build_model(config, build_vocab("ab cab", "char"), np.random.default_rng(9))
+    path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(model_to_checkpoint(model), path)
+    loaded = load_checkpoint(path)
+    for name, arr in loaded.tensors.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    rebuilt = model_from_checkpoint(loaded)
+    for name, arr in rebuilt.tensors().items():
+        assert arr.flags.writeable, name
+        assert not np.shares_memory(arr, loaded.tensors[name]), name
+
+
 def test_all_arch_and_level_codes_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     for arch in ARCH_CODES:

@@ -87,7 +87,7 @@ def test_closed_form_gradients_match_bptt():
             X = rng.uniform(-1.0, 1.0, size=(t, d))
             u = rng.uniform(-1.0, 1.0, size=h)
             cf = closed_form_gradients(params, X, u)
-            res = bptt(params, X, u)
+            res = bptt(params, X[:, None, :], u[None, :])
             assert set(cf) == set(res.params)
             for name in cf:
                 worst = max(worst, float(np.max(np.abs(cf[name] - res.params[name]))))

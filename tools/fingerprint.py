@@ -18,6 +18,14 @@ at T=10, B=4. Each case line holds one short digest per component:
     ckpt    the model after a checkpoint save and load, by name, in order
     eval    ``evaluate`` of the loaded model on the test split
     sample  30 sampled tokens from the loaded model
+    carry   the trained layers' ``stack_forward`` over two consecutive
+            windows of random input, with one ``LayerState`` list, one
+            ``Workspace`` and the case's dropout (seeded): both windows'
+            outputs and the final h, c and xx
+    step    5 ``stack_step`` tokens from stream 0 of that carried state
+    bptt    layer 0's ``bptt`` on a (T, B, d) window, with a per-step and
+            with a last-step upstream: its gradients, dX, dX_prev, dh0, dc0
+    jac     ``state_jacobian`` of layer 0
 
 A last word-level t-lstm case has a vocabulary wide enough that a window's
 head walks two blocks; it is trained with the head's handoff to a second
@@ -41,7 +49,9 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-COMPONENTS = ("init", "train", "rows", "ckpt", "eval", "sample")
+COMPONENTS = (
+    "init", "train", "rows", "ckpt", "eval", "sample", "carry", "step", "bptt", "jac"
+)
 DROPOUTS = (0.0, 0.25)
 WIDE_VOCAB = 7_500  # words; 40 head rows of K > 6,554 logits exceed one block
 
@@ -60,6 +70,55 @@ def _digest(*parts) -> str:
         else:
             h.update(str(part).encode())
     return h.hexdigest()
+
+
+def _arrays(prefix: str, obj, names: tuple) -> dict[str, np.ndarray]:
+    """The named arrays of ``obj`` that are not None, keyed ``prefix.name``."""
+    found = {n: getattr(obj, n) for n in names}
+    return {f"{prefix}.{n}": a for n, a in found.items() if a is not None}
+
+
+def _layer_digests(layers, config) -> dict[str, str]:
+    """The carry, step, bptt and jac digests of a trained stack."""
+    from typedrnn import autodiff, cells
+
+    rng = np.random.default_rng(config.seed)
+    T, B, d = config.seq_len, config.batch, layers[0].input_dim
+    state = [cells.LayerState(p, B) for p in layers]
+    ws = cells.Workspace()
+    carry = {}
+    for w in range(2):  # copied: the outputs live in ws until its next use
+        X = rng.uniform(-1.0, 1.0, size=(T, B, d))
+        outs, _ = cells.stack_forward(layers, X, config.dropout, rng, state, ws)
+        carry.update({f"window{w}.out{l}": out.copy() for l, out in enumerate(outs)})
+    for l, st in enumerate(state):
+        carry.update(_arrays(f"layer{l}", st, ("h", "c", "xx")))
+
+    stream0 = [cells.LayerState(p, 1) for p in layers]
+    for st, one in zip(state, stream0):
+        for name in ("h", "c", "xx"):
+            if getattr(st, name) is not None:
+                getattr(one, name)[...] = getattr(st, name)[:1]
+    step = {}
+    for t in range(5):
+        outs = cells.stack_step(layers, rng.uniform(-1.0, 1.0, size=(1, d)), stream0)
+        step.update({f"token{t}.out{l}": out.copy() for l, out in enumerate(outs)})
+
+    X = rng.uniform(-1.0, 1.0, size=(T, B, d))
+    h = layers[0].hidden_dim
+    grads = {}
+    for shape in ((T, B, h), (B, h)):  # per-step, then last-step upstream
+        res = autodiff.bptt(layers[0], X, rng.uniform(-1.0, 1.0, size=shape))
+        key = f"{len(shape)}d"
+        grads.update({f"{key}.{n}": g for n, g in res.params.items()})
+        grads.update(_arrays(key, res, ("dX", "dX_prev", "dh0", "dc0")))
+    jac = autodiff.state_jacobian(layers[0], X[:, 0])
+    return {
+        "carry": _digest(carry),
+        "step": _digest(step),
+        "bptt": _digest(grads),
+        "jac": _digest({"J": jac}),
+    }
 
 
 def _case(corpus, config, workdir: Path) -> dict[str, str]:
@@ -87,6 +146,7 @@ def _case(corpus, config, workdir: Path) -> dict[str, str]:
         "ckpt": _digest(list(loaded.tensors()), loaded.tensors()),
         "eval": _digest(loss, ppl),
         "sample": _digest(text),
+        **_layer_digests(model.layers, config),
     }
 
 
