@@ -15,6 +15,7 @@ thread every subcommand is bitwise deterministic for a fixed ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -25,22 +26,16 @@ from .autodiff import bptt, finite_diff, sequence_backward
 from .cells import (
     CellKind,
     CellParams,
-    T_CELL_KINDS,
     TRAINABLE_KINDS,
     Workspace,
     param_shapes,
     sequence_forward,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DataError, build_vocab, encode_and_split, encode_pre_split
+from .data import DataError, EncodedCorpus, build_vocab, encode_and_split, encode_pre_split
 from .dsl import InterpError, ParseError, Verdict, parse_spec, typecheck
 from .dsl.builtin import BUILTIN_CELLS, builtin_text
-from .semantics import (
-    closed_form_gradients,
-    tgru_forward_pooled,
-    tlstm_forward_pooled,
-    trnn_forward_pooled,
-)
+from .semantics import POOLED_FORWARD, closed_form_gradients
 from .training import (
     TrainConfig,
     TrainingDiverged,
@@ -52,12 +47,6 @@ from .training import (
 )
 
 __all__ = ["build_parser", "console_main", "main"]
-
-_POOLED_FORWARD = {
-    CellKind.T_RNN: trnn_forward_pooled,
-    CellKind.T_LSTM: tlstm_forward_pooled,
-    CellKind.T_GRU: tgru_forward_pooled,
-}
 
 
 class UsageError(ValueError):
@@ -73,7 +62,7 @@ def _dashed(kind: CellKind) -> str:
 
 
 TRAIN_ARCHS = tuple(map(_dashed, TRAINABLE_KINDS))
-POOLED_ARCHS = tuple(map(_dashed, _POOLED_FORWARD))
+POOLED_ARCHS = tuple(map(_dashed, POOLED_FORWARD))
 
 
 def _positive_flag(text: str) -> float:
@@ -121,15 +110,24 @@ def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
                      help="test text (pre-split mode)")
 
 
-def _load_corpus_texts(args) -> tuple[str | None, tuple[str, str, str] | None]:
+def _load_corpus(args, vocab=None) -> EncodedCorpus:
+    """The ``--corpus`` text split 80/10/10, or the three pre-split texts,
+    encoded with ``vocab``; without one, with a vocabulary built from every
+    text (word-level texts joined by a space, so no word spans two files)."""
     pre = (args.train_file, args.valid_file, args.test_file)
     if args.corpus is not None:
         if any(p is not None for p in pre):
             raise UsageError("--corpus cannot be combined with --train/--valid/--test")
-        return _read_text(args.corpus), None
-    if all(p is not None for p in pre):
-        return None, tuple(_read_text(p) for p in pre)
-    raise UsageError("provide --corpus, or all three of --train/--valid/--test")
+        pre = (args.corpus,)
+    elif None in pre:
+        raise UsageError("provide --corpus, or all three of --train/--valid/--test")
+    texts = [_read_text(p) for p in pre]
+    if vocab is None:
+        sep = " " if args.level == "word" else ""
+        vocab = build_vocab(sep.join(texts), args.level, args.max_words)
+    if len(texts) == 1:
+        return encode_and_split(texts[0], vocab)
+    return encode_pre_split(*texts, vocab)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,32 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
-    single, pre = _load_corpus_texts(args)
-    level = args.level
-    max_words = args.max_words if level == "word" else None
-    vocab_text = single if single is not None else "".join(pre)
-    vocab = build_vocab(vocab_text, level, max_words)
-    if single is not None:
-        corpus = encode_and_split(single, vocab)
-    else:
-        corpus = encode_pre_split(*pre, vocab)
-    config = TrainConfig(
-        arch=_kind(args.arch),
-        layers=args.layers,
-        hidden=args.hidden,
-        level=level,
-        seq_len=args.seq_len,
-        batch=args.batch,
-        epochs=args.epochs,
-        lr=args.lr,
-        lr_decay=args.lr_decay,
-        decay_start=args.decay_start,
-        clip=args.clip,
-        dropout=args.dropout,
-        seed=args.seed,
-        init=args.init,
-        log_every=args.log_every,
-    )
+    corpus = _load_corpus(args)
+    # Every config field with a train flag of its name (threads has none).
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in fields}
+    config = TrainConfig(**(flags | {"arch": _kind(args.arch)}))
     model, metrics = train(config, corpus)
     prev = None
     for row in metrics.rows:
@@ -372,11 +349,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
-    single, pre = _load_corpus_texts(args)
-    if single is not None:
-        corpus = encode_and_split(single, model.vocab)
-    else:
-        corpus = encode_pre_split(*pre, model.vocab)
+    corpus = _load_corpus(args, model.vocab)
     loss, ppl = evaluate(
         model, corpus, args.split, seq_len=args.seq_len, batch=args.batch
     )
@@ -390,10 +363,7 @@ def _rand_params(
     """Random parameters with entries large enough to exercise every path."""
     tensors = {}
     for name, shape in param_shapes(kind, dim, hidden).items():
-        if name == "alpha":
-            tensors[name] = np.array(rng.uniform(0.2, 0.8))
-        else:
-            tensors[name] = rng.uniform(-0.6, 0.6, size=shape)
+        tensors[name] = rng.uniform(-0.6, 0.6, size=shape)
     return CellParams(kind, dim, hidden, tensors)
 
 
@@ -435,7 +405,7 @@ def _cmd_gradcheck(args) -> int:
                 den = max(float(np.max(np.abs(fd[name]))), 1e-8)
                 rel = num / den
                 worst[name] = float(np.maximum(worst.get(name, 0.0), rel))
-            if kind in _POOLED_FORWARD:
+            if kind in POOLED_FORWARD:
                 u_last = U[-1]
                 cf = closed_form_gradients(params, X, u_last)
                 res_last = bptt(params, X[:, None, :], u_last[None, :])
@@ -448,7 +418,7 @@ def _cmd_gradcheck(args) -> int:
             print(f"{label}: {name} max relative error {rel:.3e}")
         if not all(rel <= args.tol for rel in worst.values()):
             failed = True
-        if kind in _POOLED_FORWARD:
+        if kind in POOLED_FORWARD:
             print(
                 f"{label}: pooled-form gradients max absolute error {cf_worst:.3e}"
             )
@@ -462,7 +432,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_semcheck(args) -> int:
-    kinds = [_kind(args.arch)] if args.arch else list(_POOLED_FORWARD)
+    kinds = [_kind(args.arch)] if args.arch else list(POOLED_FORWARD)
     rng = np.random.default_rng(args.seed)
     failed = False
     for kind in kinds:
@@ -471,7 +441,7 @@ def _cmd_semcheck(args) -> int:
             steps = int(rng.integers(1, args.steps + 1))
             params, X = _draw_instance(kind, args.hidden, steps, rng)
             out, _ = sequence_forward(params, X[:, None, :])
-            pooled = _POOLED_FORWARD[kind](params, X)
+            pooled = POOLED_FORWARD[kind](params, X)
             worst = float(np.maximum(worst, np.max(np.abs(out[-1, 0] - pooled))))
         print(f"{_dashed(kind)}: max absolute gap {worst:.3e}")
         if not worst <= args.tol:
@@ -550,10 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except TrainingDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (DataError, CheckpointError, InterpError, OSError) as e:
+    except (DataError, CheckpointError, InterpError, TrainingDiverged, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ParseError as e:

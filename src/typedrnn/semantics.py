@@ -31,6 +31,7 @@ from .cells import CellKind, CellParams
 from .linalg import sigmoid
 
 __all__ = [
+    "POOLED_FORWARD",
     "closed_form_gradients",
     "pooling_weights",
     "tgru_forward_pooled",
@@ -124,6 +125,14 @@ def tgru_forward_pooled(params: CellParams, X: np.ndarray) -> np.ndarray:
     for s in range(t):
         h += suffix[s + 1] * O[s] * Z[s]
     return h
+
+
+# The kinds with a pooled closed form, each with its forward.
+POOLED_FORWARD = {
+    CellKind.T_RNN: trnn_forward_pooled,
+    CellKind.T_LSTM: tlstm_forward_pooled,
+    CellKind.T_GRU: tgru_forward_pooled,
+}
 
 
 def _gate_grad_pooled(

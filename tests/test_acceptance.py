@@ -35,13 +35,7 @@ from typedrnn.dsl.builtin import (
 )
 from typedrnn.dsl.interp import interpret_step
 from typedrnn.linalg import spectral_norm
-from typedrnn.semantics import (
-    closed_form_gradients,
-    pooling_weights,
-    tgru_forward_pooled,
-    tlstm_forward_pooled,
-    trnn_forward_pooled,
-)
+from typedrnn.semantics import POOLED_FORWARD, closed_form_gradients, pooling_weights
 from typedrnn.training import (
     METRICS_HEADER,
     TrainConfig,
@@ -52,12 +46,6 @@ from typedrnn.training import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-
-_POOLED = {
-    CellKind.T_RNN: trnn_forward_pooled,
-    CellKind.T_LSTM: tlstm_forward_pooled,
-    CellKind.T_GRU: tgru_forward_pooled,
-}
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -80,7 +68,7 @@ def pooled_sweep():
     mass: dict[CellKind, float] = {}
     t0 = time.perf_counter()
     for kind in T_KINDS:
-        fn = _POOLED[kind]
+        fn = POOLED_FORWARD[kind]
         worst_gap = 0.0
         worst_mass = 0.0
         for _ in range(100):
@@ -140,7 +128,7 @@ def test_criterion_03_gradient_correctness():
                 num = float(np.max(np.abs(g - fd[name])))
                 den = max(float(np.max(np.abs(fd[name]))), 1e-8)
                 worst_rel = max(worst_rel, num / den)
-            if kind in _POOLED:
+            if kind in POOLED_FORWARD:
                 cf = closed_form_gradients(params, X[:, 0, :], u[0])
                 for name in cf:
                     gap = float(np.max(np.abs(cf[name] - res.params[name])))

@@ -1,5 +1,6 @@
 """Hand-written backward passes against finite differences."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,10 @@ def test_bptt_with_per_step_upstream():
         fd = finite_diff(params, loss)
         gaps = _rel_gap(res.params, fd)
         assert max(gaps.values()) < 1e-5, (kind, gaps)
+        T, _, h = dH.shape
+        for shape in [(T, 1, h + 1), (T + 1, 1, h), (T, 2, h)]:
+            with pytest.raises(ValueError, match=re.escape(f"upstream has shape {shape}")):
+                bptt(params, X, np.ones(shape))
 
 
 def test_input_gradients_match_finite_differences():

@@ -316,6 +316,19 @@ def test_sequence_forward_rejects_bad_shapes_and_kinds():
         stack_forward([p], np.ones((5, 2, 3)), dropout=0.5)  # rng required
     with pytest.raises(ValueError):
         stack_forward([], np.ones((5, 2, 3)))
+    X = np.ones((5, 2, 3))
+    layers = [p, rand_params(CellKind.T_RNN, 4, 4, rng)]
+    for dropout in (1.0, 1.5, -0.25):
+        with pytest.raises(ValueError, match="dropout must lie in"):
+            stack_forward(layers, X, dropout=dropout, rng=rng)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="one entry per layer"):
+            stack_forward(layers, X, state=[LayerState(p, 2)] * n)
+    for kind in (CellKind.T_LSTM, CellKind.T_GRU):
+        t_cell = rand_params(kind, 3, 4, rng)
+        for shape in [(4, 2, 3), (5, 2, 4), (5, 1, 3)]:
+            with pytest.raises(ShapeError, match=re.escape(f"x_prev_src has shape {shape}")):
+                sequence_forward(t_cell, X, x_prev_src=np.ones(shape))
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3)], ids=["T0", "B0"])

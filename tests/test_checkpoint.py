@@ -204,6 +204,31 @@ def test_word_checkpoint_without_unk_first_is_rejected(tmp_path, capsys):
     assert "<unk>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (8, 0xFE, "unknown architecture code 254"),
+    (9, 0xFE, "unknown level code 254"),
+    ("out.b", 9, "implausible rank 9 for 'out.b'"),
+], ids=["arch", "level", "rank"])
+def test_unknown_codes_and_implausible_ranks_are_rejected(
+    tmp_path, capsys, where, value, message
+):
+    ckpt, corpus = _model_ckpt(tmp_path, "char")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    raw = bytearray(path.read_bytes())
+    # bytes 8 and 9 hold the architecture and level codes; a tensor's rank
+    # is the u32 right after its name
+    at = where if isinstance(where, int) else raw.index(where.encode()) + len(where)
+    raw[at] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["sample", "--ckpt", str(path), "--seed-text", "ab"]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["layer count", "hidden size"])
 def test_zero_layers_or_hidden_size_is_rejected(tmp_path, capsys, field):
     ckpt, corpus = _model_ckpt(tmp_path, "char")

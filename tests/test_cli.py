@@ -1,15 +1,16 @@
 """Command-line interface: help text, exit codes, and end-to-end runs."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from typedrnn import cli
+from typedrnn import cli, semantics
 from typedrnn.cells import CellKind
 from typedrnn.cli import main
 from typedrnn.checkpoint import load_checkpoint, save_checkpoint
-from typedrnn.data import build_vocab
+from typedrnn.data import build_vocab, synthetic_corpus
 from typedrnn.training import TrainConfig, build_model, model_to_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +122,44 @@ def test_negative_decay_start_is_a_usage_error(untrained, capsys):
     assert main([*argv, "--decay-start", "-4"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: decay_start must be at least 0\n"
+
+
+def test_every_train_flag_reaches_the_config(untrained, monkeypatch, capsys):
+    seen = []
+
+    def fake_train(config, corpus):
+        seen.append(config)
+        return None, SimpleNamespace(rows=[])
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    assert main([
+        "train", "--arch", "t-gru", "--corpus", str(untrained / "c.txt"),
+        "--layers", "3", "--hidden", "5", "--level", "word", "--seq-len", "7",
+        "--batch", "3", "--epochs", "2", "--lr", "0.5", "--lr-decay", "0.75",
+        "--decay-start", "4", "--clip", "none", "--dropout", "0.25",
+        "--seed", "9", "--init", "identity", "--log-every", "11",
+    ]) == 0
+    assert seen == [TrainConfig(
+        arch=CellKind.T_GRU, layers=3, hidden=5, level="word", seq_len=7,
+        batch=3, epochs=2, lr=0.5, lr_decay=0.75, decay_start=4, clip=None,
+        dropout=0.25, seed=9, init="identity", log_every=11,
+    )]
+    assert capsys.readouterr().out == ""
+
+
+def test_diverging_train_is_a_runtime_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(synthetic_corpus(20_000), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        code = main([
+            "train", "--arch", "t-mr", "--hidden", "16", "--seq-len", "20",
+            "--batch", "4", "--lr", "1e9", "--clip", "none",
+            "--corpus", str(corpus),
+        ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: training diverged ")
+    assert "first non-finite: layer0.W" in err and "Traceback" not in err
 
 
 def test_corpus_flags_are_mutually_exclusive(tmp_path, capsys):
@@ -299,6 +338,64 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def _pre_split(root, texts):
+    """Write three split files under ``root``; returns their flags."""
+    flags = []
+    for split, text in zip(("train", "valid", "test"), texts):
+        path = root / f"{split}.txt"
+        path.write_text(text, encoding="utf-8")
+        flags += [f"--{split}", str(path)]
+    return flags
+
+
+def test_pre_split_word_vocabulary_keeps_words_whole(tmp_path, capsys):
+    # no trailing newlines: joining the files as they are would glue the
+    # last word of one to the first word of the next
+    flags = _pre_split(tmp_path, [
+        "alpha beta gamma", "delta alpha beta", "gamma delta alpha",
+    ])
+    ckpt = tmp_path / "m.ckpt"
+    assert main([
+        "train", "--arch", "t-rnn", "--hidden", "4", "--level", "word",
+        "--seq-len", "2", "--batch", "1", *flags, "--out", str(ckpt),
+    ]) == 0
+    capsys.readouterr()
+    symbols = load_checkpoint(ckpt).vocab_symbols
+    assert symbols == ["<unk>", "alpha", "beta", "delta", "gamma"]
+
+
+@pytest.fixture(scope="module")
+def pre_split_char(tmp_path_factory):
+    """A char model trained in pre-split mode, its split texts and flags."""
+    root = tmp_path_factory.mktemp("pre_split")
+    texts = ["abcab" * 40, "bcd" * 40, "cdex" * 40]
+    flags = _pre_split(root, texts)
+    ckpt = root / "m.ckpt"
+    code = main([
+        "train", "--arch", "t-lstm", "--hidden", "4", "--seq-len", "10",
+        "--batch", "2", *flags, "--out", str(ckpt),
+    ])
+    return code, texts, flags, ckpt
+
+
+def test_pre_split_char_vocabulary_is_the_files_characters(pre_split_char, capsys):
+    code, texts, _, ckpt = pre_split_char
+    capsys.readouterr()
+    assert code == 0
+    assert load_checkpoint(ckpt).vocab_symbols == sorted(set("".join(texts)))
+
+
+def test_pre_split_eval_reports_split_loss(pre_split_char, capsys):
+    _, _, flags, ckpt = pre_split_char
+    code = main([
+        "eval", "--ckpt", str(ckpt), *flags, "--split", "valid",
+        "--seq-len", "10", "--batch", "2",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("valid: loss ") and "nats, perplexity " in out
+
+
 # ---------------------------------------------------------------------------
 # Oracle subcommands
 # ---------------------------------------------------------------------------
@@ -329,6 +426,16 @@ def test_gradcheck_classical_arch_has_no_pooled_line(capsys):
     assert out.rstrip().endswith("OK")
 
 
+def test_gradcheck_tmr_draws_away_from_kinks(capsys):
+    code = main(["gradcheck", "--arch", "t-mr", "--trials", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split(" max ")[0] for line in lines[:-1]] == [
+        "t-mr: W", "t-mr: b", "t-mr: c",
+    ]
+    assert lines[-1] == "OK"
+
+
 def _nan_grads(params, *args, **kwargs):
     """A gradient oracle whose every entry is NaN."""
     return {n: np.full(t.shape, np.nan) for n, t in params.tensors.items()}
@@ -347,7 +454,7 @@ def test_a_nan_error_fails_gradcheck(arch, oracle, monkeypatch, capsys):
 
 
 def test_a_nan_gap_fails_semcheck(monkeypatch, capsys):
-    monkeypatch.setitem(cli._POOLED_FORWARD, CellKind.T_GRU,
+    monkeypatch.setitem(semantics.POOLED_FORWARD, CellKind.T_GRU,
                         lambda params, X: np.full(params.hidden_dim, np.nan))
     code = main(["semcheck", "--arch", "t-gru", "--hidden", "3", "--trials", "2"])
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 from conftest import TRAIN_KINDS, rand_params
 
 from typedrnn.cells import CellKind, scrn_state_step, sequence_forward
+from typedrnn.dsl import typecheck
 from typedrnn.dsl.builtin import builtin_spec, interp_params, port_names
 from typedrnn.dsl.interp import InterpError, interpret_step
 from typedrnn.dsl.parser import parse_spec
@@ -94,6 +95,18 @@ def test_interpreter_matches_symmetric_recurrence_oracle():
             hv = np.tanh(S @ hv + W @ x + b)
             state, _ = interpret_step(spec, params, state, {"x": x})
             assert np.max(np.abs(state["h"] - hv)) < 1e-12
+
+
+def test_interpreter_runs_scalar_affines_and_max_min():
+    spec = parse_spec(
+        "cell s { state h; input x; h' = max(affine[scalar](h), min(x, h)); }"
+    )
+    assert typecheck(spec).render().startswith("WELL-TYPED")
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        h, x = rng.uniform(-1.0, 1.0, size=(2, 6))
+        state, _ = interpret_step(spec, {"affine#1.a": 0.5}, {"h": h}, {"x": x})
+        assert np.array_equal(state["h"], np.maximum(0.5 * h, np.minimum(x, h)))
 
 
 def test_interpreter_enforces_matrix_kind_contracts():

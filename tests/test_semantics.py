@@ -6,19 +6,7 @@ from conftest import T_KINDS, rand_params
 
 from typedrnn.autodiff import bptt
 from typedrnn.cells import CellKind, sequence_forward
-from typedrnn.semantics import (
-    closed_form_gradients,
-    pooling_weights,
-    tgru_forward_pooled,
-    tlstm_forward_pooled,
-    trnn_forward_pooled,
-)
-
-_POOLED = {
-    CellKind.T_RNN: trnn_forward_pooled,
-    CellKind.T_LSTM: tlstm_forward_pooled,
-    CellKind.T_GRU: tgru_forward_pooled,
-}
+from typedrnn.semantics import POOLED_FORWARD, closed_form_gradients, pooling_weights
 
 
 def test_pooling_weights_hand_case():
@@ -69,7 +57,7 @@ def test_pooled_forward_matches_recurrence():
             t = int(rng.integers(1, 21))
             params = rand_params(kind, d, h, rng)
             X = rng.uniform(-1.0, 1.0, size=(t, d))
-            pooled = _POOLED[kind](params, X)
+            pooled = POOLED_FORWARD[kind](params, X)
             out, _ = sequence_forward(params, X[:, None, :])
             worst = max(worst, float(np.max(np.abs(pooled - out[-1, 0]))))
         assert worst < 1e-10, kind
