@@ -556,8 +556,6 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
             if step % config.log_every == 0:
                 wall = (time.perf_counter() - t0) * 1000.0
                 metrics.log(epoch, step, "train", loss, grad_norm, wall)
-        if n_steps == 0:
-            raise DataError("training split yields no windows")
         epoch_wall = (time.perf_counter() - epoch_t0) * 1000.0
         metrics.log(
             epoch, step, "train", loss_sum / n_steps, norm_sum / n_steps,
@@ -616,8 +614,6 @@ def evaluate(
         )
         loss_sum += total
         count += T * B
-    if count == 0:
-        raise DataError(f"split {split!r} yields no evaluation windows")
     mean = loss_sum / count
     return mean, _perplexity(mean)
 
@@ -661,19 +657,18 @@ def sample(
     onehot = np.zeros((1, vocab.size)) if model.embed is None else None
     top = state[-1].h[0]  # the top layer's last output
     out_ids: list[int] = []
-    while True:
+    for i in range(n):
+        if i:  # advance the state by the token drawn last
+            nxt = out_ids[-1]
+            if onehot is None:
+                x = model.embed[nxt : nxt + 1]
+            else:
+                x = onehot
+                x.fill(0.0)
+                x[0, nxt] = 1.0
+            top = stack_step(model.layers, x, state)[-1][0]
         probs = softmax((model.w_out @ top + model.b_out) / temperature)
-        nxt = int(rng.choice(vocab.size, p=probs))
-        out_ids.append(nxt)
-        if len(out_ids) == n:
-            break
-        if onehot is None:
-            x = model.embed[nxt : nxt + 1]
-        else:
-            x = onehot
-            x.fill(0.0)
-            x[0, nxt] = 1.0
-        top = stack_step(model.layers, x, state)[-1][0]
+        out_ids.append(int(rng.choice(vocab.size, p=probs)))
     tail = vocab.decode(out_ids)
     return seed_text + tail if vocab.level == "char" else seed_text + " " + tail
 

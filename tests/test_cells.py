@@ -109,10 +109,14 @@ def test_init_params_identity_scheme():
     rng = np.random.default_rng(1)
     p = init_params(CellKind.RNN, 4, 6, rng, scheme="identity")
     assert np.array_equal(p["V"], np.eye(6))
-    with pytest.raises(ValueError):
-        init_params(CellKind.T_RNN, 4, 6, rng, scheme="identity")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown init scheme 'xavier'"):
         init_params(CellKind.RNN, 4, 6, rng, scheme="xavier")
+
+
+@pytest.mark.parametrize("kind", [k for k in TRAIN_KINDS if k != CellKind.RNN])
+def test_identity_init_rejects_every_kind_but_rnn(kind):
+    with pytest.raises(ValueError, match="identity init only applies"):
+        init_params(kind, 4, 6, np.random.default_rng(1), scheme="identity")
 
 
 def test_sequence_forward_batch_matches_per_example():

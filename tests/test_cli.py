@@ -192,6 +192,24 @@ def test_undersized_corpus_reports_data_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tokens,code", [(9, 3), (10, 0)])
+def test_training_split_one_token_short_of_a_window(tmp_path, capsys, tokens, code):
+    """Batch 2 with window 4 needs 10 training tokens: 9 is a data error,
+    10 trains on one window."""
+    argv = ["train", "--arch", "rnn", "--hidden", "4", "--seq-len", "4", "--batch", "2"]
+    for name in ("train", "valid", "test"):
+        path = tmp_path / f"{name}.txt"
+        text = "abc" * 4
+        path.write_text(text[:tokens] if name == "train" else text, encoding="utf-8")
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and "needs at least 10" in err
+    else:
+        assert err == ""
+
+
 def test_missing_corpus_file_reports_io_error(tmp_path, capsys):
     code = main([
         "train", "--arch", "rnn", "--corpus", str(tmp_path / "nope.txt"),

@@ -638,9 +638,9 @@ def test_sampling_contract():
         other = sample(model, prompt, 40, temperature=1.0, seed=10)
         assert out != other, arch
         assert sample(model, prompt, 0) == prompt
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="temperature must be positive"):
             sample(model, prompt, 10, temperature=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be non-negative"):
             sample(model, prompt, -1)
         with pytest.raises(DataError):
             sample(model, "", 5)
