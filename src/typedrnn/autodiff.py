@@ -51,7 +51,6 @@ from .cells import (
     LayerTape,
     SCAN_KINDS,
     StackTape,
-    TRAINABLE_KINDS,
     T_CELL_KINDS,
     Workspace,
     sequence_forward,
@@ -116,8 +115,6 @@ def sequence_backward(
     buffer.
     """
     kind = params.kind
-    if kind not in TRAINABLE_KINDS:
-        raise ValueError(f"sequence_backward does not handle kind {kind!r}")
     ws = Workspace() if ws is None else ws
     dH = np.asarray(dH, dtype=np.float64)
     T, B, h = dH.shape
@@ -223,10 +220,7 @@ def sequence_backward(
 
     # The learnware of every kind: one fold for the block, one bias sum, and
     # one product back to the input.
-    gU = np.matmul(
-        DP.reshape(T * B, -1).T, tape.XX.reshape(T * B, -1),
-        out=ws.own("gU", params.U.shape),
-    )
+    gU = _fold(DP, tape.XX, ws.own("gU", params.U.shape))
     gb = np.sum(DP, axis=(0, 1), out=ws.own("gb", params.bias.shape))
     grads = tensor_views(kind, gU, gb, gV, params.input_dim)
     if not input_grad:

@@ -35,9 +35,12 @@ matrices inside the step. Update rules, writing s for sigmoid, tau for tanh,
 
     T-MR     h' = relu(b (*) h + W x_t + c)           (b, c vectors)
 
-    SCRN     s' = alpha * s + (1 - alpha) * (W_s x_t) (alpha a scalar in (0,1))
+Every cell kind is a trainable layer (``TRAINABLE_KINDS``). The SCRN
+context step, s' = alpha * s + (1 - alpha) * (W_s x_t) with alpha a scalar in
+(0, 1), is no layer: ``scrn_state_step`` is a plain function of its two
+parameters, the native reference for the ``scrn_state`` cell description.
 
-Every trainable cell splits into stateless learnware and state-dependent
+Every cell splits into stateless learnware and state-dependent
 firmware, each one block per layer; the named tensors are views of the
 blocks, laid out by ``tensor_views``. That layout is written once: a new
 ``CellParams`` is made from it, ``param_shapes`` reads its shapes, and the
@@ -141,19 +144,10 @@ class CellKind(str, Enum):
     T_LSTM = "t_lstm"
     T_GRU = "t_gru"
     T_MR = "t_mr"
-    SCRN_STATE = "scrn_state"
 
 
-#: Kinds that can be trained as language-model layers.
-TRAINABLE_KINDS = (
-    CellKind.RNN,
-    CellKind.LSTM,
-    CellKind.GRU,
-    CellKind.T_RNN,
-    CellKind.T_LSTM,
-    CellKind.T_GRU,
-    CellKind.T_MR,
-)
+#: Kinds that can be trained as language-model layers: every kind.
+TRAINABLE_KINDS = tuple(CellKind)
 
 #: Kinds whose step consumes the previous raw input x_{t-1}.
 T_CELL_KINDS = (CellKind.T_LSTM, CellKind.T_GRU)
@@ -165,7 +159,7 @@ SCAN_KINDS = (CellKind.T_RNN, CellKind.T_LSTM, CellKind.T_GRU)
 def param_shapes(kind: CellKind, input_dim: int, hidden_dim: int) -> dict[str, tuple]:
     """Tensor names and shapes for a cell, in canonical (serialization) order,
     read off read-only zero-stride blocks (nothing of their size is made)."""
-    tensors = _new_tensors(kind, input_dim, hidden_dim, _no_memory)[-1]
+    tensors = _new_tensors(CellKind(kind), input_dim, hidden_dim, _no_memory)[-1]
     return {name: t.shape for name, t in tensors.items()}
 
 
@@ -183,20 +177,19 @@ class CellParams:
     (``tensor_views``; a ShapeError names a wrong, missing or extra tensor)
     and copies every given tensor into its view, so each block entry is
     written once: T-RNN's z bias half, which no tensor views, is zeroed. So
-    ``tensors`` holds views of the blocks: update them in place. SCRN has no
-    blocks, so its ``U``, ``bias`` and ``V`` are None and its two tensors are
-    arrays of their own.
+    ``tensors`` holds views of the blocks: update them in place.
     """
 
     kind: CellKind
     input_dim: int
     hidden_dim: int
     tensors: dict[str, np.ndarray]
-    U: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    bias: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    U: np.ndarray = field(init=False, repr=False, compare=False)
+    bias: np.ndarray = field(init=False, repr=False, compare=False)
     V: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.kind = CellKind(self.kind)
         U, bias, V, tensors = _new_tensors(
             self.kind, self.input_dim, self.hidden_dim, np.empty
         )
@@ -236,12 +229,8 @@ _LEARNWARE_ROWS = {
 
 def _new_tensors(kind: CellKind, input_dim: int, hidden_dim: int, make) -> tuple:
     """New blocks ``(U, bias, V)`` of a kind, each ``make(shape)``, and its named
-    views (``tensor_views``); SCRN has no blocks and ``make``s its two tensors."""
+    views (``tensor_views``)."""
     d, h = input_dim, hidden_dim
-    if kind == CellKind.SCRN_STATE:
-        return None, None, None, {"alpha": make(()), "W_s": make((h, d))}
-    if kind not in TRAINABLE_KINDS:
-        raise ValueError(f"unknown cell kind {kind!r}")
     rows = _LEARNWARE_ROWS[kind] * h
     U = make((rows, (2 if kind in T_CELL_KINDS else 1) * d))
     bias = make((rows,))
@@ -298,9 +287,9 @@ def init_params(
 
     ``uniform008`` draws every matrix from U(-0.08, 0.08) and zeroes biases.
     ``identity`` (classical RNN only) sets the recurrent matrix to I instead.
-    Exceptions to the uniform rule: the T-MR multiplicative memory vector b
-    starts at 1 (identity memory) and the SCRN leak alpha at 0.95, both of
-    which are ordinary trainable tensors afterwards.
+    The one exception to the uniform rule: the T-MR multiplicative memory
+    vector b starts at 1 (identity memory), an ordinary trainable tensor
+    afterwards.
     """
     kind = CellKind(kind)
     if scheme not in ("uniform008", "identity"):
@@ -311,8 +300,6 @@ def init_params(
     for name, shape in param_shapes(kind, input_dim, hidden_dim).items():
         if kind == CellKind.T_MR and name == "b":
             tensors[name] = np.ones(shape)
-        elif kind == CellKind.SCRN_STATE and name == "alpha":
-            tensors[name] = np.array(0.95)
         elif len(shape) == 2:
             if scheme == "identity" and name == "V":
                 tensors[name] = np.eye(hidden_dim)
@@ -323,12 +310,12 @@ def init_params(
     return CellParams(kind, input_dim, hidden_dim, tensors)
 
 
-def scrn_state_step(params: CellParams, s_prev, x_t):
-    """One SCRN context-layer step; alpha must lie strictly inside (0, 1)."""
-    alpha = float(params["alpha"])
+def scrn_state_step(alpha, W_s: np.ndarray, s_prev, x_t):
+    """One SCRN context-layer step, alpha * s_prev + (1 - alpha) * (W_s x_t);
+    the scalar leak alpha must lie strictly inside (0, 1)."""
+    alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"scrn alpha must lie in (0, 1), got {alpha}")
-    W_s = params["W_s"]
     if np.shape(x_t)[-1] != W_s.shape[1]:
         raise ShapeError(
             f"affine input has dim {np.shape(x_t)[-1]}, matrix expects {W_s.shape[1]}"
@@ -539,8 +526,6 @@ def sequence_forward(
     ``Workspace.layer`` view) the outputs and tape live in the workspace.
     """
     kind = params.kind
-    if kind not in TRAINABLE_KINDS:
-        raise ValueError(f"sequence_forward does not handle kind {kind!r}")
     ws = Workspace() if ws is None else ws
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
@@ -634,8 +619,6 @@ class LayerState:
 
     def __init__(self, params: CellParams, batch: int = 1) -> None:
         kind, h = params.kind, params.hidden_dim
-        if kind not in TRAINABLE_KINDS:
-            raise ValueError(f"cell kind {kind.value!r} cannot be stacked")
         shapes = _state_shapes(params, batch).values()
         self.h, self.c, self.xx = (None if s is None else np.zeros(s) for s in shapes)
         self.p = np.empty((_LEARNWARE_ROWS[kind], batch, h))
@@ -689,9 +672,6 @@ def stack_forward(
     """
     if not layers:
         raise ValueError("stack needs at least one layer")
-    for p in layers:
-        if p.kind not in TRAINABLE_KINDS:
-            raise ValueError(f"cell kind {p.kind.value!r} cannot be stacked")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
     if dropout > 0.0 and rng is None:

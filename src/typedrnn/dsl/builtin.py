@@ -3,10 +3,12 @@
 Each native architecture has a ``.cell`` file under ``cells/`` expressing the
 same one-step dataflow; ``interp_params`` rewraps a native ``CellParams``
 into the interpreter's per-affine-node keying so spec execution can be
-cross-checked against ``cells.sequence_forward`` (and, for ``scrn_state``,
-``cells.scrn_state_step``). ``rnn_symmetric`` exists only for the checker (a
-vanilla recurrence whose recurrent matrix is declared symmetric); it has no
-native counterpart.
+cross-checked against ``cells.sequence_forward``. ``scrn_state`` has no
+``CellKind``: its native counterpart is the step function
+``cells.scrn_state_step(alpha, W_s, s, x)``, whose two parameters are the
+interpreter's ``affine#1.W0`` and ``alpha``. ``rnn_symmetric`` exists only
+for the checker (a vanilla recurrence whose recurrent matrix is declared
+symmetric); it has no native counterpart.
 """
 
 from __future__ import annotations
@@ -79,12 +81,9 @@ def interp_params(params: CellParams) -> dict:
             "affine#1.W1": t["W"],
             "affine#1.b": t["b"],
         }
-    if kind == CellKind.T_MR:
-        return {
-            "affine#1.d": t["b"],
-            "affine#1.b": t["c"],
-            "affine#2.W0": t["W"],
-        }
-    if kind == CellKind.SCRN_STATE:
-        return {"affine#1.W0": t["W_s"], "alpha": t["alpha"]}
-    raise ValueError(f"no builtin spec mapping for kind {kind!r}")
+    # T-MR
+    return {
+        "affine#1.d": t["b"],
+        "affine#1.b": t["c"],
+        "affine#2.W0": t["W"],
+    }

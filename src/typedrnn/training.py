@@ -64,7 +64,6 @@ from .cells import (
     CellKind,
     CellParams,
     LayerState,
-    TRAINABLE_KINDS,
     Workspace,
     dropout_mask,
     init_params,
@@ -153,8 +152,6 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         self.arch = CellKind(self.arch)
-        if self.arch not in TRAINABLE_KINDS:
-            raise ValueError(f"architecture {self.arch.value!r} is not trainable")
         if self.level not in ("char", "word"):
             raise ValueError(f"level must be 'char' or 'word', got {self.level!r}")
         for name in ("layers", "hidden", "seq_len", "batch", "epochs", "log_every"):
@@ -516,10 +513,6 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
     thread; more BLAS threads may reorder sums in the products. Raises
     TrainingDiverged if the loss or gradient norm becomes non-finite.
     """
-    if corpus.level != config.level:
-        raise ValueError(
-            f"corpus level {corpus.level!r} does not match config {config.level!r}"
-        )
     rng = np.random.default_rng(config.seed)
     model = build_model(config, corpus.vocab, rng)
     metrics = Metrics()

@@ -16,15 +16,20 @@ T_KINDS = SCAN_KINDS  # the typed kinds with a pooled closed form
 
 
 def rand_params(kind, input_dim, hidden, rng, lo=-0.6, hi=0.6):
-    """Dense random parameters; alpha is drawn strictly inside (0, 1)."""
+    """Dense random parameters."""
     kind = CellKind(kind)
-    tensors = {}
-    for name, shape in param_shapes(kind, input_dim, hidden).items():
-        if kind == CellKind.SCRN_STATE and name == "alpha":
-            tensors[name] = np.array(rng.uniform(0.2, 0.8))
-        else:
-            tensors[name] = rng.uniform(lo, hi, size=shape)
+    tensors = {
+        name: rng.uniform(lo, hi, size=shape)
+        for name, shape in param_shapes(kind, input_dim, hidden).items()
+    }
     return CellParams(kind, input_dim, hidden, tensors)
+
+
+def rand_scrn(input_dim, hidden, rng, lo=-0.6, hi=0.6):
+    """SCRN context-step parameters ``(alpha, W_s)``: alpha drawn strictly
+    inside (0, 1), then the (hidden, input_dim) matrix W_s."""
+    alpha = rng.uniform(0.2, 0.8)
+    return alpha, rng.uniform(lo, hi, size=(hidden, input_dim))
 
 
 def tmr_margin(params, X):

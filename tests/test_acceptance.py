@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import T_KINDS, TRAIN_KINDS, draw_instance, rand_params
+from conftest import T_KINDS, TRAIN_KINDS, draw_instance, rand_params, rand_scrn
 
 from typedrnn.autodiff import bptt, finite_diff, sequence_backward, state_jacobian
 from typedrnn.cells import (
@@ -266,13 +266,14 @@ def test_criterion_06_interpreter_equivalence():
         h = int(rng.integers(2, 7))
         d = int(rng.integers(2, 6))
         T = int(rng.integers(1, 9))
-        params = rand_params(CellKind.SCRN_STATE, d, h, rng)
+        alpha, W_s = rand_scrn(d, h, rng)
+        tensors = {"affine#1.W0": W_s, "alpha": alpha}
         X = rng.uniform(-1.0, 1.0, size=(T, d))
         s = np.zeros(h)
         state = {"s": np.zeros(h)}
         for t in range(T):
-            s = scrn_state_step(params, s, X[t])
-            state, _ = interpret_step(spec, interp_params(params), state, {"x": X[t]})
+            s = scrn_state_step(alpha, W_s, s, X[t])
+            state, _ = interpret_step(spec, tensors, state, {"x": X[t]})
             worst = max(worst, float(np.max(np.abs(state["s"] - s))))
 
     spec = builtin_spec("rnn_symmetric")

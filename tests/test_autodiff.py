@@ -243,7 +243,7 @@ def test_global_norm_and_clip():
     assert np.array_equal(passthrough["a"], [3.0, 0.0])
 
     for bad in (0.0, float("nan")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="clip threshold must be positive"):
             clip_global_norm(fresh(), bad)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import TRAIN_KINDS, rand_params
+from conftest import TRAIN_KINDS, rand_params, rand_scrn
 
 from typedrnn.autodiff import bptt, sequence_backward, stack_backward
 from typedrnn.cells import (
@@ -43,16 +43,14 @@ def test_param_shapes():
         CellKind.T_LSTM: gated((5, 3)),
         CellKind.T_GRU: gated((5, 3)),
         CellKind.T_MR: [("W", (5, 3)), ("b", (5,)), ("c", (5,))],
-        CellKind.SCRN_STATE: [("alpha", ()), ("W_s", (5, 3))],
     }
     assert set(want) == set(CellKind)
     rng = np.random.default_rng(0)
     for kind, items in want.items():
         assert list(param_shapes(kind, 3, 5).items()) == items, kind
-        if kind in TRAIN_KINDS:
-            given = rand_params(kind, 3, 5, rng).tensors
-            p = CellParams(kind, 3, 5, dict(reversed(given.items())))
-            assert list(p.tensors) == list(param_shapes(kind, 3, 5)), kind
+        given = rand_params(kind, 3, 5, rng).tensors
+        p = CellParams(kind, 3, 5, dict(reversed(given.items())))
+        assert list(p.tensors) == list(param_shapes(kind, 3, 5)), kind
 
 
 def test_param_shapes_allocate_nothing():
@@ -101,8 +99,6 @@ def test_init_params_uniform008():
             assert np.all(arr == 0.0)
     q = init_params(CellKind.T_MR, 4, 6, rng)
     assert np.all(q["b"] == 1.0) and np.all(q["c"] == 0.0)
-    s = init_params(CellKind.SCRN_STATE, 4, 6, rng)
-    assert float(s["alpha"]) == 0.95
 
 
 def test_init_params_identity_scheme():
@@ -149,19 +145,23 @@ def test_window_split_with_carry_matches_full_run():
 
 def test_scrn_state_step_is_a_leaky_average():
     rng = np.random.default_rng(5)
-    params = rand_params(CellKind.SCRN_STATE, 3, 4, rng)
-    alpha = float(params["alpha"])
+    alpha, W_s = rand_scrn(3, 4, rng)
     X = rng.uniform(-1.0, 1.0, size=(6, 3))
     s = np.zeros(4)
     for t in range(6):
-        s = scrn_state_step(params, s, X[t])
-    ref = sum(
-        (1.0 - alpha) * alpha ** (5 - t) * (params["W_s"] @ X[t]) for t in range(6)
-    )
+        s = scrn_state_step(alpha, W_s, s, X[t])
+    ref = sum((1.0 - alpha) * alpha ** (5 - t) * (W_s @ X[t]) for t in range(6))
     assert np.max(np.abs(s - ref)) < 1e-12
-    params.tensors["alpha"] = np.array(1.0)
-    with pytest.raises(ValueError):
-        scrn_state_step(params, s, X[0])
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            scrn_state_step(bad, W_s, s, X[0])
+    with pytest.raises(ShapeError, match="affine input has dim 4, matrix expects 3"):
+        scrn_state_step(alpha, W_s, s, np.ones(4))
+
+
+def test_scrn_state_is_no_cell_kind():
+    with pytest.raises(ValueError, match="is not a valid CellKind"):
+        CellParams("scrn_state", 3, 4, {})
 
 
 #: The state-side tensors of each kind: the firmware block V, laid out as
@@ -307,18 +307,13 @@ def test_layer_state_glues_windows():
 def test_sequence_forward_rejects_bad_shapes_and_kinds():
     rng = np.random.default_rng(11)
     p = rand_params(CellKind.T_RNN, 3, 4, rng)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=re.escape("must be (T, B, d), got (5, 3)")):
         sequence_forward(p, np.ones((5, 3)))  # missing batch axis is 2-D
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="input has dim 7, cell expects 3"):
         sequence_forward(p, np.ones((5, 2, 7)))
-    s = rand_params(CellKind.SCRN_STATE, 3, 4, rng)
-    with pytest.raises(ValueError):
-        sequence_forward(s, np.ones((5, 2, 3)))
-    with pytest.raises(ValueError):
-        stack_forward([s], np.ones((5, 2, 3)))
-    with pytest.raises(ValueError):
-        stack_forward([p], np.ones((5, 2, 3)), dropout=0.5)  # rng required
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dropout > 0 requires an rng"):
+        stack_forward([p], np.ones((5, 2, 3)), dropout=0.5)
+    with pytest.raises(ValueError, match="at least one layer"):
         stack_forward([], np.ones((5, 2, 3)))
     X = np.ones((5, 2, 3))
     layers = [p, rand_params(CellKind.T_RNN, 4, 4, rng)]
@@ -361,8 +356,6 @@ def test_new_layer_state_is_the_zero_state():
         # the rows a step overwrites come with the state
         assert st.p.shape[1:] == (2, 4) and st.a.shape == (2, 4)
         assert all(g is None or np.shares_memory(g, st.p) for g in st.gates)
-    with pytest.raises(ValueError):
-        LayerState(rand_params(CellKind.SCRN_STATE, 3, 4, rng))
 
 
 # A state that does not fit a (d=3, h=4, B=2) layer: the layer's kind, then

@@ -452,6 +452,10 @@ def test_gradcheck_tmr_draws_away_from_kinks(capsys):
         "t-mr: W", "t-mr: b", "t-mr: c",
     ]
     assert lines[-1] == "OK"
+    # 64 hidden units over 400 steps: every one of the 64 draws has a
+    # pre-activation within 1e-3 of the kink, so the draw gives up
+    with pytest.raises(RuntimeError, match="could not draw an instance away"):
+        cli._draw_instance(CellKind.T_MR, 64, 400, np.random.default_rng(0))
 
 
 def _nan_grads(params, *args, **kwargs):

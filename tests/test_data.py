@@ -37,16 +37,16 @@ def test_word_vocab_frequency_order_and_unk():
 def test_word_vocab_max_words():
     v = build_vocab("a a a b b c", level="word", max_words=3)
     assert v.symbols == [UNK, "a", "b"]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="max_words must be at least 1"):
         build_vocab("a", level="word", max_words=0)
 
 
 def test_vocab_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="duplicate symbols"):
         Vocab("char", ["a", "a"])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="level must be 'char' or 'word', got 'syllable'"):
         Vocab("syllable", ["a"])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="level must be 'char' or 'word', got 'phoneme'"):
         build_vocab("abc", level="phoneme")
 
 
@@ -98,7 +98,7 @@ def test_batch_iter_streams_are_contiguous_slices():
 def test_batch_iter_rejects_undersized_splits():
     with pytest.raises(DataError, match="needs at least"):
         list(batch_iter(np.arange(10), seq_len=5, batch=2))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="seq_len and batch must be positive"):
         list(batch_iter(np.arange(10), seq_len=0, batch=1))
     # exactly enough for one window per stream
     windows = list(batch_iter(np.arange(12), seq_len=5, batch=2))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import TRAIN_KINDS, rand_params
+from conftest import TRAIN_KINDS, rand_params, rand_scrn
 
 from typedrnn.cells import CellKind, scrn_state_step, sequence_forward
 from typedrnn.dsl import typecheck
@@ -64,15 +64,14 @@ def test_interpreter_matches_scrn_state_step():
         h = int(rng.integers(2, 7))
         d = int(rng.integers(2, 6))
         T = int(rng.integers(1, 8))
-        params = rand_params(CellKind.SCRN_STATE, d, h, rng)
+        alpha, W_s = rand_scrn(d, h, rng)
+        tensors = {"affine#1.W0": W_s, "alpha": alpha}
         X = rng.uniform(-1.0, 1.0, size=(T, d))
         s = np.zeros(h)
         state = {"s": np.zeros(h)}
         for t in range(T):
-            s = scrn_state_step(params, s, X[t])
-            state, _ = interpret_step(
-                spec, interp_params(params), state, {"x": X[t]}
-            )
+            s = scrn_state_step(alpha, W_s, s, X[t])
+            state, _ = interpret_step(spec, tensors, state, {"x": X[t]})
             assert np.max(np.abs(state["s"] - s)) < 1e-12
 
 

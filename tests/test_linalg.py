@@ -59,5 +59,5 @@ def test_spectral_norm_against_svd():
     for _ in range(5):
         m = rng.standard_normal((6, 4))
         assert spectral_norm(m) == pytest.approx(np.linalg.svd(m)[1][0])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="matrix must be 2-d"):
         spectral_norm(np.ones(3))

@@ -39,12 +39,12 @@ def test_pooling_weights_conserve_mass():
 
 
 def test_pooling_weights_reject_bad_gates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly inside"):
         pooling_weights(np.array([[0.5, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly inside"):
         pooling_weights(np.array([[0.0]]))
-    with pytest.raises(ValueError):
-        pooling_weights(np.ones(3))
+    with pytest.raises(ValueError, match="gates must be"):
+        pooling_weights(np.full(3, 0.5))  # in range, but not (t, d)
 
 
 def test_pooled_forward_matches_recurrence():
@@ -85,5 +85,5 @@ def test_closed_form_gradients_match_bptt():
 def test_closed_form_gradients_reject_other_kinds():
     rng = np.random.default_rng(3)
     params = rand_params(CellKind.LSTM, 3, 4, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no closed-form gradients for kind"):
         closed_form_gradients(params, np.zeros((2, 3)), np.zeros(4))

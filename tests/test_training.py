@@ -1,9 +1,11 @@
 """Language-model training loop: objective, schedule, metrics, sampling."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -49,19 +51,19 @@ def _tiny_corpus(text, level="char"):
 
 def test_train_config_validation():
     TrainConfig(arch="t_rnn")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a valid CellKind"):
         TrainConfig(arch="scrn_state")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level must be 'char' or 'word', got 'byte'"):
         TrainConfig(arch="t_rnn", level="byte")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="layers must be at least 1"):
         TrainConfig(arch="t_rnn", layers=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
         TrainConfig(arch="t_rnn", lr=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("lr_decay must lie in (0, 1]")):
         TrainConfig(arch="t_rnn", lr_decay=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("dropout must lie in [0, 1)")):
         TrainConfig(arch="t_rnn", dropout=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="clip must be positive"):
         TrainConfig(arch="t_rnn", clip=-1.0)
     for name in ("lr", "clip"):
         with pytest.raises(ValueError, match=name):
@@ -71,12 +73,19 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="decay_start"):
         TrainConfig(arch="t_rnn", decay_start=-1)
     TrainConfig(arch="t_rnn", decay_start=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown init scheme 'he'"):
         TrainConfig(arch="t_rnn", init="he")
     with pytest.raises(ValueError, match="log_every"):
         TrainConfig(arch="t_rnn", log_every=0)
     with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):
         TrainConfig(arch="t_rnn", threads=2)
+
+
+def test_train_rejects_a_corpus_of_another_level():
+    corpus = _tiny_corpus("abcabcabd" * 40)
+    config = TrainConfig(arch="t_rnn", level="word", hidden=4, seq_len=5, batch=2)
+    with pytest.raises(ValueError, match="does not match config level"):
+        train(config, corpus)
 
 
 def test_lr_schedule():
@@ -136,9 +145,9 @@ def test_cross_entropy_matches_batch_loss():
     ) / 2.0
     assert dlogits[1, 1, 3] == pytest.approx((lp - lm) / eps, abs=1e-5)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="logits must be a vector"):
         cross_entropy(np.zeros((2, 2)), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target 5 out of range for 3 classes"):
         cross_entropy(np.zeros(3), 5)
 
 
@@ -642,7 +651,7 @@ def test_sampling_contract():
             sample(model, prompt, 10, temperature=0.0)
         with pytest.raises(ValueError, match="n must be non-negative"):
             sample(model, prompt, -1)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="seed text encodes to no tokens"):
             sample(model, "", 5)
         with pytest.raises(DataError, match="not in vocabulary"):
             sample(model, "@#", 5)
@@ -698,8 +707,11 @@ def test_evaluate_handles_short_splits():
     model = build_model(cfg, corpus.vocab, np.random.default_rng(0))
     loss, ppl = evaluate(model, corpus, "test", seq_len=100, batch=16)
     assert math.isfinite(loss) and ppl == pytest.approx(math.exp(loss))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown split 'future'"):
         evaluate(model, corpus, "future")
+    one = dataclasses.replace(corpus, test=corpus.test[:1])
+    with pytest.raises(DataError, match="'test' has 1 tokens; need at least 2"):
+        evaluate(model, one, "test")
 
 
 def test_evaluate_clamps_perplexity_of_a_huge_loss():
