@@ -96,7 +96,10 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: bad byte at offset {e.start}") from None
 
 
 def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
@@ -380,7 +383,10 @@ def _draw_instance(kind: CellKind, hidden: int, steps: int, rng):
         X = rng.uniform(-1.0, 1.0, size=(steps, dim))
         if kind != CellKind.T_MR or _tmr_margin(params, X) > 1e-3:
             return params, X
-    raise RuntimeError("could not draw an instance away from rectifier kinks")
+    raise UsageError(
+        "could not draw an instance away from rectifier kinks at"
+        f" --hidden {hidden} --steps {steps}; try smaller values"
+    )
 
 
 def _cmd_gradcheck(args) -> int:

@@ -22,9 +22,10 @@ cycle, rendered through ports and affine nodes only.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from .nodes import Affine, Binary, CellSpec, Const, Expr, Gate, Ref, Span, Stmt, Unary, children
+from .nodes import Affine, Binary, CellSpec, Const, Expr, Gate, Ref, Span, Unary, children
 from .typesys import MatrixKind, Named, Rigid, Transformed, TypeTerm, Unifier, Var
 
 __all__ = ["Diagnostic", "Verdict", "typecheck"]
@@ -76,9 +77,7 @@ class _Renderer:
             return t.label
         if isinstance(t, Rigid):
             return f"T(affine#{t.node_id})"
-        if isinstance(t, Transformed):
-            return f"T(affine#{t.node_id}, {self.render(t.inner)})"
-        raise TypeError(f"unknown type term {t!r}")
+        return f"T(affine#{t.node_id}, {self.render(t.inner)})"  # Transformed
 
 
 def typecheck(spec: CellSpec) -> Verdict:
@@ -119,14 +118,12 @@ def typecheck(spec: CellSpec) -> Verdict:
         if isinstance(e, Gate):
             infer(e.left)
             return infer(e.right)
-        if isinstance(e, Affine):
-            op_types = [infer(op) for op in e.operands]
-            if e.kind == MatrixKind.GENERAL:
-                return Rigid(e.node_id)
-            if e.kind == MatrixKind.ORTHOGONAL:
-                return Transformed(e.node_id, op_types[0])
-            return op_types[0]
-        raise TypeError(f"unknown node {type(e).__name__}")
+        op_types = [infer(op) for op in e.operands]  # e is an Affine
+        if e.kind == MatrixKind.GENERAL:
+            return Rigid(e.node_id)
+        if e.kind == MatrixKind.ORTHOGONAL:
+            return Transformed(e.node_id, op_types[0])
+        return op_types[0]
 
     bindings: list[tuple[str, TypeTerm]] = []
     for s in spec.stmts:
@@ -148,99 +145,56 @@ def typecheck(spec: CellSpec) -> Verdict:
 
 
 def _find_cycles(spec: CellSpec) -> list[Diagnostic]:
-    # Vertices: one per port ("port", name) and one per expression node
-    # ("expr", id). Edges follow dataflow: child -> parent within a tree,
-    # definition -> reference for names, next-state root -> its state port.
+    # Vertices: each port by its name and each expression node by its id().
+    # Edges follow dataflow: child -> parent within a tree, definition ->
+    # reference for names, next-state root -> its state port.
     nodes: dict[int, Expr] = {}
-    adj: dict[object, list[object]] = {}
+    adj: dict[object, list[object]] = defaultdict(list)
+    def_vertex: dict[str, object] = {p.name: p.name for p in spec.ports}
 
-    def vertex(e: Expr) -> tuple:
+    def wire(e: Expr) -> int:
         nodes[id(e)] = e
-        return ("expr", id(e))
-
-    def add_edge(u: object, v: object) -> None:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, [])
-
-    def_vertex: dict[str, object] = {}
-    for p in spec.ports:
-        def_vertex[p.name] = ("port", p.name)
-        adj[("port", p.name)] = []
-
-    def wire(e: Expr) -> None:
-        ev = vertex(e)
         if isinstance(e, Ref):
-            add_edge(def_vertex[e.name], ev)
+            adj[def_vertex[e.name]].append(id(e))
         for child in children(e):
-            wire(child)
-            add_edge(vertex(child), ev)
+            adj[wire(child)].append(id(e))
+        return id(e)
 
     for s in spec.stmts:
-        wire(s.expr)
-        root = vertex(s.expr)
+        root = wire(s.expr)
         if s.is_next_state:
-            add_edge(root, ("port", s.target))
+            adj[root].append(s.target)
         def_vertex[s.lhs] = root
+    bad = {v for v, n in nodes.items() if isinstance(n, Affine) and n.kind in _BAD_KINDS}
 
-    def is_bad(v: object) -> bool:
-        if v[0] != "expr":
-            return False
-        n = nodes[v[1]]
-        return isinstance(n, Affine) and n.kind in _BAD_KINDS
-
-    found: list[tuple[int, tuple, list[object]]] = []
-    seen_sets: set[frozenset] = set()
+    found: list[tuple[int, int, int, Diagnostic]] = []
+    seen: set[frozenset] = set()
     for p in spec.states():
-        path = _shortest_bad_cycle(("port", p.name), adj, is_bad)
-        if path is None:
+        path = _shortest_bad_cycle(p.name, adj, bad)
+        if path is None or frozenset(path[:-1]) in seen:
             continue
-        key = frozenset(path[:-1])
-        if key in seen_sets:
-            continue
-        seen_sets.add(key)
-        first_affine = next(
-            nodes[v[1]]
-            for v in path
-            if v[0] == "expr" and isinstance(nodes[v[1]], Affine)
-        )
-        found.append(
-            (len(path) - 1, (first_affine.span.line, first_affine.span.col), path)
-        )
-
-    found.sort(key=lambda item: (item[0], item[1]))
-    diags = []
-    for _, _, path in found:
-        parts = []
-        for v in path:
-            if v[0] == "port":
-                parts.append(v[1])
-            else:
-                n = nodes[v[1]]
-                if isinstance(n, Affine):
-                    parts.append(f"{n.name}[{n.kind.value}]")
-        first_affine = next(
-            nodes[v[1]]
-            for v in path
-            if v[0] == "expr" and isinstance(nodes[v[1]], Affine)
-        )
-        diags.append(Diagnostic("cycle " + " → ".join(parts), first_affine.span))
-    return diags
+        seen.add(frozenset(path[:-1]))
+        shown = [v if isinstance(v, str) else nodes[v] for v in path]
+        shown = [v for v in shown if isinstance(v, (str, Affine))]
+        first = next(v for v in shown if isinstance(v, Affine))
+        text = " → ".join(v if isinstance(v, str) else f"{v.name}[{v.kind.value}]" for v in shown)
+        diag = Diagnostic(f"cycle {text}", first.span)
+        found.append((len(path) - 1, first.span.line, first.span.col, diag))
+    found.sort(key=lambda item: item[:3])
+    return [diag for *_, diag in found]
 
 
-def _shortest_bad_cycle(start, adj, is_bad) -> list | None:
+def _shortest_bad_cycle(start: str, adj: dict, bad: set[int]) -> list | None:
     """BFS over (vertex, crossed-a-bad-affine) states; returns the vertex path
     of the shortest cycle start -> ... -> start that crosses a bad affine."""
-    from collections import deque
-
     init = (start, False)
     parent: dict[tuple, tuple | None] = {init: None}
     queue = deque([init])
     while queue:
         v, flag = queue.popleft()
-        for w in adj.get(v, ()):
-            nflag = flag or is_bad(w)
-            state = (w, nflag)
-            if w == start and nflag:
+        for w in adj[v]:
+            state = (w, flag or w in bad)
+            if state == (start, True):
                 path = [w]
                 cur = (v, flag)
                 while cur is not None:

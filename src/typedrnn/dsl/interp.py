@@ -27,6 +27,15 @@ class InterpError(Exception):
     """Shape mismatch, missing parameter, or invalid matrix at evaluation."""
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    z = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+_UNARY = {"sigmoid": _sigmoid, "tanh": np.tanh, "relu": lambda v: np.maximum(v, 0.0)}
+_BINARY = {"+": np.add, "-": np.subtract, "max": np.maximum, "min": np.minimum}
+
+
 def _param(params: dict, key: str, span) -> np.ndarray:
     try:
         return np.asarray(params[key], dtype=np.float64)
@@ -64,13 +73,11 @@ def _eval_affine(e: Affine, params: dict, values: list[np.ndarray]) -> np.ndarra
                 f"{e.span}: {key}.d has shape {d.shape}, operand {v.shape}"
             )
         out = d * v
-    elif e.kind == MatrixKind.SCALAR:
+    else:  # scalar
         a = _param(params, f"{key}.a", e.span)
         if a.ndim != 0:
             raise InterpError(f"{e.span}: {key}.a must be a scalar")
         out = float(a) * values[0]
-    else:
-        raise InterpError(f"{e.span}: unknown matrix kind {e.kind}")
     if e.has_bias:
         b = _param(params, f"{key}.b", e.span)
         if b.shape != out.shape:
@@ -102,46 +109,23 @@ def interpret_step(
 
     def ev(e: Expr) -> np.ndarray:
         if isinstance(e, Ref):
-            try:
-                return env[e.name]
-            except KeyError:
-                raise InterpError(f"{e.span}: unbound name {e.name!r}") from None
+            return env[e.name]  # parse_spec resolved every name
         if isinstance(e, Const):
             return np.float64(e.value)
         if isinstance(e, Unary):
             v = ev(e.operand)
-            if e.op == "sigmoid":
-                z = np.exp(-np.abs(v))
-                return np.where(v >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-            if e.op == "tanh":
-                return np.tanh(v)
-            if e.op == "relu":
-                return np.maximum(v, 0.0)
-            if e.op == "scale":
-                f = e.factor
-                if f.param is not None:
-                    a = float(_param(params, f.param, e.span))
-                else:
-                    a = f.literal
-                if f.complemented:
-                    a = 1.0 - a
-                return a * v
-            raise InterpError(f"{e.span}: unknown unary {e.op!r}")
+            if e.op != "scale":
+                return _UNARY[e.op](v)
+            f = e.factor
+            a = f.literal if f.param is None else float(_param(params, f.param, e.span))
+            return (1.0 - a if f.complemented else a) * v
         if isinstance(e, Binary):
             l, r = ev(e.left), ev(e.right)
             if l.ndim and r.ndim and l.shape != r.shape:
                 raise InterpError(
                     f"{e.span}: operand shapes differ: {l.shape} vs {r.shape}"
                 )
-            if e.op == "+":
-                return l + r
-            if e.op == "-":
-                return l - r
-            if e.op == "max":
-                return np.maximum(l, r)
-            if e.op == "min":
-                return np.minimum(l, r)
-            raise InterpError(f"{e.span}: unknown binary {e.op!r}")
+            return _BINARY[e.op](l, r)
         if isinstance(e, Gate):
             l, r = ev(e.left), ev(e.right)
             if l.shape != r.shape:
@@ -149,15 +133,11 @@ def interpret_step(
                     f"{e.span}: gate shapes differ: {l.shape} vs {r.shape}"
                 )
             return l * r
-        if isinstance(e, Affine):
-            values = [ev(op) for op in e.operands]
-            for j, v in enumerate(values):
-                if v.ndim != 1:
-                    raise InterpError(
-                        f"{e.span}: affine operand {j} is not a vector"
-                    )
-            return _eval_affine(e, params, values)
-        raise InterpError(f"unknown node {type(e).__name__}")
+        values = [ev(op) for op in e.operands]  # e is an Affine
+        for j, v in enumerate(values):
+            if v.ndim != 1:
+                raise InterpError(f"{e.span}: affine operand {j} is not a vector")
+        return _eval_affine(e, params, values)
 
     bindings: dict[str, np.ndarray] = {}
     for s in spec.stmts:

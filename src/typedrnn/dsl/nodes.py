@@ -14,16 +14,21 @@ Grammar (one cell per file; ``#`` starts a comment running to end of line):
                | "(" expr ")" | NUMBER | IDENT "'"?
     factor    := NUMBER | IDENT | "1" "-" (NUMBER | IDENT)
     kind      := "general" | "orthogonal" | "diagonal" | "symmetric" | "scalar"
+    NUMBER    := [0-9]+ ("." [0-9]+)?             (ASCII digits only)
+    IDENT     := a word character that is not a decimal digit, then word
+                 characters (Python's \\w: letters, digits, "_")
 
 A literal ``1`` inside an affine operand list requests a bias column. In a
 gating product ``a (*) b`` the left operand is the gate and the right the
 gated value. Affine nodes are numbered 1.. in source order; that number keys
-both their parameters and their dimensional types.
+both their parameters and their dimensional types. No expression nests deeper
+than ``parser.MAX_DEPTH`` (100) levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from decimal import Decimal
 
 from .typesys import MatrixKind
 
@@ -173,13 +178,20 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return "?"
-    return format(v, "g")
+def _fmt(v: float) -> str:
+    """The shortest decimal that reads back as ``v``, without an exponent."""
+    return format(Decimal(repr(v)).normalize(), "f")
 
 
-def _render(e: Expr, parent_is_gate: bool = False) -> str:
+def _render(e: Expr, need: int = 0) -> str:
+    """``e`` as text, in parentheses if it binds looser than ``need``:
+    1 for a sum or difference, 2 for a gating product, 3 for anything else."""
+    if isinstance(e, Binary) and e.op in ("+", "-"):
+        text = f"{_render(e.left, 1)} {e.op} {_render(e.right, 2)}"
+        return f"({text})" if need > 1 else text
+    if isinstance(e, Gate):
+        text = f"{_render(e.left, 2)} (*) {_render(e.right, 3)}"
+        return f"({text})" if need > 2 else text
     if isinstance(e, Ref):
         return e.name
     if isinstance(e, Const):
@@ -189,18 +201,11 @@ def _render(e: Expr, parent_is_gate: bool = False) -> str:
             return f"scale[{e.factor.render()}]({_render(e.operand)})"
         return f"{e.op}({_render(e.operand)})"
     if isinstance(e, Binary):
-        if e.op in ("max", "min"):
-            return f"{e.op}({_render(e.left)}, {_render(e.right)})"
-        body = f"{_render(e.left)} {e.op} {_render(e.right, False)}"
-        return f"({body})" if parent_is_gate else body
-    if isinstance(e, Gate):
-        return f"{_render(e.left, True)} (*) {_render(e.right, True)}"
-    if isinstance(e, Affine):
-        parts = [_render(op) for op in e.operands]
-        if e.has_bias:
-            parts.append("1")
-        return f"affine[{e.kind.value}]({', '.join(parts)})"
-    raise TypeError(f"unknown node {type(e).__name__}")
+        return f"{e.op}({_render(e.left)}, {_render(e.right)})"  # max or min
+    parts = [_render(op) for op in e.operands]  # e is an Affine
+    if e.has_bias:
+        parts.append("1")
+    return f"affine[{e.kind.value}]({', '.join(parts)})"
 
 
 def pretty(spec: CellSpec) -> str:

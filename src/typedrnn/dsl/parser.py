@@ -6,11 +6,13 @@ state port gets exactly one next-state assignment, and affine operand lists
 satisfy their kind's arity (non-general kinds take exactly one operand; a
 literal ``1`` may close any operand list to request a bias column). Scalar
 names inside ``scale[...]`` are parameters, not bindings, and are resolved at
-interpretation time.
+interpretation time. No expression nests deeper than ``MAX_DEPTH``, so every
+walk over a parsed tree stays far inside Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .nodes import (
@@ -27,89 +29,44 @@ from .nodes import (
     Span,
     Stmt,
     Unary,
+    children,
 )
 from .typesys import MatrixKind
 
-__all__ = ["parse_spec"]
+__all__ = ["MAX_DEPTH", "parse_spec"]
 
-_PUNCT = {
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    ";": "SEMI",
-    "=": "EQ",
-    "+": "PLUS",
-    "-": "MINUS",
-    "'": "PRIME",
-    ":": "COLON",
-}
+MAX_DEPTH = 100  # the builtins nest about 6 deep
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH}"
+
+# One alternative per token class; ``bad`` catches any other character.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)"
+    r"|(?P<IDENT>[^\W\d]\w*)|(?P<NUMBER>[0-9]+(?:\.[0-9]+)?)"
+    r"|(?P<punct>\(\*\)|[{}()\[\],;=+\-':])|(?P<bad>.)"
+)
 
 _UNARY_FNS = ("sigmoid", "tanh", "relu")
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str
+    kind: str  # IDENT, NUMBER, EOF, or a punctuation token's own text
     text: str
     span: Span
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = Span(line, col)
-        if text.startswith("(*)", i):
-            tokens.append(_Token("GATE", "(*)", span))
-            i += 3
-            col += 3
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("NUMBER", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(_Token("EOF", "", Span(line, col)))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, span = m.lastgroup, Span(line, m.start() - line_start + 1)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", span)
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            tokens.append(_Token(m.group() if kind == "punct" else kind, m.group(), span))
+    tokens.append(_Token("EOF", "", Span(line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -117,10 +74,11 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # expressions open around the current token
         self.affine_count = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -128,224 +86,172 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.peek().kind != kind:
+            return False
+        self.next()
+        return True
+
+    def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
             shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.span)
-        return self.next()
-
-    def expect_word(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text!r}", tok.span)
+            raise ParseError(f"expected {what or repr(kind)}, found {shown!r}", tok.span)
         return self.next()
 
     # --- grammar -----------------------------------------------------------
 
     def cell(self) -> CellSpec:
-        self.expect_word("cell")
+        tok = self.next()
+        if tok.kind != "IDENT" or tok.text != "cell":
+            raise ParseError(f"expected 'cell', found {tok.text!r}", tok.span)
         name = self.expect("IDENT", "cell name").text
-        self.expect("LBRACE", "'{'")
+        self.expect("{")
         ports: list[PortDecl] = []
-        while self.peek().kind == "IDENT" and self.peek().text in ("state", "input"):
+        while self.peek().text in ("state", "input"):
             ports.append(self.port())
         stmts: list[Stmt] = []
-        while self.peek().kind != "RBRACE":
+        while self.peek().kind == "IDENT":
             stmts.append(self.stmt())
-        self.expect("RBRACE", "'}'")
+        self.expect("}", "binding name")  # a binding may stand here too
         self.expect("EOF", "end of input")
         return CellSpec(name, ports, stmts)
 
     def port(self) -> PortDecl:
         kw = self.next()
-        name_tok = self.expect("IDENT", "port name")
-        type_name = None
-        if self.peek().kind == "COLON":
-            self.next()
-            type_name = self.expect("IDENT", "type name").text
-        self.expect("SEMI", "';'")
-        return PortDecl(name_tok.text, kw.text == "state", type_name, name_tok.span)
+        name = self.expect("IDENT", "port name")
+        type_name = self.expect("IDENT", "type name").text if self.accept(":") else None
+        self.expect(";")
+        return PortDecl(name.text, kw.text == "state", type_name, name.span)
 
     def stmt(self) -> Stmt:
-        name_tok = self.expect("IDENT", "binding name")
-        lhs = name_tok.text
-        primed = False
-        if self.peek().kind == "PRIME":
-            self.next()
-            lhs += "'"
-            primed = True
-        self.expect("EQ", "'='")
+        name = self.expect("IDENT", "binding name")
+        primed = self.accept("'")
+        self.expect("=")
         expr = self.expr()
-        self.expect("SEMI", "';'")
-        return Stmt(lhs, primed, expr, name_tok.span)
+        self.expect(";")
+        return Stmt(name.text + "'" * primed, primed, expr, name.span)
 
     def expr(self) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, self.peek().span)
         left = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
+        while self.peek().kind in ("+", "-"):
             op = self.next()
-            right = self.term()
-            left = Binary(op.text, left, right, op.span)
+            left = Binary(op.text, left, self.term(), op.span)
+        self.depth -= 1
         return left
 
     def term(self) -> Expr:
         left = self.atom()
-        while self.peek().kind == "GATE":
+        while self.peek().kind == "(*)":
             op = self.next()
-            right = self.atom()
-            left = Gate(left, right, op.span)
+            left = Gate(left, self.atom(), op.span)
         return left
+
+    def call(self, n: int) -> list[Expr]:
+        """``"(" expr ("," expr)* ")"`` holding exactly ``n`` expressions."""
+        self.expect("(")
+        args = [self.expr()]
+        while len(args) < n:
+            self.expect(",")
+            args.append(self.expr())
+        self.expect(")")
+        return args
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.next()
-            inner = self.expr()
-            self.expect("RPAREN", "')'")
-            return inner
+        if tok.kind == "(":
+            return self.call(1)[0]
         if tok.kind == "NUMBER":
-            self.next()
-            return Const(float(tok.text), tok.span)
-        if tok.kind == "IDENT":
-            if tok.text in _UNARY_FNS:
-                self.next()
-                self.expect("LPAREN", "'('")
-                inner = self.expr()
-                self.expect("RPAREN", "')'")
-                return Unary(tok.text, inner, tok.span)
-            if tok.text in ("max", "min"):
-                self.next()
-                self.expect("LPAREN", "'('")
-                left = self.expr()
-                self.expect("COMMA", "','")
-                right = self.expr()
-                self.expect("RPAREN", "')'")
-                return Binary(tok.text, left, right, tok.span)
-            if tok.text == "scale":
-                self.next()
-                self.expect("LBRACKET", "'['")
-                factor = self.scale_factor()
-                self.expect("RBRACKET", "']'")
-                self.expect("LPAREN", "'('")
-                inner = self.expr()
-                self.expect("RPAREN", "')'")
-                return Unary("scale", inner, tok.span, factor=factor)
-            if tok.text == "affine":
-                return self.affine()
-            self.next()
-            name = tok.text
-            if self.peek().kind == "PRIME":
-                self.next()
-                name += "'"
-            return Ref(name, tok.span)
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"expected expression, found {shown!r}", tok.span)
+            return Const(float(self.next().text), tok.span)
+        self.expect("IDENT", "expression")
+        if tok.text in _UNARY_FNS:
+            return Unary(tok.text, *self.call(1), tok.span)
+        if tok.text in ("max", "min"):
+            return Binary(tok.text, *self.call(2), tok.span)
+        if tok.text == "scale":
+            self.expect("[")
+            factor = self.scale_factor()
+            self.expect("]")
+            return Unary("scale", *self.call(1), tok.span, factor=factor)
+        if tok.text == "affine":
+            return self.affine(tok)
+        return Ref(tok.text + "'" * self.accept("'"), tok.span)
 
     def scale_factor(self) -> Factor:
         tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.next()
-            value = float(tok.text)
-            if self.peek().kind == "MINUS":
-                if value != 1.0:
-                    raise ParseError(
-                        "complement factor must be written 1 - base", tok.span
-                    )
-                self.next()
-                base = self.peek()
-                if base.kind == "NUMBER":
-                    self.next()
-                    return Factor(literal=float(base.text), complemented=True)
-                name = self.expect("IDENT", "scalar name").text
-                return Factor(param=name, complemented=True)
-            return Factor(literal=value)
-        name = self.expect("IDENT", "scalar factor").text
-        return Factor(param=name)
+        if tok.kind != "NUMBER":
+            return Factor(param=self.expect("IDENT", "scalar factor").text)
+        self.next()
+        if not self.accept("-"):
+            return Factor(literal=float(tok.text))
+        if float(tok.text) != 1.0:
+            raise ParseError("complement factor must be written 1 - base", tok.span)
+        if self.peek().kind == "NUMBER":
+            return Factor(literal=float(self.next().text), complemented=True)
+        return Factor(param=self.expect("IDENT", "scalar name").text, complemented=True)
 
-    def affine(self) -> Expr:
-        tok = self.expect_word("affine")
-        self.expect("LBRACKET", "'['")
+    def affine(self, tok: _Token) -> Expr:
+        self.expect("[")
         kind_tok = self.expect("IDENT", "matrix kind")
         try:
             kind = MatrixKind(kind_tok.text)
         except ValueError:
-            raise ParseError(
-                f"unknown matrix kind {kind_tok.text!r}", kind_tok.span
-            ) from None
-        self.expect("RBRACKET", "']'")
-        self.expect("LPAREN", "'('")
+            raise ParseError(f"unknown matrix kind {kind_tok.text!r}", kind_tok.span) from None
+        self.expect("]")
+        self.expect("(")
         raw: list[Expr] = [self.expr()]
-        while self.peek().kind == "COMMA":
-            self.next()
+        while self.accept(","):
             raw.append(self.expr())
-        self.expect("RPAREN", "')'")
-        operands: list[Expr] = []
-        has_bias = False
+        self.expect(")")
         for idx, op in enumerate(raw):
-            if isinstance(op, Const):
-                if op.value != 1.0:
-                    raise ParseError(
-                        "only the bias marker 1 may appear as an affine operand",
-                        op.span,
-                    )
-                if idx != len(raw) - 1:
-                    raise ParseError("bias marker 1 must be last", op.span)
-                has_bias = True
-            else:
-                operands.append(op)
+            if isinstance(op, Const) and op.value != 1.0:
+                raise ParseError(
+                    "only the bias marker 1 may appear as an affine operand", op.span
+                )
+            if isinstance(op, Const) and idx != len(raw) - 1:
+                raise ParseError("bias marker 1 must be last", op.span)
+        has_bias = isinstance(raw[-1], Const)
+        operands = raw[:-1] if has_bias else raw
         if not operands:
             raise ParseError("affine needs at least one operand", tok.span)
         if kind != MatrixKind.GENERAL and len(operands) != 1:
-            raise ParseError(
-                f"affine[{kind.value}] takes exactly one operand", tok.span
-            )
+            raise ParseError(f"affine[{kind.value}] takes exactly one operand", tok.span)
         self.affine_count += 1
         return Affine(kind, operands, has_bias, self.affine_count, tok.span)
 
 
 def _validate(spec: CellSpec) -> None:
-    seen_ports: dict[str, PortDecl] = {}
+    defined: set[str] = set()
     for p in spec.ports:
-        if p.name in seen_ports:
+        if p.name in defined:
             raise ParseError(f"duplicate port {p.name!r}", p.span)
-        seen_ports[p.name] = p
-
-    defined = set(seen_ports)
-    assigned_states: set[str] = set()
+        defined.add(p.name)
     state_names = {p.name for p in spec.states()}
 
-    def check_refs(e: Expr) -> None:
+    def check_refs(e: Expr, depth: int = 1) -> None:
+        if depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, e.span)
         if isinstance(e, Ref) and e.name not in defined:
             raise ParseError(f"unknown identifier {e.name!r}", e.span)
-        if isinstance(e, Unary):
-            check_refs(e.operand)
-        elif isinstance(e, (Binary, Gate)):
-            check_refs(e.left)
-            check_refs(e.right)
-        elif isinstance(e, Affine):
-            for op in e.operands:
-                check_refs(op)
+        for child in children(e):
+            check_refs(child, depth + 1)
 
     for s in spec.stmts:
         check_refs(s.expr)
-        if s.is_next_state:
-            if s.target not in state_names:
-                raise ParseError(f"{s.target!r} is not a state port", s.span)
-            if s.target in assigned_states:
-                raise ParseError(
-                    f"duplicate next-state assignment for {s.target!r}", s.span
-                )
-            assigned_states.add(s.target)
-        else:
-            if s.lhs in defined:
-                raise ParseError(f"duplicate binding {s.lhs!r}", s.span)
+        if s.is_next_state and s.target not in state_names:
+            raise ParseError(f"{s.target!r} is not a state port", s.span)
+        if s.lhs in defined:  # a primed name is defined by its first assignment
+            what = "next-state assignment for" if s.is_next_state else "binding"
+            raise ParseError(f"duplicate {what} {s.target!r}", s.span)
         defined.add(s.lhs)
 
     for p in spec.states():
-        if p.name not in assigned_states:
-            raise ParseError(
-                f"state {p.name!r} has no next-state assignment", p.span
-            )
+        if p.name + "'" not in defined:
+            raise ParseError(f"state {p.name!r} has no next-state assignment", p.span)
 
 
 def parse_spec(text: str) -> CellSpec:

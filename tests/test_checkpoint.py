@@ -1,5 +1,6 @@
 """Binary checkpoint format: exact round trips and corruption handling."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_loaded_tensors_are_read_only_views_of_the_file(tmp_path):
     loaded = load_checkpoint(path)
     for name, arr in loaded.tensors.items():
         assert not arr.flags.writeable, name
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     save_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -122,7 +123,7 @@ def test_truncation_is_detected_everywhere(tmp_path):
     # cutting the file anywhere strictly inside must raise, never crash
     for cut in list(range(0, 40)) + [len(raw) // 2, len(raw) - 3]:
         bad.write_bytes(raw[:cut])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="^truncated checkpoint while reading "):
             load_checkpoint(bad)
 
 
@@ -144,7 +145,7 @@ def test_duplicate_tensor_names_rejected(tmp_path):
 
 
 def test_missing_file_raises_oserror(tmp_path):
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="absent.ckpt"):
         load_checkpoint(tmp_path / "absent.ckpt")
 
 
@@ -269,9 +270,8 @@ def test_tensors_that_do_not_fit_the_header_are_rejected(
         ckpt.tensors[name] = tensor
     path = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, path)
-    with pytest.raises(CheckpointError) as err:
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
         model_from_checkpoint(load_checkpoint(path))
-    assert str(err.value) == message
     assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
     assert message in capsys.readouterr().err
     assert main(["sample", "--ckpt", str(path), "--seed-text", "ab"]) == 3

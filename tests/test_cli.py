@@ -219,6 +219,17 @@ def test_missing_corpus_file_reports_io_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--arch", "rnn", "--corpus"], ["typecheck", "--spec"],
+])
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"cell caf" + b"\xe9" * 3 + b" {}\n")
+    assert main([*command, str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} is not UTF-8 text: bad byte at offset 8\n"
+
+
 def test_typecheck_verdict_exit_codes(capsys):
     assert main(["typecheck", "--arch", "rnn"]) == 2
     out = capsys.readouterr().out
@@ -454,8 +465,12 @@ def test_gradcheck_tmr_draws_away_from_kinks(capsys):
     assert lines[-1] == "OK"
     # 64 hidden units over 400 steps: every one of the 64 draws has a
     # pre-activation within 1e-3 of the kink, so the draw gives up
-    with pytest.raises(RuntimeError, match="could not draw an instance away"):
+    with pytest.raises(cli.UsageError, match="could not draw an instance away"):
         cli._draw_instance(CellKind.T_MR, 64, 400, np.random.default_rng(0))
+    code = main(["gradcheck", "--arch", "t-mr", "--hidden", "64", "--steps", "400"])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error: could not draw") and "--hidden 64 --steps 400" in err
 
 
 def _nan_grads(params, *args, **kwargs):

@@ -152,5 +152,27 @@ def test_interpreter_reports_missing_pieces():
         interpret_step(spec, incomplete, {"h": np.zeros(4)}, {"x": np.zeros(3)})
     wrong = dict(params)
     wrong["affine#2.b"] = np.zeros(7)
-    with pytest.raises(InterpError):
+    with pytest.raises(InterpError, match=r"affine#2\.b has shape \(7,\), output \(4,\)"):
         interpret_step(spec, wrong, {"h": np.zeros(4)}, {"x": np.zeros(3)})
+
+
+SCALAR_MAX = "cell s { state h; input x; h' = max(affine[scalar](h), min(x, h)); }"
+
+
+@pytest.mark.parametrize("text, params, x, message", [
+    ("cell g { state h; input x; h' = affine[general](x); }",
+     {"affine#1.W0": np.zeros((2, 5))}, np.zeros(3),
+     r"affine#1\.W0 has shape \(2, 5\), operand has length 3"),
+    ("cell d { state h; input x; h' = affine[diagonal](h); }",
+     {"affine#1.d": np.zeros(5)}, np.zeros(2),
+     r"affine#1\.d has shape \(5,\), operand \(2,\)"),
+    (SCALAR_MAX, {"affine#1.a": np.zeros(2)}, np.zeros(2), r"affine#1\.a must be a scalar"),
+    (SCALAR_MAX, {"affine#1.a": 0.5}, np.zeros(3), r"operand shapes differ: \(3,\) vs \(2,\)"),
+    ("cell g { state h; input x; h' = x (*) h; }", {}, np.zeros(3),
+     r"gate shapes differ: \(3,\) vs \(2,\)"),
+    ("cell g { state h; input x; h' = affine[general](x); }",
+     {"affine#1.W0": np.zeros((2, 2))}, np.zeros((2, 2)), "affine operand 0 is not a vector"),
+])
+def test_interpreter_rejects_misshapen_values(text, params, x, message):
+    with pytest.raises(InterpError, match=message):
+        interpret_step(parse_spec(text), params, {"h": np.zeros(2)}, {"x": x})

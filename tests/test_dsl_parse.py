@@ -1,10 +1,14 @@
 """Cell-description parsing: grammar, validation, and pretty-printing."""
 
+import re
+
+import numpy as np
 import pytest
 
+from typedrnn.dsl import interpret_step, typecheck
 from typedrnn.dsl.builtin import BUILTIN_CELLS, builtin_spec, builtin_text
 from typedrnn.dsl.nodes import Affine, ParseError, children, pretty
-from typedrnn.dsl.parser import parse_spec
+from typedrnn.dsl.parser import MAX_DEPTH, parse_spec
 from typedrnn.dsl.typesys import MatrixKind
 
 
@@ -49,9 +53,19 @@ def test_affine_nodes_numbered_in_source_order():
 
 
 def test_parse_error_positions():
-    with pytest.raises(ParseError) as e:
+    with pytest.raises(ParseError, match="unexpected character '%'") as e:
         parse_spec("cell x {\n  state h;\n  input x;\n  h' = tanh(%);\n}")
     assert "4:" in str(e.value)
+
+    with pytest.raises(ParseError, match="^1:33: expected expression, found ';'$"):
+        parse_spec("cell x { state h; input x; h' = ; }")
+
+    with pytest.raises(ParseError, match="^3:1: expected ';', found '}'$"):
+        parse_spec("cell x {\n  state h\n}")
+
+    # a trailing comment ends at the end of input, which is where EOF sits
+    with pytest.raises(ParseError, match="^1:13: expected binding name, found 'end of input'$"):
+        parse_spec("cell x { # c")
 
     with pytest.raises(ParseError, match="expected 'cell'"):
         parse_spec("module x {}")
@@ -131,5 +145,59 @@ def test_parse_error_renders_line_and_column():
 
 
 def test_builtin_text_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no builtin cell named 'transformer'"):
         builtin_text("transformer")
+
+
+def _tree(spec):
+    """The spec's tree without its source positions."""
+    return re.sub(r"span=Span\(line=\d+, col=\d+\)", "", repr(spec))
+
+
+def test_pretty_keeps_grouping_and_every_number():
+    for expr in ("x - (h + x)", "x (*) (h (*) x)", "(x - h) (*) x + x (*) (x - h)",
+                 "scale[1234567.5](h) + scale[0.00001](x) + scale[1 - 1000000](x)"):
+        spec = parse_spec(f"cell c {{ state h; input x; h' = {expr}; }}")
+        assert pretty(spec).splitlines()[-2] == f"  h' = {expr};"
+        assert _tree(parse_spec(pretty(spec))) == _tree(spec)
+
+
+def test_nesting_deeper_than_the_bound_is_a_parse_error():
+    def cell(expr):
+        return f"cell c {{ state h; h' = {expr}; }}"
+
+    sums = " + ".join(["h"] * MAX_DEPTH)  # MAX_DEPTH - 1 additions nest MAX_DEPTH deep
+    parens = "(" * (MAX_DEPTH - 1) + "h" + ")" * (MAX_DEPTH - 1)
+    for expr, value in ((sums, MAX_DEPTH), (parens, 1)):
+        spec = parse_spec(cell(expr))
+        assert _tree(parse_spec(pretty(spec))) == _tree(spec)
+        assert typecheck(spec).well_typed
+        state, _ = interpret_step(spec, {}, {"h": np.ones(2)}, {})
+        assert np.array_equal(state["h"], np.full(2, float(value)))
+    for expr in (sums + " + h", "(" + parens + ")",
+                 " + ".join(["h"] * 3000), "(" * 5000 + "h" + ")" * 5000):
+        with pytest.raises(ParseError, match=f"expression nested deeper than {MAX_DEPTH}"):
+            parse_spec(cell(expr))
+
+
+def test_every_mutated_builtin_parses_and_round_trips_or_is_a_parse_error():
+    """Seeded edits of the shipped texts: each result is either a ParseError
+    or a spec whose pretty text parses back to the same tree."""
+    rng = np.random.default_rng(24)
+    alphabet = list("ahx01_ (*)[]{},;='+-:#\n.%") + ["²", "٣", "é", "1 - ", "tanh("]
+    texts = [builtin_text(name) for name in BUILTIN_CELLS]
+    parsed = 0
+    for _ in range(2000):
+        text = texts[rng.integers(len(texts))]
+        for _ in range(rng.integers(1, 4)):
+            at = rng.integers(len(text) + 1)
+            piece = alphabet[rng.integers(len(alphabet))]
+            edit = rng.integers(3)  # insert the piece, delete a character, or replace one
+            text = text[:at] + ("" if edit == 1 else piece) + text[at + (edit != 0):]
+        try:
+            spec = parse_spec(text)
+        except ParseError:
+            continue
+        parsed += 1
+        assert _tree(parse_spec(pretty(spec))) == _tree(spec), text
+    assert 200 < parsed < 1800

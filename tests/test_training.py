@@ -597,7 +597,8 @@ def test_training_diverges_loudly_at_huge_lr():
         lr=1e9, clip=None, seed=0,
     )
     # the blow-up legitimately overflows float64 on its way to inf
-    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as e:
+    diverged = "^training diverged at epoch 1 step "
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match=diverged) as e:
         train(cfg, corpus)
     assert e.value.epoch == 1 and e.value.step >= 1
     # the loss is still finite; layer0.W, first in model order, is the first

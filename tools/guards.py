@@ -1,10 +1,10 @@
 """Guard sweep: which ``raise`` statements can be deleted without a test failing.
 
-    python3 tools/guards.py [--src DIR] [--module M ...]
+    python3 tools/guards.py [--src DIR] [--module M]...
 
 For every ``raise`` in the chosen modules of the package under ``--src`` (by
-default this checkout's ``src``; every module outside ``dsl/`` unless
-``--module`` names some, as ``cells`` or ``dsl.parser``), the sweep replaces
+default this checkout's ``src``; every module unless ``--module`` names some,
+one per use, as ``cells`` or ``dsl.parser``), the sweep replaces
 that one statement with ``pass`` in a scratch copy of the source and test
 trees and runs the module's test files: those in the ``tests`` directory
 beside ``--src`` that import the module. The given tree is never edited. A
@@ -40,7 +40,6 @@ DESELECT = (
     "not criterion_08 and not criterion_09 and not criterion_10"
     " and not test_fingerprint and not test_guards"
 )
-SKIP_PACKAGES = ("dsl",)  # swept only when named with --module
 TIMEOUT = 120.0  # seconds; the fast suite takes about 10 on one core
 
 
@@ -137,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"no tests directory beside {src}")
     pkg = _package(src)
     modules = _modules(pkg)
-    names = args.module or [m for m in modules if m.split(".")[0] not in SKIP_PACKAGES]
+    names = args.module or list(modules)
     for name in names:
         if name not in modules:
             parser.error(f"no module {name!r} in {pkg.name}")
