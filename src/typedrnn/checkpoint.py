@@ -48,6 +48,7 @@ __all__ = [
 
 MAGIC = b"TRNN"
 FORMAT_VERSION = 1
+_U32 = struct.Struct("<I")
 
 ARCH_CODES: dict[CellKind, int] = {
     CellKind.RNN: 0,
@@ -115,15 +116,22 @@ class _Reader:
         return chunk
 
     def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+        return _U32.unpack(self.take(4, what))[0]
 
-    def text(self, what: str) -> str:
-        """A u32 byte length, then that many bytes of UTF-8."""
-        raw = self.take(self.u32(f"{what} length"), what)
+    def text(self, what: str, i: int | None = None) -> str:
+        """A u32 byte length, then that many bytes of UTF-8. An error names
+        it ``what.format(i)``; only an error formats that."""
+        data, start = self.data, self.pos + 4
+        if start > len(data):
+            raise CheckpointError(f"truncated checkpoint while reading {what.format(i)} length")
+        end = start + _U32.unpack_from(data, self.pos)[0]
+        if end > len(data):
+            raise CheckpointError(f"truncated checkpoint while reading {what.format(i)}")
+        self.pos = end
         try:
-            return raw.decode("utf-8")
+            return data[start:end].decode("utf-8")
         except UnicodeDecodeError as e:
-            raise CheckpointError(f"{what} is not valid UTF-8 ({e.reason})") from None
+            raise CheckpointError(f"{what.format(i)} is not valid UTF-8 ({e.reason})") from None
 
     def floats(self, dims: tuple, what: str) -> np.ndarray:
         """The next float64 array of shape ``dims``, viewed, not copied."""
@@ -158,7 +166,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if hidden == 0:
         raise CheckpointError("checkpoint has hidden size 0")
     vocab_size = r.u32("vocab size")
-    symbols = [r.text(f"vocab entry {i}") for i in range(vocab_size)]
+    symbols = [r.text("vocab entry {}", i) for i in range(vocab_size)]
     tensors: dict[str, np.ndarray] = {}
     while not r.at_end():
         name = r.text("tensor name")

@@ -1,7 +1,10 @@
 """Corpus handling: vocabularies, encoding, splits, and batch windows.
 
 Character vocabularies enumerate the distinct characters of the source text
-in codepoint order and encoding is exactly invertible. Word vocabularies are
+in codepoint order and encoding is exactly invertible. Every char symbol is
+one character (``Vocab`` refuses any other), and text is encoded by code
+point through a table of (largest symbol code point + 2) int64 entries: 1 KiB
+for ASCII, 8.9 MB at worst (U+10FFFF). Word vocabularies are
 whitespace-tokenized, ordered by descending frequency with ties broken
 lexicographically, and reserve ``<unk>`` at index 0 (``Vocab`` refuses a
 word vocabulary without it there); a size cap counts the ``<unk>`` entry, and
@@ -19,6 +22,8 @@ error.
 from __future__ import annotations
 
 import hashlib
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -43,20 +48,34 @@ class DataError(ValueError):
     """Raised for malformed corpora, vocab mismatches, or undersized splits."""
 
 
+def _codes(text: str) -> np.ndarray:
+    """The code points of ``text``, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
 @dataclass
 class Vocab:
     level: str  # "char" | "word"
     symbols: list[str]
     index: dict[str, int] = field(init=False, repr=False)
+    # char level: the id per code point, -1 for none; the last entry is every one above
+    table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level not in ("char", "word"):
             raise DataError(f"level must be 'char' or 'word', got {self.level!r}")
-        if len(set(self.symbols)) != len(self.symbols):
+        self.index = {s: i for i, s in enumerate(self.symbols)}
+        if len(self.index) != len(self.symbols):
             raise DataError("vocabulary contains duplicate symbols")
         if self.level == "word" and self.symbols[:1] != [UNK]:
             raise DataError(f"a word vocabulary must hold {UNK} at index 0")
-        self.index = {s: i for i, s in enumerate(self.symbols)}
+        if self.level == "char":
+            bad = [s for s in self.symbols if len(s) != 1]
+            if bad:
+                raise DataError(f"char vocabulary symbol {bad[0]!r} is not one character")
+            codes = np.fromiter(map(ord, self.symbols), np.int64, len(self.symbols))
+            self.table = np.full(codes.max(initial=-1) + 2, -1, np.int64)
+            self.table[codes] = np.arange(len(codes))
 
     @property
     def size(self) -> int:
@@ -64,16 +83,16 @@ class Vocab:
 
     def encode(self, text: str) -> np.ndarray:
         if self.level == "char":
-            missing = sorted(set(text) - set(self.index))
-            if missing:
-                raise DataError(
-                    f"characters not in vocabulary: {', '.join(map(repr, missing))}"
-                )
-            return np.array([self.index[c] for c in text], dtype=np.int64)
-        unk = self.index[UNK]
-        return np.array(
-            [self.index.get(tok, unk) for tok in text.split()], dtype=np.int64
-        )
+            codes = _codes(text)
+            ids = self.table[np.minimum(codes, len(self.table) - 1)]
+            missing = ids < 0
+            if missing.any():
+                chars = ", ".join(repr(chr(c)) for c in np.unique(codes[missing]))
+                raise DataError(f"characters not in vocabulary: {chars}")
+            return ids
+        toks = text.split()
+        unk = itertools.repeat(self.index[UNK])
+        return np.fromiter(map(self.index.get, toks, unk), np.int64, len(toks))
 
     def decode(self, ids) -> str:
         sep = "" if self.level == "char" else " "
@@ -83,13 +102,12 @@ class Vocab:
 def build_vocab(text: str, level: str = "char", max_words: int | None = None) -> Vocab:
     """Build a vocabulary from source text (see module doc for ordering)."""
     if level == "char":
-        return Vocab("char", sorted(set(text)))
+        return Vocab("char", [chr(c) for c in np.flatnonzero(np.bincount(_codes(text)))])
     if level != "word":
         raise DataError(f"level must be 'char' or 'word', got {level!r}")
-    counts: dict[str, int] = {}
-    for tok in text.split():
-        counts[tok] = counts.get(tok, 0) + 1
-    ordered = sorted(counts, key=lambda t: (-counts[t], t))
+    counts = Counter(text.split())
+    # the outer sort is stable, so equal counts keep the inner code-point order
+    ordered = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
     if max_words is not None:
         if max_words < 1:
             raise DataError("max_words must be at least 1 (the <unk> entry)")

@@ -117,7 +117,9 @@ def interpret_step(
             if e.op != "scale":
                 return _UNARY[e.op](v)
             f = e.factor
-            a = f.literal if f.param is None else float(_param(params, f.param, e.span))
+            a = f.literal if f.param is None else _param(params, f.param, e.span)
+            if np.ndim(a) != 0:
+                raise InterpError(f"{e.span}: {f.param} must be a scalar")
             return (1.0 - a if f.complemented else a) * v
         if isinstance(e, Binary):
             l, r = ev(e.left), ev(e.right)

@@ -161,12 +161,20 @@ class _Parser:
         self.expect(")")
         return args
 
+    def number(self) -> float:
+        """The next token, a NUMBER, as a finite float."""
+        tok = self.next()
+        value = float(tok.text)
+        if value == float("inf"):
+            raise ParseError("number out of range", tok.span)
+        return value
+
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "(":
             return self.call(1)[0]
         if tok.kind == "NUMBER":
-            return Const(float(self.next().text), tok.span)
+            return Const(self.number(), tok.span)
         self.expect("IDENT", "expression")
         if tok.text in _UNARY_FNS:
             return Unary(tok.text, *self.call(1), tok.span)
@@ -185,13 +193,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "NUMBER":
             return Factor(param=self.expect("IDENT", "scalar factor").text)
-        self.next()
+        value = self.number()
         if not self.accept("-"):
-            return Factor(literal=float(tok.text))
-        if float(tok.text) != 1.0:
+            return Factor(literal=value)
+        if value != 1.0:
             raise ParseError("complement factor must be written 1 - base", tok.span)
         if self.peek().kind == "NUMBER":
-            return Factor(literal=float(self.next().text), complemented=True)
+            return Factor(literal=self.number(), complemented=True)
         return Factor(param=self.expect("IDENT", "scalar name").text, complemented=True)
 
     def affine(self, tok: _Token) -> Expr:

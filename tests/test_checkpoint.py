@@ -1,6 +1,7 @@
 """Binary checkpoint format: exact round trips and corruption handling."""
 
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -335,3 +336,39 @@ def test_loaded_model_copies_the_file_tensors(tmp_path, level):
     for name, t in tensors.items():
         assert np.array_equal(t, ckpt.tensors[name]), name
         assert not any(np.shares_memory(t, c) for c in ckpt.tensors.values()), name
+
+
+def test_a_cut_or_a_bad_byte_in_the_vocabulary_names_its_entry(tmp_path):
+    ckpt = _sample_ckpt(np.random.default_rng(5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    assert raw[16:20] == struct.pack("<I", len(ckpt.vocab_symbols))
+    # what a cut at each byte of the vocabulary entries leaves unread
+    unread, starts = [], []
+    for i, sym in enumerate(ckpt.vocab_symbols):
+        starts.append(20 + len(unread) + 4)
+        unread += [f"vocab entry {i} length"] * 4 + [f"vocab entry {i}"] * len(sym.encode())
+    bad = tmp_path / "bad.ckpt"
+    for cut, what in enumerate(unread, start=20):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError, match=f"^truncated checkpoint while reading {what}$"):
+            load_checkpoint(bad)
+    for i, start in enumerate(starts):
+        bad.write_bytes(raw[:start] + b"\xff" + raw[start + 1 :])
+        with pytest.raises(CheckpointError, match=f"^vocab entry {i} is not valid UTF-8"):
+            load_checkpoint(bad)
+
+
+def test_a_char_vocabulary_of_longer_symbols_is_rejected(tmp_path, capsys):
+    ckpt, corpus = _model_ckpt(tmp_path, "char")
+    ckpt.vocab_symbols = ["ab", "c", "", " "]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    message = "char vocabulary symbol 'ab' is not one character"
+    with pytest.raises(DataError, match=message):
+        model_from_checkpoint(load_checkpoint(path))
+    assert main(["eval", "--ckpt", str(path), "--corpus", str(corpus)]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["sample", "--ckpt", str(path), "--seed-text", "c", "--length", "10"]) == 3
+    assert message in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Vocabularies, corpus splits, and the batching iterator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,72 @@ def test_synthetic_corpus_is_deterministic_and_learnable_shape():
     assert all(line[0].isupper() for line in lines)
     vocab = build_vocab(a, level="char")
     assert vocab.size <= 30  # small fixed alphabet
+
+
+# The plain-Python vocabulary and encoding that the numpy ones replace, kept
+# as the reference they must match symbol for symbol and id for id.
+def _reference_vocab(text, level, max_words=None):
+    if level == "char":
+        return sorted(set(text))
+    counts = {}
+    for tok in text.split():
+        counts[tok] = counts.get(tok, 0) + 1
+    ordered = sorted(counts, key=lambda t: (-counts[t], t))
+    return [UNK] + (ordered if max_words is None else ordered[: max_words - 1])
+
+
+def _reference_encode(symbols, level, text):
+    index = {s: i for i, s in enumerate(symbols)}
+    if level == "char":
+        missing = sorted(set(text) - set(index))
+        if missing:
+            raise DataError(f"characters not in vocabulary: {', '.join(map(repr, missing))}")
+        return np.array([index[c] for c in text], dtype=np.int64)
+    return np.array([index.get(tok, 0) for tok in text.split()], dtype=np.int64)
+
+
+_ALPHABET = list("abcdeé☃\U0001F600\x00\ud800") + [" ", "  ", "\n", "\t", " \r\n"]
+
+
+def _random_text(rng):
+    n = int(rng.integers(0, 60))
+    return "".join(_ALPHABET[i] for i in rng.integers(0, len(_ALPHABET), n))
+
+
+@pytest.mark.parametrize("level, max_words", [
+    ("char", None), ("word", None), ("word", 1), ("word", 2), ("word", 4),
+])
+def test_vocab_and_encoding_match_the_plain_python_reference(level, max_words):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        text, other = _random_text(rng), _random_text(rng)
+        vocab = build_vocab(text, level, max_words)
+        assert vocab.symbols == _reference_vocab(text, level, max_words)
+        for probe in (text, other, ""):
+            try:
+                want = _reference_encode(vocab.symbols, level, probe)
+            except DataError as e:
+                with pytest.raises(DataError, match=f"^{re.escape(str(e))}$"):
+                    vocab.encode(probe)
+                continue
+            got = vocab.encode(probe)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_word_ties_keep_code_point_order():
+    v = build_vocab("é b a ☃ c b a c é", level="word")
+    assert v.symbols == [UNK, "a", "b", "c", "é", "☃"]
+    assert build_vocab("z y x y", level="word", max_words=3).symbols == [UNK, "y", "x"]
+
+
+def test_char_encoding_names_missing_characters_in_code_point_order():
+    v = build_vocab("ab", level="char")
+    with pytest.raises(DataError, match=r"^characters not in vocabulary: 'c', 'é', '\\U0010ffff'$"):
+        v.encode("a\U0010ffffécbc")
+
+
+def test_char_vocab_symbols_are_single_characters():
+    with pytest.raises(DataError, match="symbol 'ab' is not one character"):
+        Vocab("char", ["c", "ab", ""])
+    with pytest.raises(DataError, match="symbol '' is not one character"):
+        Vocab("char", ["c", ""])

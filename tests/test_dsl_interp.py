@@ -168,6 +168,8 @@ SCALAR_MAX = "cell s { state h; input x; h' = max(affine[scalar](h), min(x, h));
      r"affine#1\.d has shape \(5,\), operand \(2,\)"),
     (SCALAR_MAX, {"affine#1.a": np.zeros(2)}, np.zeros(2), r"affine#1\.a must be a scalar"),
     (SCALAR_MAX, {"affine#1.a": 0.5}, np.zeros(3), r"operand shapes differ: \(3,\) vs \(2,\)"),
+    ("cell s { state h; input x; h' = scale[alpha](h); }", {"alpha": np.ones(3)}, np.zeros(2),
+     r"^1:33: alpha must be a scalar$"),
     ("cell g { state h; input x; h' = x (*) h; }", {}, np.zeros(3),
      r"gate shapes differ: \(3,\) vs \(2,\)"),
     ("cell g { state h; input x; h' = affine[general](x); }",

@@ -78,6 +78,13 @@ def test_parse_error_positions():
     with pytest.raises(ParseError, match="unknown identifier"):
         parse_spec("cell x { state h; input x; h' = tanh(y); }")
 
+    # a literal that overflows float64 would print back as a parameter name
+    huge = "9" * 400
+    for expr in (huge, f"scale[{huge}](h)", f"scale[{huge} - a](h)", f"scale[1 - {huge}](h)"):
+        col = 33 + expr.index(huge)
+        with pytest.raises(ParseError, match=f"^1:{col}: number out of range$"):
+            parse_spec(f"cell x {{ state h; input x; h' = {expr}; }}")
+
 
 def test_parse_rejects_structural_mistakes():
     # a state with no next-state assignment

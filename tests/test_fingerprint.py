@@ -17,6 +17,6 @@ def test_fingerprint_runs_are_identical():
     for run in runs:
         assert run.returncode == 0, run.stderr
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 2 * 7 * 2 + 3  # kinds x levels x dropouts, wide, combined
+    assert len(lines) == 2 * 7 * 2 + 4  # kinds x levels x dropouts, wide, vocab, combined
     assert lines[-1].startswith("combined ") and len(lines[-1].split()[1]) == 64
     assert runs[0].stdout == runs[1].stdout

@@ -30,8 +30,12 @@ at T=10, B=4. Each case line holds one short digest per component:
 A last word-level t-lstm case has a vocabulary wide enough that a window's
 head walks two blocks; it is trained with the head's handoff to a second
 thread forced off and then on (through ``training._spare_core``), and the
-script exits 1 if the two differ. The last line is ``combined <sha256>``
-over every component digest of every case.
+script exits 1 if the two differ. A ``vocab`` line digests the
+``build_vocab`` symbols and ``encode_and_split`` ids of the char and word
+cases' corpus with its vowels replaced by ä, é, ☃, 漢 and an astral
+character, at char level and at word level capped at ``VOCAB_CAP`` entries. The last line is
+``combined <sha256>`` over every component digest of every case and the
+vocab line's digests.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ COMPONENTS = (
 )
 DROPOUTS = (0.0, 0.25)
 WIDE_VOCAB = 7_500  # words; 40 head rows of K > 6,554 logits exceed one block
+VOCAB_CAP = 20  # words, below the non-ASCII corpus's word types
 
 
 def _digest(*parts) -> str:
@@ -150,6 +155,18 @@ def _case(corpus, config, workdir: Path) -> dict[str, str]:
     }
 
 
+def _vocab_digests(text: str) -> dict[str, str]:
+    """The vocabulary and split ids of ``text`` at char and capped word level."""
+    from typedrnn import data
+
+    out = {}
+    for level, cap in (("char", None), ("word", VOCAB_CAP)):
+        corpus = data.encode_and_split(text, data.build_vocab(text, level, cap))
+        splits = {"train": corpus.train, "valid": corpus.valid, "test": corpus.test}
+        out[level] = _digest(corpus.vocab.symbols, splits)
+    return out
+
+
 def _line(label: str, digests: dict[str, str]) -> str:
     return " ".join([label] + [f"{c}={digests[c][:12]}" for c in COMPONENTS])
 
@@ -205,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     print(_line(f"{label} handoff=off", runs[False]))
     print(_line(f"{label} handoff=on", runs[True]))
     combined.update("".join(runs[False].values()).encode())
+    vocab = _vocab_digests(text.translate(str.maketrans("aeiou", "äé☃漢\U0001F600")))
+    print(" ".join(["vocab"] + [f"{level}={d[:12]}" for level, d in vocab.items()]))
+    combined.update("".join(vocab.values()).encode())
     print(f"combined {combined.hexdigest()}")
     if runs[False] != runs[True]:
         print("the head's handoff changed the result", file=sys.stderr)
