@@ -3,19 +3,22 @@ typecheck, and bench subcommands over the library.
 
 Exit codes: 0 success, 1 usage error, 2 check failure (a gradcheck/semcheck
 assertion failed, or a cell description is ill-typed / unparseable), 3
-runtime or data error (unreadable files, corpus too small, divergence,
-malformed checkpoints). Parallelism comes from the BLAS library's threads
-inside the products (set ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``)
-and, in ``train`` with a vocabulary large enough that a window's logits
-span several blocks, from a thread that the output head starts for each
-window when BLAS leaves a core idle (see ``training``). With one BLAS
-thread every subcommand is bitwise deterministic for a fixed ``--seed``.
+runtime or data error (unreadable files, unwritable outputs, corpus too
+small, divergence, malformed checkpoints). Parallelism comes from the BLAS
+library's threads inside the products (set ``OPENBLAS_NUM_THREADS`` /
+``OMP_NUM_THREADS``) and, in ``train`` with a vocabulary large enough that
+a window's logits span several blocks, from a thread that the output head
+starts for each window when BLAS leaves a core idle (see ``training``).
+With one BLAS thread every subcommand is bitwise deterministic for a fixed
+``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import errno
+import inspect
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,7 +36,7 @@ from .cells import (
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, EncodedCorpus, build_vocab, encode_and_split, encode_pre_split
-from .dsl import InterpError, ParseError, Verdict, parse_spec, typecheck
+from .dsl import ParseError, Verdict, parse_spec, typecheck
 from .dsl.builtin import BUILTIN_CELLS, builtin_text
 from .semantics import POOLED_FORWARD, closed_form_gradients
 from .training import (
@@ -63,6 +66,11 @@ def _dashed(kind: CellKind) -> str:
 
 TRAIN_ARCHS = tuple(map(_dashed, TRAINABLE_KINDS))
 POOLED_ARCHS = tuple(map(_dashed, POOLED_FORWARD))
+
+
+# Every TrainConfig field as a parameter, with its default. Each but threads,
+# whose one accepted value is its default, has a train flag of its name.
+TRAIN_PARAMS = inspect.signature(TrainConfig).parameters
 
 
 def _positive_flag(text: str) -> float:
@@ -100,6 +108,20 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path} is not UTF-8 text: bad byte at offset {e.start}") from None
+
+
+def _check_output(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, creating and
+    truncating nothing: its directory must exist and be writable, and the
+    path must not be a directory."""
+    path = Path(path)
+    try:  # a trailing separator makes stat fail as open does on the directory
+        os.stat(os.path.join(path.parent, ""))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from None
+    if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+        code = errno.EISDIR if path.is_dir() else errno.EACCES
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
@@ -151,38 +173,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--arch", choices=TRAIN_ARCHS, required=True,
                    help="cell architecture")
-    p.add_argument("--layers", type=_count_flag, default=1, metavar="N",
-                   help="number of stacked layers (default 1)")
-    p.add_argument("--hidden", type=_count_flag, default=64, metavar="N",
-                   help="hidden units per layer (default 64)")
-    p.add_argument("--level", choices=("char", "word"), default="char",
-                   help="tokenization level (default char)")
+    d = TRAIN_PARAMS
+    p.add_argument("--layers", type=_count_flag, default=d["layers"].default, metavar="N",
+                   help="number of stacked layers (default %(default)s)")
+    p.add_argument("--hidden", type=_count_flag, default=d["hidden"].default, metavar="N",
+                   help="hidden units per layer (default %(default)s)")
+    p.add_argument("--level", choices=("char", "word"), default=d["level"].default,
+                   help="tokenization level (default %(default)s)")
     _add_corpus_flags(p)
     p.add_argument("--max-words", type=_count_flag, default=10000, metavar="N",
                    help="word-level vocabulary cap including <unk> (default 10000)")
-    p.add_argument("--seq-len", type=_count_flag, default=50, metavar="N",
-                   help="truncated-backprop window length (default 50)")
-    p.add_argument("--batch", type=_count_flag, default=32, metavar="N",
-                   help="parallel streams per step (default 32)")
-    p.add_argument("--epochs", type=_count_flag, default=1, metavar="N",
-                   help="passes over the training split (default 1)")
-    p.add_argument("--lr", type=_positive_flag, default=0.25, metavar="F",
-                   help="SGD learning rate (default 0.25)")
-    p.add_argument("--lr-decay", type=float, default=1.0, metavar="F",
-                   help="multiplicative per-epoch decay factor (default 1.0)")
-    p.add_argument("--decay-start", type=int, default=1, metavar="N",
-                   help="epoch after which decay compounds (default 1)")
-    p.add_argument("--clip", type=_clip_flag, default=2.5, metavar="F|none",
-                   help="global gradient-norm clip threshold, or 'none' (default 2.5)")
-    p.add_argument("--dropout", type=float, default=0.0, metavar="F",
-                   help="dropout rate on vertical connections only (default 0)")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="RNG seed (default 0)")
-    p.add_argument("--init", choices=("uniform008", "identity"), default="uniform008",
+    p.add_argument("--seq-len", type=_count_flag, default=d["seq_len"].default, metavar="N",
+                   help="truncated-backprop window length (default %(default)s)")
+    p.add_argument("--batch", type=_count_flag, default=d["batch"].default, metavar="N",
+                   help="parallel streams per step (default %(default)s)")
+    p.add_argument("--epochs", type=_count_flag, default=d["epochs"].default, metavar="N",
+                   help="passes over the training split (default %(default)s)")
+    p.add_argument("--lr", type=_positive_flag, default=d["lr"].default, metavar="F",
+                   help="SGD learning rate (default %(default)s)")
+    p.add_argument("--lr-decay", type=float, default=d["lr_decay"].default, metavar="F",
+                   help="multiplicative per-epoch decay factor (default %(default)s)")
+    p.add_argument("--decay-start", type=int, default=d["decay_start"].default, metavar="N",
+                   help="epoch after which decay compounds (default %(default)s)")
+    p.add_argument("--clip", type=_clip_flag, default=d["clip"].default, metavar="F|none",
+                   help="global gradient-norm clip threshold, or 'none' (default %(default)s)")
+    p.add_argument("--dropout", type=float, default=d["dropout"].default, metavar="F",
+                   help="dropout rate on vertical connections only (default %(default)g)")
+    p.add_argument("--seed", type=int, default=d["seed"].default, metavar="N",
+                   help="RNG seed (default %(default)s)")
+    p.add_argument("--init", choices=("uniform008", "identity"), default=d["init"].default,
                    help="weight init: uniform(-0.08, 0.08), or identity recurrence "
-                   "for rnn (default uniform008)")
-    p.add_argument("--log-every", type=_count_flag, default=100, metavar="N",
-                   help="steps between metrics rows (default 100)")
+                   "for rnn (default %(default)s)")
+    p.add_argument("--log-every", type=_count_flag, default=d["log_every"].default, metavar="N",
+                   help="steps between metrics rows (default %(default)s)")
     p.add_argument("--out", metavar="CKPT", help="checkpoint output path")
     p.add_argument("--metrics", metavar="PATH", help="metrics CSV output path")
     p.set_defaults(func=_cmd_train)
@@ -198,10 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prompt consumed before sampling begins")
     p.add_argument("--length", type=int, default=100, metavar="N",
                    help="number of tokens to sample (default 100)")
-    p.add_argument("--temperature", type=float, default=1.0, metavar="F",
-                   help="softmax temperature, must be positive (default 1.0)")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="RNG seed (default 0)")
+    d = inspect.signature(sample).parameters
+    p.add_argument("--temperature", type=float, default=d["temperature"].default, metavar="F",
+                   help="softmax temperature, must be positive (default %(default)s)")
+    p.add_argument("--seed", type=int, default=d["seed"].default, metavar="N",
+                   help="RNG seed (default %(default)s)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser(
@@ -214,10 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--split", choices=("train", "valid", "test"), default="test",
                    help="split to score (default test)")
-    p.add_argument("--seq-len", type=_count_flag, default=100, metavar="N",
-                   help="evaluation window length (default 100)")
-    p.add_argument("--batch", type=_count_flag, default=16, metavar="N",
-                   help="parallel streams (default 16)")
+    d = inspect.signature(evaluate).parameters
+    p.add_argument("--seq-len", type=_count_flag, default=d["seq_len"].default, metavar="N",
+                   help="evaluation window length (default %(default)s)")
+    p.add_argument("--batch", type=_count_flag, default=d["batch"].default, metavar="N",
+                   help="parallel streams (default %(default)s)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(
@@ -314,23 +339,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    for path in filter(None, (args.out, args.metrics)):
+        _check_output(path)
     corpus = _load_corpus(args)
-    # Every config field with a train flag of its name (threads has none).
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    flags = {k: v for k, v in vars(args).items() if k in fields}
+    flags = {k: v for k, v in vars(args).items() if k in TRAIN_PARAMS}
     config = TrainConfig(**(flags | {"arch": _kind(args.arch)}))
-    model, metrics = train(config, corpus)
-    prev = None
-    for row in metrics.rows:
+    try:
+        model, metrics = train(config, corpus)
+    except TrainingDiverged as e:
+        if args.metrics:
+            e.metrics.to_csv(args.metrics)
+        raise
+    # train logs each epoch's summary train row just before its val row
+    for prev, row in zip(metrics.rows, metrics.rows[1:]):
         if row.split == "val":
-            train_part = ""
-            if prev is not None and prev.split == "train":
-                train_part = f"train {prev.loss_nats:.4f}  "
-            print(
-                f"epoch {row.epoch}: {train_part}val {row.loss_nats:.4f} nats "
-                f"(ppl {row.perplexity:.3f})"
-            )
-        prev = row
+            print(f"epoch {row.epoch}: train {prev.loss_nats:.4f}  "
+                  f"val {row.loss_nats:.4f} nats (ppl {row.perplexity:.3f})")
     if args.out:
         save_checkpoint(model_to_checkpoint(model), args.out)
         print(f"checkpoint written to {args.out}")
@@ -342,20 +366,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
-    text = sample(
-        model, args.seed_text, args.length,
-        temperature=args.temperature, seed=args.seed,
-    )
-    print(text)
+    print(sample(model, args.seed_text, args.length,
+                 temperature=args.temperature, seed=args.seed))
     return 0
 
 
 def _cmd_eval(args) -> int:
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     corpus = _load_corpus(args, model.vocab)
-    loss, ppl = evaluate(
-        model, corpus, args.split, seq_len=args.seq_len, batch=args.batch
-    )
+    loss, ppl = evaluate(model, corpus, args.split, seq_len=args.seq_len, batch=args.batch)
     print(f"{args.split}: loss {loss:.6f} nats, perplexity {ppl:.6f}")
     return 0
 
@@ -389,6 +408,12 @@ def _draw_instance(kind: CellKind, hidden: int, steps: int, rng):
     )
 
 
+def _verdict(failed: bool) -> int:
+    """Print a check's verdict and return its exit code."""
+    print("FAIL" if failed else "OK")
+    return 2 if failed else 0
+
+
 def _cmd_gradcheck(args) -> int:
     kinds = [_kind(args.arch)] if args.arch else list(TRAINABLE_KINDS)
     rng = np.random.default_rng(args.seed)
@@ -416,9 +441,7 @@ def _cmd_gradcheck(args) -> int:
                 cf = closed_form_gradients(params, X, u_last)
                 res_last = bptt(params, X[:, None, :], u_last[None, :])
                 for name, g in res_last.params.items():
-                    cf_worst = float(
-                        np.maximum(cf_worst, np.max(np.abs(g - cf[name])))
-                    )
+                    cf_worst = float(np.maximum(cf_worst, np.max(np.abs(g - cf[name]))))
         label = _dashed(kind)
         for name, rel in worst.items():
             print(f"{label}: {name} max relative error {rel:.3e}")
@@ -430,11 +453,7 @@ def _cmd_gradcheck(args) -> int:
             )
             if not cf_worst <= args.cf_tol:
                 failed = True
-    if failed:
-        print("FAIL")
-        return 2
-    print("OK")
-    return 0
+    return _verdict(failed)
 
 
 def _cmd_semcheck(args) -> int:
@@ -452,11 +471,7 @@ def _cmd_semcheck(args) -> int:
         print(f"{_dashed(kind)}: max absolute gap {worst:.3e}")
         if not worst <= args.tol:
             failed = True
-    if failed:
-        print("FAIL")
-        return 2
-    print("OK")
-    return 0
+    return _verdict(failed)
 
 
 def _cmd_typecheck(args) -> int:
@@ -526,12 +541,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DataError, CheckpointError, InterpError, TrainingDiverged, OSError) as e:
+    except (DataError, CheckpointError, TrainingDiverged, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ParseError as e:
-        print(f"PARSE ERROR at {e.span}: {e.message}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -45,7 +45,8 @@ sampler.
 
 A non-finite loss or gradient norm aborts training with a diagnostic
 recording the epoch, step, loss, gradient norm and what went non-finite
-first: the loss, or the first tensor whose gradient did.
+first: the loss, or the first tensor whose gradient did. The diagnostic
+carries the metrics rows logged before the failing window.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,9 +91,6 @@ __all__ = [
     "train",
 ]
 
-METRICS_HEADER = "epoch,step,split,loss_nats,perplexity,grad_norm,wall_ms"
-
-
 class TrainingDiverged(RuntimeError):
     """Raised when the loss or gradient norm stops being finite.
 
@@ -100,10 +98,12 @@ class TrainingDiverged(RuntimeError):
     first tensor in ``Model.tensors()`` order whose gradient's sum of squares
     is not finite, because it holds a non-finite value or one too large to
     square (``"grad_norm"`` if only the sum over all tensors overflowed).
+    ``metrics`` holds the rows logged before the failing window.
     """
 
     def __init__(
-        self, epoch: int, step: int, loss: float, grad_norm: float, tensor: str
+        self, epoch: int, step: int, loss: float, grad_norm: float, tensor: str,
+        metrics: Metrics,
     ):
         super().__init__(
             f"training diverged at epoch {epoch} step {step}: "
@@ -114,6 +114,7 @@ class TrainingDiverged(RuntimeError):
         self.loss = loss
         self.grad_norm = grad_norm
         self.tensor = tensor
+        self.metrics = metrics
 
 
 def _first_non_finite(
@@ -471,10 +472,12 @@ class MetricsRow:
     wall_ms: float
 
     def as_csv(self) -> str:
-        return (
-            f"{self.epoch},{self.step},{self.split},{self.loss_nats!r},"
-            f"{self.perplexity!r},{self.grad_norm!r},{self.wall_ms!r}"
-        )
+        """The fields in ``METRICS_HEADER`` order, floats by ``repr``."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 @dataclass
@@ -538,7 +541,7 @@ def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
             if not (math.isfinite(loss) and math.isfinite(grad_norm)):
                 raise TrainingDiverged(
                     epoch, step, loss, grad_norm,
-                    _first_non_finite(loss, grads, tensors),
+                    _first_non_finite(loss, grads, tensors), metrics,
                 )
             for name, g in grads.items():
                 g *= lr  # in place: the same bits as ``lr * g``

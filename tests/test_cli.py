@@ -1,5 +1,6 @@
 """Command-line interface: help text, exit codes, and end-to-end runs."""
 
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from typedrnn.cells import CellKind
 from typedrnn.cli import main
 from typedrnn.checkpoint import load_checkpoint, save_checkpoint
 from typedrnn.data import build_vocab, synthetic_corpus
-from typedrnn.training import TrainConfig, build_model, model_to_checkpoint
+from typedrnn.training import METRICS_HEADER, TrainConfig, build_model, model_to_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,6 +61,17 @@ def test_bad_clip_flag_rejected(capsys):
     for value in ("zero", "-1", "nan"):
         assert main(["train", "--arch", "rnn", "--clip", value]) == 1
         assert "argument --clip: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lr", "fast", "expected a number, got 'fast'"),
+    ("--clip", "off", "expected a number, got 'off'"),
+    ("--hidden", "2.5", "expected a positive integer, got '2.5'"),
+])
+def test_a_flag_that_does_not_parse_says_what_it_expected(flag, value, message, capsys):
+    # argparse would otherwise print its own "invalid _positive_flag value"
+    assert main(["train", "--arch", "rnn", flag, value]) == 1
+    assert capsys.readouterr().err.endswith(f"argument {flag}: {message}\n")
 
 
 @pytest.fixture(scope="module")
@@ -150,16 +162,69 @@ def test_every_train_flag_reaches_the_config(untrained, monkeypatch, capsys):
 def test_diverging_train_is_a_runtime_error(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text(synthetic_corpus(20_000), encoding="utf-8")
+    metrics = tmp_path / "m.csv"
     with np.errstate(all="ignore"):
         code = main([
             "train", "--arch", "t-mr", "--hidden", "16", "--seq-len", "20",
-            "--batch", "4", "--lr", "1e9", "--clip", "none",
-            "--corpus", str(corpus),
+            "--batch", "4", "--lr", "1e9", "--clip", "none", "--log-every", "1",
+            "--corpus", str(corpus), "--metrics", str(metrics),
         ])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: training diverged ")
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: training diverged at epoch 1 step 2: ")
     assert "first non-finite: layer0.W" in err and "Traceback" not in err
+    # the rows logged before the failing window are kept
+    lines = metrics.read_text().splitlines()
+    assert lines[0] == METRICS_HEADER
+    assert [line.split(",")[:3] for line in lines[1:]] == [["1", "1", "train"]]
+
+
+def _must_not_run(*args):
+    raise AssertionError("the run went on although an output cannot be written")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--metrics"])
+@pytest.mark.parametrize("where,reason", [
+    ("nodir/x", "No such file or directory"),
+    ("c.txt/x", "Not a directory"),
+    ("", "Is a directory"),
+])
+def test_an_unwritable_output_fails_before_the_corpus_is_read(
+    untrained, tmp_path, monkeypatch, capsys, flag, where, reason
+):
+    monkeypatch.setattr(cli, "train", _must_not_run)
+    monkeypatch.setattr(cli, "_load_corpus", _must_not_run)
+    (tmp_path / "c.txt").write_text("abc", encoding="utf-8")
+    bad = tmp_path / where if where else tmp_path
+    # the error is the one writing the output would have raised
+    with pytest.raises(OSError, match=reason) as written:
+        bad.write_bytes(b"")
+    good = tmp_path / "good"
+    good.write_bytes(b"kept")
+    outputs = {"--out": str(good), "--metrics": str(good), flag: str(bad)}
+    code = main([
+        "train", "--arch", "rnn", "--corpus", str(untrained / "c.txt"),
+        *[a for pair in outputs.items() for a in pair],
+    ])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == f"error: {written.value}\n"
+    assert good.read_bytes() == b"kept"
+
+
+def test_an_output_in_a_read_only_directory_is_refused(
+    untrained, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "train", _must_not_run)
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: Path(path) != tmp_path and access(path, mode)
+    )
+    out = tmp_path / "x.ckpt"
+    argv = ["train", "--arch", "rnn", "--corpus", str(untrained / "c.txt")]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+    assert not out.exists()
 
 
 def test_corpus_flags_are_mutually_exclusive(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Type checking of cell descriptions: verdicts, clashes, cycle reports."""
 
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from typedrnn.dsl.builtin import BUILTIN_CELLS, builtin_spec
 from typedrnn.dsl.checker import typecheck
+from typedrnn.dsl.interp import InterpError, interpret_step
+from typedrnn.dsl.nodes import ParseError
 from typedrnn.dsl.parser import parse_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,3 +154,84 @@ def test_shortest_cycle_is_reported_for_two_state_cells():
     first, second = (d.message for d in verdict.diagnostics)
     assert "cycle h" in first
     assert "cycle c" in second
+
+
+# ---------------------------------------------------------------------------
+# Soundness: a well-typed cell moves each state coordinate only by itself
+# ---------------------------------------------------------------------------
+
+_WIDTH = 4
+_OPS = ("sigmoid", "tanh", "relu", "max", "min", "scale", "affine", "+", "-", "(*)")
+_KINDS = ("general", "orthogonal", "diagonal", "symmetric", "scalar")
+_FACTORS = ("0.5", "alpha", "1 - alpha", "1 - 0.25")
+
+
+def _random_expr(rng, names: list[str], depth: int) -> str:
+    """A random expression over ``names`` from the grammar in ``dsl.nodes``."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(names) if rng.random() < 0.9 else rng.choice(("1", "0.5"))
+    op = rng.choice(_OPS)
+    sub = [_random_expr(rng, names, depth - 1) for _ in range(2)]
+    if op in ("sigmoid", "tanh", "relu"):
+        return f"{op}({sub[0]})"
+    if op in ("max", "min"):
+        return f"{op}({sub[0]}, {sub[1]})"
+    if op == "scale":
+        return f"scale[{rng.choice(_FACTORS)}]({sub[0]})"
+    if op == "affine":
+        kind = rng.choice(_KINDS)
+        operands = sub[: rng.randint(1, 2) if kind == "general" else 1]
+        bias = ["1"] if rng.random() < 0.5 else []
+        return f"affine[{kind}]({', '.join(operands + bias)})"
+    return f"({sub[0]} {op} {sub[1]})"
+
+
+def _random_cell(rng) -> str:
+    """A one-state cell with up to two bindings before its next-state write."""
+    names, lines = ["h", "x"], ["cell g {", "state h;", "input x;"]
+    for i in range(rng.randint(0, 2)):
+        lines.append(f"b{i} = {_random_expr(rng, names, 3)};")
+        names.append(f"b{i}")
+    lines.append(f"h' = {_random_expr(rng, names, 3)};")
+    return "\n".join(lines + ["}"])
+
+
+def _random_params(text: str, rng) -> dict:
+    """Every tensor any affine of ``text`` might read, and the scale factor."""
+    params = {"alpha": rng.normal()}
+    for i in range(1, text.count("affine[") + 1):
+        params |= {f"affine#{i}.W{j}": rng.normal(size=(_WIDTH, _WIDTH)) for j in (0, 1)}
+        params |= {f"affine#{i}.d": rng.normal(size=_WIDTH), f"affine#{i}.a": rng.normal()}
+        params[f"affine#{i}.b"] = rng.normal(size=_WIDTH)
+    return params
+
+
+def test_a_well_typed_cell_never_lets_one_state_coordinate_move_another():
+    rng, values = random.Random(0), np.random.default_rng(0)
+    checked = 0
+    for _ in range(1500):
+        text = _random_cell(rng)
+        try:
+            spec = parse_spec(text)
+        except ParseError:
+            continue
+        if not typecheck(spec).well_typed or "symmetric" in text or "orthogonal" in text:
+            continue
+        params = _random_params(text, values)
+        h, inputs = values.normal(size=_WIDTH), {"x": values.normal(size=_WIDTH)}
+
+        def step(h):
+            with np.errstate(all="ignore"):
+                out = interpret_step(spec, params, {"h": h}, inputs)[0]["h"]
+            return np.broadcast_to(out, (_WIDTH,))
+
+        try:
+            base = step(h)
+        except InterpError:
+            continue  # e.g. a gate over a constant: no shape to check
+        for i in range(_WIDTH):
+            moved = step(h + np.eye(_WIDTH)[i] * values.normal())
+            others = np.arange(_WIDTH) != i
+            assert moved[others].tobytes() == base[others].tobytes(), (text, i)
+        checked += 1
+    assert checked >= 500, checked

@@ -1,20 +1,25 @@
-"""Guard sweep: which ``raise`` statements can be deleted without a test failing.
+"""Guard sweep: which ``raise`` statements and ``except`` clauses can be
+disabled without a test failing.
 
     python3 tools/guards.py [--src DIR] [--module M]...
 
-For every ``raise`` in the chosen modules of the package under ``--src`` (by
+For every site in the chosen modules of the package under ``--src`` (by
 default this checkout's ``src``; every module unless ``--module`` names some,
-one per use, as ``cells`` or ``dsl.parser``), the sweep replaces
-that one statement with ``pass`` in a scratch copy of the source and test
-trees and runs the module's test files: those in the ``tests`` directory
-beside ``--src`` that import the module. The given tree is never edited. A
-guard whose removal those tests survive is run once more against every test
-file, so a guard tested only through another module counts as tested.
+one per use, as ``cells`` or ``dsl.parser``), the sweep makes one mutant in a
+scratch copy of the source and test trees and runs the module's test files:
+those in the ``tests`` directory beside ``--src`` that import the module. A
+site is a ``raise``, which the mutant replaces with ``pass``, or one type that
+an ``except`` clause catches: the mutant drops that type from the clause's
+tuple, or, for a clause that names one type, makes its body a bare ``raise``.
+The given tree is never edited. A site whose mutant those tests survive is
+run once more against every test file, so a site tested only through another
+module counts as tested.
 
-Each guard that survives both runs is printed as ``module:line message``,
-and one whose run outlives ``TIMEOUT`` seconds as ``... (hang)``: its
-removal hangs the suite instead of failing it. The exit code is 0 when none
-survives, 1 when some do, and 2 when the unmutated tests already fail.
+Each site that survives both runs is printed as ``module:line message`` for a
+``raise`` and ``module:line except Type`` for a caught type, and one whose run
+outlives ``TIMEOUT`` seconds as ``... (hang)``: its mutant hangs the suite
+instead of failing it. The exit code is 0 when none survives, 1 when some do,
+and 2 when the unmutated tests already fail.
 
 Deselected: the training matrix (criteria 8 and 9), which takes minutes; the
 timing gate (criterion 10), which guards no input; and the tests of the
@@ -59,13 +64,6 @@ def _modules(pkg: Path) -> dict[str, Path]:
     return out
 
 
-def _raises(source: str) -> list[ast.Raise]:
-    return sorted(
-        (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Raise)),
-        key=lambda n: n.lineno,
-    )
-
-
 def _message(node: ast.Raise) -> str:
     """The raised message as written, or the raise's source when it has none."""
     exc = node.exc
@@ -81,14 +79,31 @@ def _message(node: ast.Raise) -> str:
     return ast.unparse(node)
 
 
-def _without(source: str, node: ast.Raise) -> str:
-    """``source`` with the one statement ``node`` replaced by ``pass``."""
+def _splice(source: str, first: ast.AST, last: ast.AST, text: str) -> str:
+    """``source`` with ``text`` in place of the span from the start of node
+    ``first`` to the end of node ``last``."""
     lines = source.splitlines(keepends=True)
-    first, last = node.lineno - 1, node.end_lineno - 1
-    lines[first : last + 1] = [
-        lines[first][: node.col_offset] + "pass" + lines[last][node.end_col_offset :]
-    ]
+    a, b = first.lineno - 1, last.end_lineno - 1
+    lines[a : b + 1] = [lines[a][: first.col_offset] + text + lines[b][last.end_col_offset :]]
     return "".join(lines)
+
+
+def _sites(source: str) -> list[tuple[int, str, str]]:
+    """``(line, label, mutant source)`` for each site of ``source``, by line."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            sites.append((node.lineno, _message(node), _splice(source, node, node, "pass")))
+        elif isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+            for t in node.type.elts:
+                rest = "".join(ast.unparse(u) + ", " for u in node.type.elts if u is not t)
+                mutant = _splice(source, node.type, node.type, f"({rest})")
+                sites.append((node.lineno, f"except {ast.unparse(t)}", mutant))
+        elif isinstance(node, ast.ExceptHandler):
+            label = f"except {ast.unparse(node.type)}" if node.type else "except"
+            mutant = _splice(source, node.body[0], node.body[-1], "raise")
+            sites.append((node.lineno, label, mutant))
+    return sorted(sites, key=lambda site: site[0])
 
 
 def _test_files(tests: Path, pkg: str, module: str) -> list[Path]:
@@ -157,11 +172,11 @@ def main(argv: list[str] | None = None) -> int:
             target = root / "src" / modules[name].relative_to(src)
             source = target.read_text()
             files = _test_files(root / "tests", pkg.name, name)
-            sites = _raises(source)
-            print(f"# {name}: {len(sites)} raise sites, {len(files)} test files",
+            sites = _sites(source)
+            print(f"# {name}: {len(sites)} sites, {len(files)} test files",
                   file=sys.stderr)
-            for node in sites:
-                target.write_text(_without(source, node))
+            for line, label, mutant in sites:
+                target.write_text(mutant)
                 try:
                     verdict = _run(root, files) if files else "pass"
                     if verdict == "pass" and files != every:
@@ -170,9 +185,9 @@ def main(argv: list[str] | None = None) -> int:
                     target.write_text(source)
                 if verdict != "fail":
                     survivors += 1
-                    where = f"{modules[name].relative_to(pkg).as_posix()}:{node.lineno}"
+                    where = f"{modules[name].relative_to(pkg).as_posix()}:{line}"
                     hang = " (hang)" if verdict == "hang" else ""
-                    print(f"{where} {_message(node)}{hang}", flush=True)
+                    print(f"{where} {label}{hang}", flush=True)
     return 1 if survivors else 0
 
 
