@@ -329,13 +329,15 @@ def global_norm(grads: dict[str, np.ndarray], ws: Workspace | None = None) -> fl
     """L2 norm over the concatenation of every gradient tensor.
 
     Each tensor is squared into one scratch buffer (from ``ws`` when given)
-    and summed in C order, tensor by tensor.
+    and summed in C order, tensor by tensor. A square that overflows makes
+    the norm ``inf``, which is the report, so numpy does not warn about it.
     """
     ws = Workspace() if ws is None else ws
     total = 0.0
-    for g in grads.values():
-        g = np.asarray(g, dtype=np.float64)
-        total += float(np.square(g, out=ws.get("norm.sq", g.shape)).sum())
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            g = np.asarray(g, dtype=np.float64)
+            total += float(np.square(g, out=ws.get("norm.sq", g.shape)).sum())
     return float(np.sqrt(total))
 
 
@@ -348,13 +350,15 @@ def clip_global_norm(
 
     Returns (grads, pre-clip norm). ``max_norm=None`` disables clipping and
     only reports the norm. Scaling is in place on the passed dict's arrays.
-    ``ws`` supplies the scratch buffer of ``global_norm``.
+    A non-finite norm leaves the gradients as they are, so the caller can
+    still find the tensor that overflowed. ``ws`` supplies the scratch
+    buffer of ``global_norm``.
     """
     norm = global_norm(grads, ws)
     if max_norm is not None:
         if not max_norm > 0:
             raise ValueError(f"clip threshold must be positive, got {max_norm}")
-        if norm > max_norm and norm > 0.0:
+        if max_norm < norm < np.inf:
             factor = max_norm / norm
             for g in grads.values():
                 g *= factor

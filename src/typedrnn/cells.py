@@ -58,7 +58,8 @@ block's gate rows (``_affine_rows``). So every gate the firmware reads, a
 whole window's F or one step's row of it, is one contiguous array; numpy
 runs an elementwise op over a strided column view of a row-major product
 about twice as slowly, through buffers. One row's row layout already is
-its gate-major layout, so a one-row product stays one np.dot.
+its gate-major layout, so a one-row product stays one np.dot, which is
+faster there than the batched matmul.
 
 For T-RNN, T-LSTM and T-GRU the product maps coordinatewise to a forget gate
 F and an increment A, and the firmware is one diagonal linear scan, the same
@@ -426,8 +427,8 @@ def _affine_rows(
 
     Many rows take one batched matmul over the gate blocks. One row, whose
     row layout already is its gate-major layout, takes one np.dot into the
-    flat row: with ``out`` it costs less than matmul on ``stack_step``'s
-    one-row products, and the bits of a one-row matmul differ from it.
+    flat row, because with ``out`` it costs less than matmul on
+    ``stack_step``'s one-row products.
     """
     g, n, h = out.shape
     if n == 1:

@@ -36,8 +36,10 @@ from .cells import (
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, EncodedCorpus, build_vocab, encode_and_split, encode_pre_split
-from .dsl import ParseError, Verdict, parse_spec, typecheck
 from .dsl.builtin import BUILTIN_CELLS, builtin_text
+from .dsl.checker import Verdict, typecheck
+from .dsl.nodes import ParseError
+from .dsl.parser import parse_spec
 from .semantics import POOLED_FORWARD, closed_form_gradients
 from .training import (
     TrainConfig,
@@ -338,7 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same resolved path, or, when
+    both exist, the same inode (a hard link)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def _cmd_train(args) -> int:
+    if args.out and args.metrics and _same_file(args.out, args.metrics):
+        raise UsageError(
+            f"--out and --metrics name the same file ({args.out}, {args.metrics})"
+        )
     for path in filter(None, (args.out, args.metrics)):
         _check_output(path)
     corpus = _load_corpus(args)

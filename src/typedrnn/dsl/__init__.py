@@ -8,21 +8,3 @@ through a type-mixing (general or orthogonal) matrix; the interpreter
 executes specs numerically so they can be cross-checked against the native
 cell implementations.
 """
-
-from .nodes import CellSpec, ParseError, pretty
-from .parser import parse_spec
-from .checker import Verdict, typecheck
-from .interp import InterpError, interpret_step
-from . import builtin
-
-__all__ = [
-    "CellSpec",
-    "InterpError",
-    "ParseError",
-    "Verdict",
-    "builtin",
-    "interpret_step",
-    "parse_spec",
-    "pretty",
-    "typecheck",
-]

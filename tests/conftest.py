@@ -1,4 +1,7 @@
-"""Shared helpers for drawing random cell instances in tests."""
+"""Shared test helpers: random cell instances, and cell-description trees
+without their source positions."""
+
+import re
 
 import numpy as np
 
@@ -53,3 +56,8 @@ def draw_instance(kind, rng, h_max=8, t_max=20, d_max=6, margin=1e-3):
         if kind != CellKind.T_MR or tmr_margin(params, X) > margin:
             return params, X
     raise RuntimeError("could not draw a T-MR instance away from the kink")
+
+
+def spec_tree(spec):
+    """The spec's tree without its source positions."""
+    return re.sub(r"span=Span\(line=\d+, col=\d+\)", "", repr(spec))

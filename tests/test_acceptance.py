@@ -25,7 +25,6 @@ from typedrnn.cells import (
 from typedrnn.checkpoint import load_checkpoint, save_checkpoint
 from typedrnn.cli import main
 from typedrnn.data import build_vocab, encode_and_split, synthetic_corpus
-from typedrnn.dsl import parse_spec, typecheck
 from typedrnn.dsl.builtin import (
     BUILTIN_CELLS,
     builtin_spec,
@@ -33,7 +32,9 @@ from typedrnn.dsl.builtin import (
     interp_params,
     port_names,
 )
+from typedrnn.dsl.checker import typecheck
 from typedrnn.dsl.interp import interpret_step
+from typedrnn.dsl.parser import parse_spec
 from typedrnn.linalg import spectral_norm
 from typedrnn.semantics import POOLED_FORWARD, closed_form_gradients, pooling_weights
 from typedrnn.training import (

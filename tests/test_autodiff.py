@@ -246,6 +246,14 @@ def test_global_norm_and_clip():
         with pytest.raises(ValueError, match="clip threshold must be positive"):
             clip_global_norm(fresh(), bad)
 
+    # squares past float64's range: the norm is inf, and no entry is scaled,
+    # so the tensor that overflowed can still be found
+    huge = {"a": np.array([1e200, -3.0]), "b": np.array([[0.5, np.inf]])}
+    bits = {name: g.tobytes() for name, g in huge.items()}
+    kept, norm = clip_global_norm(huge, 2.5)
+    assert norm == np.inf
+    assert {name: g.tobytes() for name, g in kept.items()} == bits
+
 
 def test_state_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)

@@ -1,6 +1,8 @@
 """Command-line interface: help text, exit codes, and end-to-end runs."""
 
 import os
+import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -179,8 +181,53 @@ def test_diverging_train_is_a_runtime_error(tmp_path, capsys):
     assert [line.split(",")[:3] for line in lines[1:]] == [["1", "1", "train"]]
 
 
+def test_a_diverging_run_prints_only_its_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(synthetic_corpus(20_000), encoding="utf-8")
+    argv = [
+        "train", "--arch", "t-mr", "--hidden", "16", "--seq-len", "20",
+        "--batch", "4", "--lr", "1e9", "--log-every", "1", "--corpus", str(corpus),
+    ]
+    # with clipping on (the default) and off, the overflow that ends the run
+    # is reported once, by the error line, and not by a numpy warning first
+    for clip in ([], ["--clip", "none"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, *clip])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: training diverged at epoch 1 step 2: ")
+        assert err.endswith("first non-finite: layer0.W\n") and err.count("\n") == 1
+
+
 def _must_not_run(*args):
     raise AssertionError("the run went on although an output cannot be written")
+
+
+@pytest.mark.parametrize("out,metrics", [
+    ("x.out", "./x.out"),
+    ("kept", "kept"),
+    ("kept", "link"),  # a hard link to the same file
+])
+def test_out_and_metrics_naming_one_file_is_a_usage_error(
+    untrained, tmp_path, monkeypatch, capsys, out, metrics
+):
+    monkeypatch.setattr(cli, "train", _must_not_run)
+    monkeypatch.setattr(cli, "_load_corpus", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept").write_bytes(b"kept")
+    os.link(tmp_path / "kept", tmp_path / "link")
+    argv = [
+        "train", "--arch", "rnn", "--corpus", str(untrained / "c.txt"),
+        "--out", out, "--metrics", metrics,
+    ]
+    message = f"--out and --metrics name the same file ({out}, {metrics})"
+    with pytest.raises(cli.UsageError, match=f"^{re.escape(message)}$"):
+        cli._cmd_train(cli.build_parser().parse_args(argv))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "link"]
+    assert (tmp_path / "kept").read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--metrics"])

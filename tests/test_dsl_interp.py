@@ -5,8 +5,8 @@ import pytest
 from conftest import TRAIN_KINDS, rand_params, rand_scrn
 
 from typedrnn.cells import CellKind, scrn_state_step, sequence_forward
-from typedrnn.dsl import typecheck
 from typedrnn.dsl.builtin import builtin_spec, interp_params, port_names
+from typedrnn.dsl.checker import typecheck
 from typedrnn.dsl.interp import InterpError, interpret_step
 from typedrnn.dsl.parser import parse_spec
 

@@ -1,12 +1,12 @@
 """Cell-description parsing: grammar, validation, and pretty-printing."""
 
-import re
-
 import numpy as np
 import pytest
+from conftest import spec_tree
 
-from typedrnn.dsl import interpret_step, typecheck
 from typedrnn.dsl.builtin import BUILTIN_CELLS, builtin_spec, builtin_text
+from typedrnn.dsl.checker import typecheck
+from typedrnn.dsl.interp import interpret_step
 from typedrnn.dsl.nodes import Affine, ParseError, children, pretty
 from typedrnn.dsl.parser import MAX_DEPTH, parse_spec
 from typedrnn.dsl.typesys import MatrixKind
@@ -156,17 +156,12 @@ def test_builtin_text_unknown_name():
         builtin_text("transformer")
 
 
-def _tree(spec):
-    """The spec's tree without its source positions."""
-    return re.sub(r"span=Span\(line=\d+, col=\d+\)", "", repr(spec))
-
-
 def test_pretty_keeps_grouping_and_every_number():
     for expr in ("x - (h + x)", "x (*) (h (*) x)", "(x - h) (*) x + x (*) (x - h)",
                  "scale[1234567.5](h) + scale[0.00001](x) + scale[1 - 1000000](x)"):
         spec = parse_spec(f"cell c {{ state h; input x; h' = {expr}; }}")
         assert pretty(spec).splitlines()[-2] == f"  h' = {expr};"
-        assert _tree(parse_spec(pretty(spec))) == _tree(spec)
+        assert spec_tree(parse_spec(pretty(spec))) == spec_tree(spec)
 
 
 def test_nesting_deeper_than_the_bound_is_a_parse_error():
@@ -177,7 +172,7 @@ def test_nesting_deeper_than_the_bound_is_a_parse_error():
     parens = "(" * (MAX_DEPTH - 1) + "h" + ")" * (MAX_DEPTH - 1)
     for expr, value in ((sums, MAX_DEPTH), (parens, 1)):
         spec = parse_spec(cell(expr))
-        assert _tree(parse_spec(pretty(spec))) == _tree(spec)
+        assert spec_tree(parse_spec(pretty(spec))) == spec_tree(spec)
         assert typecheck(spec).well_typed
         state, _ = interpret_step(spec, {}, {"h": np.ones(2)}, {})
         assert np.array_equal(state["h"], np.full(2, float(value)))
@@ -206,5 +201,5 @@ def test_every_mutated_builtin_parses_and_round_trips_or_is_a_parse_error():
         except ParseError:
             continue
         parsed += 1
-        assert _tree(parse_spec(pretty(spec))) == _tree(spec), text
+        assert spec_tree(parse_spec(pretty(spec))) == spec_tree(spec), text
     assert 200 < parsed < 1800

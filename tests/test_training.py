@@ -592,20 +592,23 @@ def test_training_is_deterministic_under_seed():
 def test_training_diverges_loudly_at_huge_lr():
     text = synthetic_corpus(8_000, seed=3)
     corpus = _tiny_corpus(text)
-    cfg = TrainConfig(
-        arch="t_mr", hidden=16, seq_len=20, batch=4, epochs=1,
-        lr=1e9, clip=None, seed=0,
-    )
-    # the blow-up legitimately overflows float64 on its way to inf
-    diverged = "^training diverged at epoch 1 step "
-    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match=diverged) as e:
-        train(cfg, corpus)
-    assert e.value.epoch == 1 and e.value.step >= 1
-    # the loss is still finite; layer0.W, first in model order, is the first
-    # gradient whose entries square past float64's range
-    assert math.isfinite(e.value.loss) and not math.isfinite(e.value.grad_norm)
-    assert e.value.tensor == "layer0.W"
-    assert str(e.value).endswith("first non-finite: layer0.W")
+    # with clipping on, an infinite norm must not zero the gradients that
+    # name the first non-finite tensor
+    for clip in (None, 2.5):
+        cfg = TrainConfig(
+            arch="t_mr", hidden=16, seq_len=20, batch=4, epochs=1,
+            lr=1e9, clip=clip, seed=0,
+        )
+        # the blow-up legitimately overflows float64 on its way to inf
+        diverged = "^training diverged at epoch 1 step "
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match=diverged) as e:
+            train(cfg, corpus)
+        assert e.value.epoch == 1 and e.value.step >= 1
+        # the loss is still finite; layer0.W, first in model order, is the
+        # first gradient whose entries square past float64's range
+        assert math.isfinite(e.value.loss) and not math.isfinite(e.value.grad_norm)
+        assert e.value.tensor == "layer0.W", clip
+        assert str(e.value).endswith("first non-finite: layer0.W")
     grads = {"a": np.ones(2), "b": np.array([1.0, np.nan]), "c": np.ones(1)}
     assert training._first_non_finite(math.nan, grads, grads) == "loss"
     assert training._first_non_finite(1.0, grads, grads) == "b"

@@ -1,15 +1,17 @@
 """Type checking of cell descriptions: verdicts, clashes, cycle reports."""
 
 import random
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import spec_tree
 
 from typedrnn.dsl.builtin import BUILTIN_CELLS, builtin_spec
 from typedrnn.dsl.checker import typecheck
 from typedrnn.dsl.interp import InterpError, interpret_step
-from typedrnn.dsl.nodes import ParseError
+from typedrnn.dsl.nodes import ParseError, pretty
 from typedrnn.dsl.parser import parse_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -233,5 +235,34 @@ def test_a_well_typed_cell_never_lets_one_state_coordinate_move_another():
             moved = step(h + np.eye(_WIDTH)[i] * values.normal())
             others = np.arange(_WIDTH) != i
             assert moved[others].tobytes() == base[others].tobytes(), (text, i)
+        checked += 1
+    assert checked >= 500, checked
+
+
+def test_a_verdict_survives_a_round_trip_and_a_renaming():
+    position = re.compile(r"\d+:\d+")
+
+    def masked(verdict):  # pretty re-lays the text out, so positions move
+        return [position.sub("?", d.message) for d in verdict.diagnostics]
+
+    def swap(text):  # b0 <-> b1: same lengths, so every span is kept
+        return re.sub(r"\bb[01]\b", lambda m: {"b0": "b1", "b1": "b0"}[m[0]], text)
+
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(1500):
+        text = _random_cell(rng)
+        try:
+            spec = parse_spec(text)
+        except ParseError:
+            continue
+        verdict = typecheck(spec)
+        again = parse_spec(pretty(spec))
+        assert spec_tree(again) == spec_tree(spec), text
+        printed = typecheck(again)
+        assert printed.well_typed == verdict.well_typed, text
+        assert printed.assignments == verdict.assignments, text
+        assert masked(printed) == masked(verdict), text
+        assert swap(typecheck(parse_spec(swap(text))).render()) == verdict.render(), text
         checked += 1
     assert checked >= 500, checked
