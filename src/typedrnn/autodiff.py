@@ -57,17 +57,6 @@ from .cells import (
     tensor_views,
 )
 
-__all__ = [
-    "Grads",
-    "bptt",
-    "clip_global_norm",
-    "finite_diff",
-    "global_norm",
-    "sequence_backward",
-    "stack_backward",
-    "state_jacobian",
-]
-
 
 @dataclass
 class Grads:

@@ -116,26 +116,6 @@ import numpy as np
 
 from .linalg import ShapeError, sigmoid
 
-__all__ = [
-    "CellKind",
-    "CellParams",
-    "LayerState",
-    "LayerTape",
-    "SCAN_KINDS",
-    "StackTape",
-    "TRAINABLE_KINDS",
-    "T_CELL_KINDS",
-    "Workspace",
-    "dropout_mask",
-    "init_params",
-    "param_shapes",
-    "scrn_state_step",
-    "sequence_forward",
-    "stack_forward",
-    "stack_step",
-    "tensor_views",
-]
-
 
 class CellKind(str, Enum):
     RNN = "rnn"

@@ -35,17 +35,6 @@ import numpy as np
 
 from .cells import CellKind
 
-__all__ = [
-    "ARCH_CODES",
-    "Checkpoint",
-    "CheckpointError",
-    "FORMAT_VERSION",
-    "LEVEL_CODES",
-    "MAGIC",
-    "load_checkpoint",
-    "save_checkpoint",
-]
-
 MAGIC = b"TRNN"
 FORMAT_VERSION = 1
 _U32 = struct.Struct("<I")

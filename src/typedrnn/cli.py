@@ -51,8 +51,6 @@ from .training import (
     train,
 )
 
-__all__ = ["build_parser", "console_main", "main"]
-
 
 class UsageError(ValueError):
     """Bad flag combination detected after parsing."""
@@ -114,16 +112,19 @@ def _read_text(path: str) -> str:
 
 def _check_output(path: str) -> None:
     """Raise the OSError that writing ``path`` would raise, creating and
-    truncating nothing: its directory must exist and be writable, and the
-    path must not be a directory."""
-    path = Path(path)
+    truncating nothing. Links are followed as the write follows them: the
+    file it opens must not be a directory, its directory must exist and be
+    writable, and a link loop fails."""
+    name, real = str(Path(path)), Path(os.path.realpath(path))
     try:  # a trailing separator makes stat fail as open does on the directory
-        os.stat(os.path.join(path.parent, ""))
+        os.stat(os.path.join(real.parent, ""))
+        if os.path.lexists(real):  # realpath leaves only a link loop unresolved
+            os.stat(real)
     except OSError as e:
-        raise OSError(e.errno, e.strerror, str(path)) from None
-    if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
-        code = errno.EISDIR if path.is_dir() else errno.EACCES
-        raise OSError(code, os.strerror(code), str(path))
+        raise OSError(e.errno, e.strerror, name) from None
+    if real.is_dir() or not os.access(real if real.exists() else real.parent, os.W_OK):
+        code = errno.EISDIR if real.is_dir() else errno.EACCES
+        raise OSError(code, os.strerror(code), name)
 
 
 def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
@@ -355,9 +356,9 @@ def _cmd_train(args) -> int:
         )
     for path in filter(None, (args.out, args.metrics)):
         _check_output(path)
-    corpus = _load_corpus(args)
     flags = {k: v for k, v in vars(args).items() if k in TRAIN_PARAMS}
     config = TrainConfig(**(flags | {"arch": _kind(args.arch)}))
+    corpus = _load_corpus(args)
     try:
         model, metrics = train(config, corpus)
     except TrainingDiverged as e:

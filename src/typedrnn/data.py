@@ -29,18 +29,6 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = [
-    "DataError",
-    "EncodedCorpus",
-    "UNK",
-    "Vocab",
-    "batch_iter",
-    "build_vocab",
-    "encode_and_split",
-    "encode_pre_split",
-    "synthetic_corpus",
-]
-
 UNK = "<unk>"
 
 

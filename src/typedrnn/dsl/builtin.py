@@ -19,14 +19,6 @@ from ..cells import CellKind, CellParams
 from .nodes import CellSpec
 from .parser import parse_spec
 
-__all__ = [
-    "BUILTIN_CELLS",
-    "builtin_spec",
-    "builtin_text",
-    "interp_params",
-    "port_names",
-]
-
 BUILTIN_CELLS = (
     "rnn",
     "lstm",

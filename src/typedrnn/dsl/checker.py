@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from .nodes import Affine, Binary, CellSpec, Const, Expr, Gate, Ref, Span, Unary, children
 from .typesys import MatrixKind, Named, Rigid, Transformed, TypeTerm, Unifier, Var
 
-__all__ = ["Diagnostic", "Verdict", "typecheck"]
-
 _BAD_KINDS = (MatrixKind.GENERAL, MatrixKind.ORTHOGONAL)
 
 

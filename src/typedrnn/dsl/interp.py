@@ -20,8 +20,6 @@ import numpy as np
 from .nodes import Affine, Binary, CellSpec, Const, Expr, Gate, Ref, Unary
 from .typesys import MatrixKind
 
-__all__ = ["InterpError", "interpret_step"]
-
 
 class InterpError(Exception):
     """Shape mismatch, missing parameter, or invalid matrix at evaluation."""

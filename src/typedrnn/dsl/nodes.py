@@ -32,23 +32,6 @@ from decimal import Decimal
 
 from .typesys import MatrixKind
 
-__all__ = [
-    "Affine",
-    "Binary",
-    "CellSpec",
-    "Const",
-    "Expr",
-    "Factor",
-    "Gate",
-    "ParseError",
-    "PortDecl",
-    "Ref",
-    "Span",
-    "Stmt",
-    "Unary",
-    "pretty",
-]
-
 
 @dataclass(frozen=True)
 class Span:

@@ -33,8 +33,6 @@ from .nodes import (
 )
 from .typesys import MatrixKind
 
-__all__ = ["MAX_DEPTH", "parse_spec"]
-
 MAX_DEPTH = 100  # the builtins nest about 6 deep
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH}"
 

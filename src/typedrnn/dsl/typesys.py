@@ -14,16 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = [
-    "MatrixKind",
-    "Named",
-    "Rigid",
-    "Transformed",
-    "TypeTerm",
-    "Unifier",
-    "Var",
-]
-
 
 class MatrixKind(str, Enum):
     GENERAL = "general"

@@ -10,13 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "sigmoid",
-    "softmax",
-    "spectral_norm",
-]
-
 
 class ShapeError(ValueError):
     """Raised when operand dimensions do not agree."""

@@ -30,15 +30,6 @@ import numpy as np
 from .cells import CellKind, CellParams
 from .linalg import sigmoid
 
-__all__ = [
-    "POOLED_FORWARD",
-    "closed_form_gradients",
-    "pooling_weights",
-    "tgru_forward_pooled",
-    "tlstm_forward_pooled",
-    "trnn_forward_pooled",
-]
-
 
 def pooling_weights(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-step pooling weights P(s) and residual mass for gates F (t, d).

@@ -45,8 +45,10 @@ sampler.
 
 A non-finite loss or gradient norm aborts training with a diagnostic
 recording the epoch, step, loss, gradient norm and what went non-finite
-first: the loss, or the first tensor whose gradient did. The diagnostic
-carries the metrics rows logged before the failing window.
+first: the first tensor whose weights an update overflowed, else the loss,
+else the first tensor whose gradient did. The overflow on the way is not
+also warned about. The diagnostic carries the metrics rows logged before
+the failing window.
 """
 
 from __future__ import annotations
@@ -76,28 +78,15 @@ from .checkpoint import Checkpoint, CheckpointError
 from .data import DataError, EncodedCorpus, Vocab, batch_iter
 from .linalg import softmax
 
-__all__ = [
-    "Metrics",
-    "MetricsRow",
-    "Model",
-    "TrainConfig",
-    "TrainingDiverged",
-    "build_model",
-    "cross_entropy",
-    "evaluate",
-    "model_from_checkpoint",
-    "model_to_checkpoint",
-    "sample",
-    "train",
-]
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss or gradient norm stops being finite.
 
-    ``tensor`` names what went non-finite first: ``"loss"``, or else the
-    first tensor in ``Model.tensors()`` order whose gradient's sum of squares
-    is not finite, because it holds a non-finite value or one too large to
-    square (``"grad_norm"`` if only the sum over all tensors overflowed).
+    ``tensor`` names what went non-finite first: the first tensor in
+    ``Model.tensors()`` order whose weights an update overflowed, else
+    ``"loss"``, else the first tensor whose gradient's sum of squares is not
+    finite, because it holds a non-finite value or one too large to square
+    (``"grad_norm"`` if only the sum over all tensors overflowed).
     ``metrics`` holds the rows logged before the failing window.
     """
 
@@ -120,13 +109,16 @@ class TrainingDiverged(RuntimeError):
 def _first_non_finite(
     loss: float, grads: dict[str, np.ndarray], order: dict[str, np.ndarray]
 ) -> str:
-    """What ``TrainingDiverged.tensor`` names for a window."""
+    """What ``TrainingDiverged.tensor`` names for a window; ``order`` holds
+    the model's tensors by name, in ``Model.tensors()`` order."""
+    for name, t in order.items():
+        if not np.isfinite(t).all():
+            return name
     if not math.isfinite(loss):
         return "loss"
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name in order:
-            if not math.isfinite(float(np.square(grads[name]).sum())):
-                return name
+    for name in order:  # under train's errstate: a square may overflow
+        if not math.isfinite(float(np.square(grads[name]).sum())):
+            return name
     return "grad_norm"
 
 
@@ -509,6 +501,7 @@ class Metrics:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is reported once
 def train(config: TrainConfig, corpus: EncodedCorpus) -> tuple[Model, Metrics]:
     """Train a model on ``corpus.train``, validating once per epoch.
 
@@ -614,6 +607,7 @@ def evaluate(
     return mean, _perplexity(mean)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is one ValueError
 def sample(
     model: Model,
     seed_text: str,
@@ -625,8 +619,8 @@ def sample(
 
     The seed must encode to at least one token, and every seed symbol must be
     in the vocabulary (listed in the error otherwise). Logits are divided by
-    ``temperature`` before softmax sampling; n = 0 returns the seed
-    unchanged.
+    ``temperature`` before softmax sampling (a ValueError if that overflows);
+    n = 0 returns the seed unchanged.
     """
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
@@ -664,7 +658,12 @@ def sample(
                 x[0, nxt] = 1.0
             top = stack_step(model.layers, x, state)[-1][0]
         probs = softmax((model.w_out @ top + model.b_out) / temperature)
-        out_ids.append(int(rng.choice(vocab.size, p=probs)))
+        try:
+            out_ids.append(int(rng.choice(vocab.size, p=probs)))
+        except ValueError:  # the probabilities hold NaN
+            raise ValueError(
+                f"temperature {temperature!r} is too small: the scaled logits overflow"
+            ) from None
     tail = vocab.decode(out_ids)
     return seed_text + tail if vocab.level == "char" else seed_text + " " + tail
 

@@ -131,13 +131,6 @@ def test_count_flags_must_be_positive(argv, untrained, capsys):
     assert f"argument {argv[-2]}: " in err and "Traceback" not in err
 
 
-def test_negative_decay_start_is_a_usage_error(untrained, capsys):
-    argv = ["train", "--arch", "rnn", "--corpus", str(untrained / "c.txt")]
-    assert main([*argv, "--decay-start", "-4"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: decay_start must be at least 0\n"
-
-
 def test_every_train_flag_reaches_the_config(untrained, monkeypatch, capsys):
     seen = []
 
@@ -165,12 +158,11 @@ def test_diverging_train_is_a_runtime_error(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text(synthetic_corpus(20_000), encoding="utf-8")
     metrics = tmp_path / "m.csv"
-    with np.errstate(all="ignore"):
-        code = main([
-            "train", "--arch", "t-mr", "--hidden", "16", "--seq-len", "20",
-            "--batch", "4", "--lr", "1e9", "--clip", "none", "--log-every", "1",
-            "--corpus", str(corpus), "--metrics", str(metrics),
-        ])
+    code = main([
+        "train", "--arch", "t-mr", "--hidden", "16", "--seq-len", "20",
+        "--batch", "4", "--lr", "1e9", "--clip", "none", "--log-every", "1",
+        "--corpus", str(corpus), "--metrics", str(metrics),
+    ])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("error: training diverged at epoch 1 step 2: ")
@@ -186,22 +178,41 @@ def test_a_diverging_run_prints_only_its_error(tmp_path, capsys):
     corpus.write_text(synthetic_corpus(20_000), encoding="utf-8")
     argv = [
         "train", "--arch", "t-mr", "--hidden", "16", "--seq-len", "20",
-        "--batch", "4", "--lr", "1e9", "--log-every", "1", "--corpus", str(corpus),
+        "--batch", "4", "--log-every", "1", "--corpus", str(corpus),
     ]
-    # with clipping on (the default) and off, the overflow that ends the run
-    # is reported once, by the error line, and not by a numpy warning first
-    for clip in ([], ["--clip", "none"]):
+    # the overflow that ends the run is reported once, by the error line, and
+    # not by a numpy warning first
+    for flags, tensor in [
+        (["--lr", "1e9"], "layer0.W"),  # clipping on, the default
+        (["--lr", "1e9", "--clip", "none"], "layer0.W"),
+        # step 1's update overflowed a weight: it is named ahead of the loss
+        (["--lr", "1e308", "--clip", "none"], "layer0.c"),
+        # here the forward pass overflowed first
+        (["--arch", "t-lstm", "--lr", "1e200", "--clip", "none"], "loss"),
+    ]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([*argv, *clip])
+            code = main([*argv, *flags])
         out, err = capsys.readouterr()
-        assert code == 3 and out == ""
+        assert code == 3 and out == "", flags
         assert err.startswith("error: training diverged at epoch 1 step 2: ")
-        assert err.endswith("first non-finite: layer0.W\n") and err.count("\n") == 1
+        assert err.endswith(f"first non-finite: {tensor}\n") and err.count("\n") == 1
 
 
 def _must_not_run(*args):
-    raise AssertionError("the run went on although an output cannot be written")
+    raise AssertionError("the run went on past a check that fails")
+
+
+def test_a_bad_config_fails_before_the_corpus_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_load_corpus", _must_not_run)
+    argv = ["train", "--arch", "rnn", "--corpus", str(tmp_path / "missing.txt")]
+    for flags, message in [
+        (["--lr-decay", "2"], "lr_decay must lie in (0, 1]"),
+        (["--dropout", "1"], "dropout must lie in [0, 1)"),
+        (["--decay-start", "-4"], "decay_start must be at least 0"),
+    ]:
+        assert main([*argv, *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("out,metrics", [
@@ -235,6 +246,8 @@ def test_out_and_metrics_naming_one_file_is_a_usage_error(
     ("nodir/x", "No such file or directory"),
     ("c.txt/x", "Not a directory"),
     ("", "Is a directory"),
+    ("loopA", "Too many levels of symbolic links"),
+    ("dangling", "No such file or directory"),  # a link into a missing directory
 ])
 def test_an_unwritable_output_fails_before_the_corpus_is_read(
     untrained, tmp_path, monkeypatch, capsys, flag, where, reason
@@ -242,6 +255,9 @@ def test_an_unwritable_output_fails_before_the_corpus_is_read(
     monkeypatch.setattr(cli, "train", _must_not_run)
     monkeypatch.setattr(cli, "_load_corpus", _must_not_run)
     (tmp_path / "c.txt").write_text("abc", encoding="utf-8")
+    (tmp_path / "loopA").symlink_to("loopB")
+    (tmp_path / "loopB").symlink_to("loopA")
+    (tmp_path / "dangling").symlink_to("nodir/x.ckpt")
     bad = tmp_path / where if where else tmp_path
     # the error is the one writing the output would have raised
     with pytest.raises(OSError, match=reason) as written:
@@ -257,6 +273,12 @@ def test_an_unwritable_output_fails_before_the_corpus_is_read(
     assert code == 3 and out == ""
     assert err == f"error: {written.value}\n"
     assert good.read_bytes() == b"kept"
+
+
+def test_a_link_to_a_file_not_yet_written_is_a_writable_output(tmp_path):
+    (tmp_path / "link").symlink_to("x.ckpt")
+    cli._check_output(str(tmp_path / "link"))  # the write creates its target
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
 
 def test_an_output_in_a_read_only_directory_is_refused(
@@ -444,14 +466,20 @@ def test_sample_bad_temperature(trained, capsys):
     if not ckpt.exists():
         main(argv)
         capsys.readouterr()
-    for temperature in ("0", "nan"):
-        code = main([
-            "sample", "--ckpt", str(ckpt), "--seed-text", "a",
-            "--temperature", temperature,
-        ])
+    for temperature, message in [
+        ("0", "temperature must be positive"),
+        ("nan", "temperature must be positive"),
+        ("1e-320", "temperature 1e-320 is too small: the scaled logits overflow"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "sample", "--ckpt", str(ckpt), "--seed-text", "a",
+                "--temperature", temperature,
+            ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: temperature must be positive\n"
+        assert err == f"error: {message}\n"
 
 
 def test_eval_reports_split_loss(trained, capsys):

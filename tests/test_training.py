@@ -599,9 +599,8 @@ def test_training_diverges_loudly_at_huge_lr():
             arch="t_mr", hidden=16, seq_len=20, batch=4, epochs=1,
             lr=1e9, clip=clip, seed=0,
         )
-        # the blow-up legitimately overflows float64 on its way to inf
         diverged = "^training diverged at epoch 1 step "
-        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match=diverged) as e:
+        with pytest.raises(TrainingDiverged, match=diverged) as e:
             train(cfg, corpus)
         assert e.value.epoch == 1 and e.value.step >= 1
         # the loss is still finite; layer0.W, first in model order, is the
@@ -610,8 +609,12 @@ def test_training_diverges_loudly_at_huge_lr():
         assert e.value.tensor == "layer0.W", clip
         assert str(e.value).endswith("first non-finite: layer0.W")
     grads = {"a": np.ones(2), "b": np.array([1.0, np.nan]), "c": np.ones(1)}
-    assert training._first_non_finite(math.nan, grads, grads) == "loss"
-    assert training._first_non_finite(1.0, grads, grads) == "b"
+    weights = {"a": np.ones(2), "b": np.ones(2), "c": np.ones(1)}
+    assert training._first_non_finite(math.nan, grads, weights) == "loss"
+    assert training._first_non_finite(1.0, grads, weights) == "b"
+    # a weight that an update overflowed goes ahead of the loss and gradients
+    weights["c"] = np.array([np.inf])
+    assert training._first_non_finite(math.nan, grads, weights) == "c"
 
 
 def test_metrics_rows_and_csv_schema(tmp_path):
