@@ -87,16 +87,20 @@ def _clip_flag(text: str) -> float | None:
     return None if text.lower() == "none" else _positive_flag(text)
 
 
-def _count_flag(text: str) -> int:
+def _count_flag(text: str, least: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
+            f"expected a {'positive' if least else 'non-negative'} integer, got {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _length_flag(text: str) -> int:
+    return _count_flag(text, least=0)
 
 
 def _formatter(prog: str) -> argparse.HelpFormatter:
@@ -222,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, metavar="PATH", help="checkpoint file")
     p.add_argument("--seed-text", required=True, metavar="S",
                    help="prompt consumed before sampling begins")
-    p.add_argument("--length", type=int, default=100, metavar="N",
+    p.add_argument("--length", type=_length_flag, default=100, metavar="N",
                    help="number of tokens to sample (default 100)")
     d = inspect.signature(sample).parameters
     p.add_argument("--temperature", type=float, default=d["temperature"].default, metavar="F",

@@ -28,10 +28,13 @@ def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Softmax with max-subtraction; rows sum to 1 within float64 rounding."""
+def softmax(x, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax with max-subtraction; rows sum to 1 within float64 rounding.
+
+    With ``out`` (which may be ``x`` itself) the result is written there.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = x - x.max(axis=axis, keepdims=True)
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out

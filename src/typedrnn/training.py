@@ -40,8 +40,9 @@ the same bits as ``t -= lr * g``. At char level the backward pass skips the
 input gradient, which would land on the fixed one-hot code. ``sample`` runs
 the seed text through one taped ``stack_forward`` and every later token
 through ``cells.stack_step``, both advancing the same ``LayerState``s; its
-per-token work is that step, one projection, the softmax and numpy's
-sampler.
+per-token work is that step, then a head that runs in place on two
+vocabulary-sized rows made once per call: one projection, the softmax, a
+running sum and ``Generator.choice``'s own inverse-CDF draw.
 
 A non-finite loss or gradient norm aborts training with a diagnostic
 recording the epoch, step, loss, gradient norm and what went non-finite
@@ -619,8 +620,9 @@ def sample(
 
     The seed must encode to at least one token, and every seed symbol must be
     in the vocabulary (listed in the error otherwise). Logits are divided by
-    ``temperature`` before softmax sampling (a ValueError if that overflows);
-    n = 0 returns the seed unchanged.
+    ``temperature`` before the softmax (a ValueError if that overflows), and
+    each token is drawn from one ``rng.random()`` by inverse CDF, the draw
+    of ``rng.choice(K, p=probs)``; n = 0 returns the seed unchanged.
     """
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
@@ -646,6 +648,9 @@ def sample(
     stack_forward(model.layers, _encode_inputs(model, ids[:, None]), state=state)
     onehot = np.zeros((1, vocab.size)) if model.embed is None else None
     top = state[-1].h[0]  # the top layer's last output
+    # z holds each token's scaled logits, then their softmax, and cdf its
+    # running sum; the draw is Generator.choice's own, without its checks.
+    z, cdf = np.empty(vocab.size), np.empty(vocab.size)
     out_ids: list[int] = []
     for i in range(n):
         if i:  # advance the state by the token drawn last
@@ -657,13 +662,18 @@ def sample(
                 x.fill(0.0)
                 x[0, nxt] = 1.0
             top = stack_step(model.layers, x, state)[-1][0]
-        probs = softmax((model.w_out @ top + model.b_out) / temperature)
-        try:
-            out_ids.append(int(rng.choice(vocab.size, p=probs)))
-        except ValueError:  # the probabilities hold NaN
+        np.matmul(model.w_out, top, out=z)
+        z += model.b_out
+        z /= temperature
+        softmax(z, out=z)
+        np.add.accumulate(z, out=cdf)  # cumsum's own loop, without its wrapper
+        total = cdf[-1]
+        if math.isnan(total):  # the probabilities hold NaN
             raise ValueError(
                 f"temperature {temperature!r} is too small: the scaled logits overflow"
-            ) from None
+            )
+        cdf /= total
+        out_ids.append(int(cdf.searchsorted(rng.random(), side="right")))
     tail = vocab.decode(out_ids)
     return seed_text + tail if vocab.level == "char" else seed_text + " " + tail
 

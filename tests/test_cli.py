@@ -131,6 +131,16 @@ def test_count_flags_must_be_positive(argv, untrained, capsys):
     assert f"argument {argv[-2]}: " in err and "Traceback" not in err
 
 
+def test_sample_length_may_be_zero_but_not_negative(untrained, capsys):
+    argv = ["sample", "--ckpt", str(untrained / "m.ckpt"), "--seed-text", "ab", "--length"]
+    assert main([*argv, "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("argument --length: must be at least 0, got -1\n")
+    assert main([*argv, "0"]) == 0
+    assert capsys.readouterr().out == "ab\n"
+
+
 def test_every_train_flag_reaches_the_config(untrained, monkeypatch, capsys):
     seen = []
 

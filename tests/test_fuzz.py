@@ -1,5 +1,6 @@
-"""A seeded fuzz of ``main``: corrupted checkpoints and flags at extreme
-values each end with a documented exit code, and print no warning."""
+"""A seeded fuzz of ``main``: corrupted checkpoints, mutated corpus bytes
+and flags at extreme values each end with a documented exit code, and print
+no warning."""
 
 import struct
 import warnings
@@ -85,6 +86,47 @@ def test_a_corrupted_checkpoint_is_read_or_refused(root, tmp_path, monkeypatch, 
             codes.append(_run(argv, capsys))
             assert codes[-1] in (0, 3), (i, argv[0])
     assert {0, 3} <= set(codes)  # some copies still load, some are refused
+
+
+def _mutated_corpora(rng) -> list[bytes]:
+    """Seeded mutations of a UTF-8 corpus with 2-, 3- and 4-byte characters:
+    bit flips, a cut inside a multi-byte character, a NUL run, a BOM, CRLF
+    line ends, whitespace only, and one or two characters."""
+    text = synthetic_corpus(600, seed=2).translate(
+        {ord("a"): "ä", ord("e"): "漢", ord("o"): "\U0001d11e"}
+    )
+    data = text.encode("utf-8")
+    out = []
+    for flips in (1, 1, 3, 8):
+        flipped = bytearray(data)
+        for at in rng.integers(len(data), size=flips):
+            flipped[at] ^= 1 << int(rng.integers(8))
+        out.append(bytes(flipped))
+    inside = [i for i, b in enumerate(data) if b & 0xC0 == 0x80]  # continuation bytes
+    out.append(data[: inside[int(rng.integers(len(inside)))]])
+    at = len(text[: int(rng.integers(len(text)))].encode("utf-8"))  # between characters
+    out.append(data[:at] + b"\0" * int(rng.integers(1, 40)) + data[at:])
+    out.append(b"\xef\xbb\xbf" + data)
+    out.append(data.replace(b"\n", b"\r\n"))
+    out += [b" \n\t\r\n " * 20, "ä".encode(), b"ab", b""]
+    return out
+
+
+@pytest.mark.parametrize("level", MODELS)
+def test_a_mutated_corpus_is_trained_on_or_refused(root, tmp_path, monkeypatch, capsys, level):
+    monkeypatch.chdir(root)
+    corpus, ckpt = tmp_path / "m.txt", tmp_path / "m.ckpt"
+    codes = []
+    for i, data in enumerate(_mutated_corpora(np.random.default_rng(len(level)))):
+        corpus.write_bytes(data)
+        train = ["train", *MODELS[level], *SMALL[:-1], corpus, "--epochs", "1", "--out", ckpt]
+        codes.append(_run(train, capsys))
+        assert codes[-1] in (0, 1, 3), (i, "train")
+        # the checkpoint trained on this corpus, if any, and the fixture's
+        for model in [ckpt] * (codes[-1] == 0) + [f"{level}.ckpt"]:
+            codes.append(_run(["eval", "--ckpt", model, *SMALL[2:-1], corpus], capsys))
+            assert codes[-1] in (0, 1, 3), (i, "eval", model)
+    assert {0, 3} <= set(codes)  # some corpora train, some are refused
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -53,6 +53,19 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
             assert np.array_equal(softmax(v, axis), old)
 
 
+def test_softmax_into_out_is_bitwise_equal():
+    rng = np.random.default_rng(5)
+    for v in (rng.uniform(-40.0, 40.0, size=26), rng.normal(size=(3, 400))):
+        for axis in range(-v.ndim, v.ndim):
+            want = softmax(v, axis)
+            buf = np.empty_like(v)
+            assert softmax(v, axis, out=buf) is buf
+            assert np.array_equal(buf, want)
+            x = v.copy()
+            assert softmax(x, axis, out=x) is x
+            assert np.array_equal(x, want)
+
+
 def test_spectral_norm_against_svd():
     assert spectral_norm(np.diag([3.0, -1.0])) == pytest.approx(3.0)
     rng = np.random.default_rng(3)

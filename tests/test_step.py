@@ -84,10 +84,57 @@ def test_sample_matches_the_per_token_taped_loop(kind, level):
     model = _model(kind, level, seed=4)
     text = TEXTS[level]
     seed_text = text[:7] if level == "char" else " ".join(text.split()[:4])
-    for temperature in (1.0, 0.7):
+    for temperature in (1.0, 0.7, 3.0, np.inf, 1e-3):
         for n in (1, 30):
             want = _reference_sample(model, seed_text, n, temperature, seed=8)
             assert sample(model, seed_text, n, temperature, seed=8) == want
+
+
+def test_an_overflow_mid_stream_is_an_error():
+    """A temperature at which the first token still samples, and a later
+    token's scaled logits overflow, raises rather than samples from NaN."""
+    model = _model("t_mr", "char", seed=4)
+    seed_text = TEXTS["char"][:7]
+    want = _reference_sample(model, seed_text, 1, 1e-300, seed=8)
+    assert sample(model, seed_text, 1, 1e-300, seed=8) == want
+    with pytest.raises(ValueError, match="too small: the scaled logits overflow"):
+        sample(model, seed_text, 30, 1e-300, seed=8)
+
+
+def _head_distributions(K, rng):
+    """Token distributions over K ids: a random one (with exact zeros at
+    both ends once K > 2) and one-hots at both ends and inside."""
+    q = rng.pareto(1.0, size=K) + 1e-3
+    if K > 2:
+        q[[0, -1]] = 0.0
+        q[rng.integers(1, K - 1, size=K // 10)] = 0.0
+    yield q / q.sum()
+    for at in (0, K - 1, int(rng.integers(K))):
+        onehot = np.zeros(K)
+        onehot[at] = 1.0
+        yield onehot
+
+
+@pytest.mark.parametrize("K", [2, 26, 4000])
+def test_sample_draws_as_generator_choice(K):
+    """With ``w_out = 0`` and ``b_out = log p`` every token's logits are the
+    chosen log-probabilities, and ``sample`` draws the ids that a twin
+    generator's ``choice(K, p=softmax(b_out))`` draws token by token."""
+    vocab = build_vocab(" ".join(f"w{i}" for i in range(K - 1)), level="word")
+    assert vocab.size == K
+    cfg = TrainConfig(arch="t_lstm", level="word", layers=1, hidden=3)
+    model = build_model(cfg, vocab, np.random.default_rng(0))
+    model.w_out[:] = 0.0
+    rng = np.random.default_rng(K)
+    for p in _head_distributions(K, rng):
+        with np.errstate(divide="ignore"):
+            model.b_out[:] = np.log(p)
+        probs = softmax(model.b_out)
+        assert np.all(probs[p == 0.0] == 0.0) and np.all(probs[p == 1.0] == 1.0)
+        seed = int(rng.integers(1000))
+        twin = np.random.default_rng(seed)
+        ids = [int(twin.choice(K, p=probs)) for _ in range(300)]
+        assert sample(model, "w0", 300, seed=seed) == "w0 " + vocab.decode(ids)
 
 
 def test_step_from_an_empty_carry_starts_at_zero_state():

@@ -17,7 +17,8 @@ at T=10, B=4. Each case line holds one short digest per component:
     rows    the logged metric rows without ``wall_ms``
     ckpt    the model after a checkpoint save and load, by name, in order
     eval    ``evaluate`` of the loaded model on the test split
-    sample  30 sampled tokens from the loaded model
+    sample  30 sampled tokens from the loaded model at temperature 1,
+            then 30 at temperature 0.5
     carry   the trained layers' ``stack_forward`` over two consecutive
             windows of random input, with one ``LayerState`` list, one
             ``Workspace`` and the case's dropout (seeded): both windows'
@@ -143,14 +144,17 @@ def _case(corpus, config, workdir: Path) -> dict[str, str]:
     loaded = training.model_from_checkpoint(checkpoint.load_checkpoint(path))
     loss, ppl = training.evaluate(loaded, corpus, "test")
     seed_text = corpus.vocab.decode(corpus.test[:5])
-    text = training.sample(loaded, seed_text, 30, seed=config.seed)
+    texts = [
+        training.sample(loaded, seed_text, 30, temperature=t, seed=config.seed)
+        for t in (1.0, 0.5)
+    ]
     return {
         "init": _digest(init.tensors()),
         "train": _digest(model.tensors()),
         "rows": _digest(*(x for row in rows for x in row)),
         "ckpt": _digest(list(loaded.tensors()), loaded.tensors()),
         "eval": _digest(loss, ppl),
-        "sample": _digest(text),
+        "sample": _digest(*texts),
         **_layer_digests(model.layers, config),
     }
 
