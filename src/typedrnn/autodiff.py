@@ -33,10 +33,10 @@ gradient into one buffer of the same workspace.
 
 Conventions: upstream gradients arrive per output step as dH (T, B, h);
 ``dh_final`` / ``dc_final`` inject gradient on the state carried out of the
-window (used for Jacobian probes and window chaining). Gradients with respect
-to inputs come back in two pieces for T-LSTM / T-GRU: ``dX`` for the W-side
-sequence and ``dX_prev`` for the shifted V-side stream, because a dropout
-mask may sit between the two views of the same lower-layer output.
+window (used for Jacobian probes and window chaining). ``dX`` is the
+gradient on the layer's raw input for every kind: the backward pass applies
+the dropout mask its tape recorded, and for T-LSTM / T-GRU it adds the
+previous-input half of each learnware row into the step before.
 """
 
 from __future__ import annotations
@@ -60,11 +60,10 @@ from .cells import (
 
 @dataclass
 class Grads:
-    """Result of one backward sweep over a layer."""
+    """Result of one backward sweep over a layer; ``dX`` is on its raw input."""
 
     params: dict[str, np.ndarray]
     dX: np.ndarray | None
-    dX_prev: np.ndarray | None = None
     dh0: np.ndarray | None = None
     dc0: np.ndarray | None = None
 
@@ -96,8 +95,8 @@ def sequence_backward(
     layer's output at step t; gradients are truncated at the window boundary
     (nothing flows into the carried-in state except out through dh0 / dc0).
 
-    With ``input_grad=False`` the input gradient is skipped and ``dX`` /
-    ``dX_prev`` are None. With ``ws`` (a ``Workspace.layer`` view) the
+    With ``input_grad=False`` the input gradient is skipped and ``dX`` is
+    None. With ``ws`` (a ``Workspace.layer`` view) the
     parameter gradients live in the layer's own buffers, the input gradient
     in the one of the two shared ones picked by ``ws.index``, and scratch in
     buffers every layer shares; ``dH`` must not be that input-gradient
@@ -215,10 +214,17 @@ def sequence_backward(
     if not input_grad:
         return Grads(grads, None, **boundary)
     dXX = _unfold(DP, params.U, ws.get(f"dX{ws.index % 2}", tape.XX.shape))
+    d = params.input_dim
+    dX = dXX[..., -d:]  # all of dXX, or for T-cells its W-side half
+    if tape.mask is not None:
+        dX *= tape.mask
     if kind in T_CELL_KINDS:
-        d = params.input_dim
-        return Grads(grads, dXX[..., d:], dX_prev=dXX[..., :d], **boundary)
-    return Grads(grads, dXX, **boundary)
+        # The previous-input half, one step earlier. A step at a time: the
+        # halves interleave in one buffer, and numpy copies an operand it
+        # cannot prove disjoint, which whole windows are not and steps are.
+        for t in range(T - 1):
+            dX[t] += dXX[t + 1, :, :d]
+    return Grads(grads, dX, **boundary)
 
 
 def bptt(
@@ -231,9 +237,7 @@ def bptt(
 
     ``upstream`` is either the gradient on the final output h_T, shape
     (B, h), or a (T, B, h) array with one gradient per output step. Returns
-    parameter gradients and gradients on the inputs: for T-LSTM / T-GRU
-    ``dX`` (W-side) and ``dX_prev`` (V-side) apart, which ``stack_backward``
-    adds into one array.
+    the parameter gradients and ``dX``, the gradient on ``X``.
     """
     out, tape = sequence_forward(params, X)
     dH = np.asarray(upstream, dtype=np.float64)
@@ -254,9 +258,8 @@ def stack_backward(
 ) -> tuple[list[dict[str, np.ndarray]], np.ndarray | None]:
     """Backward through a stack; returns per-layer grads and dX on the model
     input (None with ``input_grad=False``, which skips layer 0's input
-    gradient). Dropout masks recorded in the tape gate the W-side path
-    between layers; the V-side (x_prev) path bypasses them, matching the
-    forward. With ``ws`` the gradients live in the workspace.
+    gradient). Each layer's ``dX``, on its raw input, is the upstream of
+    the layer below. With ``ws`` the gradients live in the workspace.
     """
     ws = Workspace() if ws is None else ws
     upstream = np.asarray(dH_top, dtype=np.float64)
@@ -268,16 +271,6 @@ def stack_backward(
         )
         per_layer[l] = res.params
         upstream = res.dX
-        if upstream is None:
-            break
-        if tape.masks[l] is not None:
-            upstream *= tape.masks[l]
-        if res.dX_prev is not None:
-            # A step at a time: the two are interleaved halves of one buffer,
-            # and numpy copies an operand it cannot prove disjoint, which
-            # whole windows are not and single steps are.
-            for t in range(len(upstream) - 1):
-                upstream[t] += res.dX_prev[t + 1]
     return per_layer, upstream
 
 

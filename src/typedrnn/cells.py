@@ -376,8 +376,8 @@ class LayerTape:
 
     Arrays are time-major. ``H`` and ``C`` have T+1 rows including the initial
     state; gate arrays have T rows. ``XX`` is the block the stacked learnware
-    multiplied: for T-LSTM / T-GRU the undropped previous input beside the
-    (possibly dropout-masked) input, for every other kind the input itself.
+    multiplied: the input times ``mask`` (the dropout mask, None when off),
+    and for T-LSTM / T-GRU the raw previous input beside it.
     The scanned state is ``C`` for T-LSTM and ``H`` for every other kind.
     ``Z``, ``F`` and ``O`` are the blocks of the layer's one gate-major
     learnware product, squashed in place into the gates (None past the last
@@ -391,6 +391,7 @@ class LayerTape:
     H: np.ndarray | None = None
     C: np.ndarray | None = None
     XX: np.ndarray | None = None
+    mask: np.ndarray | None = None
     F: np.ndarray | None = None
     Z: np.ndarray | None = None
     O: np.ndarray | None = None
@@ -491,7 +492,7 @@ def sequence_forward(
     params: CellParams,
     X: np.ndarray,
     state: LayerState | None = None,
-    x_prev_src: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray, LayerTape]:
     """Run one layer over a (T, B, input_dim) batch; returns (outputs, tape).
@@ -499,8 +500,9 @@ def sequence_forward(
     ``state`` (a ``LayerState`` for B streams; zero when not given) is the
     window's initial state, and the window's final h, c and last raw input
     are written back into it, in place, for the next window.
-    ``x_prev_src`` is the sequence the V-side of T-LSTM / T-GRU reads at t-1
-    (defaults to ``X``; differs when dropout masks the W-side input).
+    ``mask`` (X's shape, or None) is the dropout mask on the input, which the
+    tape records. It multiplies only the W-side x_t: the V-side of T-LSTM /
+    T-GRU reads the raw x_{t-1}, since the recurrent path is never masked.
     Every kind's input side is one matrix multiply over the whole window;
     for T-RNN, T-LSTM and T-GRU it is the only one, and only the
     coordinatewise scan is sequential. With ``ws`` (a
@@ -524,22 +526,22 @@ def sequence_forward(
         if got != want:
             raise ShapeError(f"carried state {name} has shape {got}, expected {want}")
 
-    XX = src = X
+    if mask is not None and mask.shape != X.shape:
+        raise ShapeError(f"mask has shape {mask.shape}, input has {X.shape}")
+    XX = X if mask is None else np.multiply(X, mask, out=ws.own("in", X.shape))
     if kind in T_CELL_KINDS:
-        src = X if x_prev_src is None else np.asarray(x_prev_src, dtype=np.float64)
-        if src.shape != X.shape:
-            raise ShapeError(f"x_prev_src has shape {src.shape}, input has {X.shape}")
-        XX = ws.own("XX", (T, B, 2 * d))
-        XX[0, :, :d] = state.xx[:, d:]
-        XX[1:, :, :d] = src[:-1]
-        XX[:, :, d:] = X
+        rows = ws.own("XX", (T, B, 2 * d))
+        rows[0, :, :d] = state.xx[:, d:]
+        rows[1:, :, :d] = X[:-1]
+        rows[:, :, d:] = XX
+        XX = rows
     # The one input-side product, gate-major. Its blocks become the gates,
     # so it is every kind's tape.
     P = _affine_rows(
         XX.reshape(T * B, -1), params.U, params.bias,
         ws.own("P", (_LEARNWARE_ROWS[kind], T * B, hdim)),
     ).reshape(-1, T, B, hdim)
-    tape = LayerTape(kind, XX=XX)
+    tape = LayerTape(kind, XX=XX, mask=mask)
     tape.Z, tape.F, tape.O = Z, F, O = _gate_views(P)
 
     if kind in SCAN_KINDS:
@@ -573,7 +575,7 @@ def sequence_forward(
     if state.c is not None:
         state.c[...] = tape.C[-1]
     if state.xx is not None:
-        state.xx[:, d:] = src[-1]
+        state.xx[:, d:] = X[-1]
     return out, tape
 
 
@@ -623,8 +625,8 @@ class StackTape:
     """Per-layer tapes plus the dropout masks applied between layers.
 
     ``masks[l]`` multiplied layer l's input; it is None for l = 0 (dropout is
-    never applied to the raw model input) and when dropout is off. Sources for
-    the V-side of T-cells are kept unmasked inside each layer tape.
+    never applied to the raw model input) and when dropout is off. It is layer
+    l's ``LayerTape.mask``, listed for callers that size a whole tape.
     """
 
     layer_tapes: list[LayerTape] = field(default_factory=list)
@@ -642,10 +644,9 @@ def stack_forward(
     """Run a stack of layers over a (T, B, d) batch.
 
     Returns the raw per-layer output sequences (undropped) and a tape. With
-    dropout p > 0, layer l >= 1 reads an inverted-dropout masked copy of layer
-    l-1's output on its learnable W-side, while the x_prev stream of T-LSTM /
-    T-GRU always reads the unmasked layer l-1 output at t-1 (the recurrent
-    path is never masked). ``state`` (one ``LayerState`` per layer, for B
+    dropout p > 0, layer l >= 1 is handed an inverted-dropout mask for layer
+    l-1's output, which ``sequence_forward`` applies where the layer's
+    learnware reads its input. ``state`` (one ``LayerState`` per layer, for B
     streams) is handed layer by layer to ``sequence_forward``, which starts
     the window from it and leaves the window's final state in it; without it
     every layer starts from zeros. With ``ws`` the outputs, tape
@@ -663,20 +664,18 @@ def stack_forward(
 
     tape = StackTape()
     outputs: list[np.ndarray] = []
-    inp = raw_inp = np.asarray(X, dtype=np.float64)
+    inp = np.asarray(X, dtype=np.float64)
     for l, params in enumerate(layers):
         lws = ws.layer(l)
         mask = None
         if dropout > 0.0 and l > 0:
             mask = dropout_mask(rng, dropout, lws.own("mask", inp.shape), ws)
-            inp = np.multiply(inp, mask, out=lws.own("in", inp.shape))
-        out, ltape = sequence_forward(
-            params, inp, None if state is None else state[l], raw_inp, ws=lws
+        inp, ltape = sequence_forward(
+            params, inp, None if state is None else state[l], mask, ws=lws
         )
         tape.masks.append(mask)
         tape.layer_tapes.append(ltape)
-        outputs.append(out)
-        raw_inp = inp = out
+        outputs.append(inp)
     return outputs, tape
 
 

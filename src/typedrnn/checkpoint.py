@@ -15,7 +15,8 @@ Layout, all integers little-endian:
             rank-0..n float64 data, little-endian, row-major
 
 There is no tensor-count field; the reader consumes records until EOF and
-rejects truncated files. Loading refuses unknown magic or version, a layer
+rejects truncated files. Saving refuses a layer count the u16 cannot hold
+(``MAX_LAYERS``). Loading refuses unknown magic or version, a layer
 count or hidden size of 0, a symbol or tensor name that is not valid UTF-8,
 and names any tensor holding NaN or infinity; shape validation against an
 architecture happens when a model is rebuilt from the checkpoint.
@@ -37,6 +38,7 @@ from .cells import CellKind
 
 MAGIC = b"TRNN"
 FORMAT_VERSION = 1
+MAX_LAYERS = 0xFFFF  # the layer count is a u16
 _U32 = struct.Struct("<I")
 
 ARCH_CODES: dict[CellKind, int] = {
@@ -69,6 +71,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    if not 0 <= ckpt.layers <= MAX_LAYERS:
+        raise CheckpointError(f"a checkpoint has at most {MAX_LAYERS} layers, got {ckpt.layers}")
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", FORMAT_VERSION)

@@ -34,7 +34,7 @@ from .cells import (
     param_shapes,
     sequence_forward,
 )
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import MAX_LAYERS, CheckpointError, load_checkpoint, save_checkpoint
 from .data import DataError, EncodedCorpus, build_vocab, encode_and_split, encode_pre_split
 from .dsl.builtin import BUILTIN_CELLS, builtin_text
 from .dsl.checker import Verdict, typecheck
@@ -358,6 +358,8 @@ def _cmd_train(args) -> int:
         raise UsageError(
             f"--out and --metrics name the same file ({args.out}, {args.metrics})"
         )
+    if args.out and args.layers > MAX_LAYERS:
+        raise UsageError(f"--layers {args.layers} is more than a checkpoint holds ({MAX_LAYERS})")
     for path in filter(None, (args.out, args.metrics)):
         _check_output(path)
     flags = {k: v for k, v in vars(args).items() if k in TRAIN_PARAMS}

@@ -168,6 +168,8 @@ class TrainConfig:
             raise ValueError("clip must be positive or None")
         if self.init not in ("uniform008", "identity"):
             raise ValueError(f"unknown init scheme {self.init!r}")
+        if self.init == "identity" and self.arch != CellKind.RNN:
+            raise ValueError("identity init only applies to the classical rnn")
 
     def lr_for_epoch(self, epoch: int) -> float:
         """Learning rate for 1-based epoch: decay multiplies per epoch past

@@ -75,28 +75,27 @@ def test_bptt_with_per_step_upstream():
 
 
 def test_input_gradients_match_finite_differences():
+    """For every kind, ``bptt``'s ``dX`` is the whole gradient on ``X`` (for
+    T-LSTM and T-GRU it includes what reaches x_t through the next step's
+    previous-input row), and a one-layer ``stack_backward`` gives its bits."""
     rng = np.random.default_rng(2)
     for kind in TRAIN_KINDS:
         params, X = draw_instance(kind, rng, h_max=4, t_max=5, d_max=3)
-        u = rng.uniform(-1.0, 1.0, size=(1, params.hidden_dim))
-        dH = np.zeros((X.shape[0], 1, params.hidden_dim))
-        dH[-1] = u
+        U = rng.uniform(-1.0, 1.0, size=(X.shape[0], 1, params.hidden_dim))
+        dX = bptt(params, X, U).dX
         _, tape = stack_forward([params], X)
-        _, dX = stack_backward([params], tape, dH)
+        assert np.array_equal(stack_backward([params], tape, U)[1], dX), kind
 
         eps = 1e-6
-        idx = [(int(a), int(b)) for a, b in zip(
-            rng.integers(0, X.shape[0], size=6), rng.integers(0, X.shape[2], size=6)
-        )]
-        for t, j in idx:
+        for idx in np.ndindex(X.shape):
             Xp = X.copy()
-            Xp[t, 0, j] += eps
+            Xp[idx] += eps
             op, _ = sequence_forward(params, Xp)
             Xm = X.copy()
-            Xm[t, 0, j] -= eps
+            Xm[idx] -= eps
             om, _ = sequence_forward(params, Xm)
-            fd = float(np.sum(u * (op[-1] - om[-1]))) / (2 * eps)
-            assert abs(dX[t, 0, j] - fd) < 1e-6 * max(1.0, abs(fd)), kind
+            fd = float(np.sum(U * (op - om))) / (2 * eps)
+            assert abs(dX[idx] - fd) < 1e-6 * max(1.0, abs(fd)), kind
 
 
 def _state(params, h0=None, c0=None):
@@ -201,10 +200,11 @@ def test_stack_backward_respects_dropout_masks():
         # For T-LSTM, layer 0's gradients reach it through both the masked
         # W-side input of layer 1 and its unmasked previous-input stream.
         mask = tape.masks[1]
+        assert tape.layer_tapes[1].mask is mask
 
         def replay(ls):
             o0, _ = sequence_forward(ls[0], X)
-            o1, _ = sequence_forward(ls[1], o0 * mask, x_prev_src=o0)
+            o1, _ = sequence_forward(ls[1], o0, mask=mask)
             return o1
 
         eps = 1e-6
@@ -351,9 +351,9 @@ def test_stack_through_a_workspace_is_bitwise_fresh():
 
 def test_stack_backward_passes_the_input_gradient_down_without_a_copy():
     """A second window of a 2-layer stack through one workspace: the backward
-    pass, which adds a T-LSTM / T-GRU layer's shifted ``dX_prev`` into its
-    ``dX`` (interleaved halves of one buffer), allocates less than half of
-    one (T-1, B, h) array for every kind."""
+    pass, in which a T-LSTM / T-GRU layer adds the previous-input half of its
+    input gradient into the W-side half (interleaved halves of one buffer),
+    allocates less than half of one (T-1, B, h) array for every kind."""
     rng = np.random.default_rng(16)
     T, B, h = 50, 16, 32
     for kind in TRAIN_KINDS:

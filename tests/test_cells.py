@@ -279,8 +279,7 @@ def test_stack_forward_dropout_masks_only_the_learnware_input():
     assert tape.masks[0] is None and tape.masks[1] is not None
     ref0, _ = sequence_forward(layers[0], X)
     assert np.max(np.abs(outs[0] - ref0)) < 1e-13
-    masked = ref0 * tape.masks[1]
-    ref1, _ = sequence_forward(layers[1], masked, x_prev_src=ref0)
+    ref1, _ = sequence_forward(layers[1], ref0, mask=tape.masks[1])
     assert np.max(np.abs(outs[1] - ref1)) < 1e-13
     seen = np.unique(tape.masks[1])
     assert set(seen).issubset({0.0, 2.0})
@@ -323,11 +322,12 @@ def test_sequence_forward_rejects_bad_shapes_and_kinds():
     for n in (1, 3):
         with pytest.raises(ValueError, match="one entry per layer"):
             stack_forward(layers, X, state=[LayerState(p, 2)] * n)
-    for kind in (CellKind.T_LSTM, CellKind.T_GRU):
-        t_cell = rand_params(kind, 3, 4, rng)
+    for kind in (CellKind.T_RNN, CellKind.T_LSTM, CellKind.T_GRU, CellKind.LSTM):
+        cell = rand_params(kind, 3, 4, rng)
         for shape in [(4, 2, 3), (5, 2, 4), (5, 1, 3)]:
-            with pytest.raises(ShapeError, match=re.escape(f"x_prev_src has shape {shape}")):
-                sequence_forward(t_cell, X, x_prev_src=np.ones(shape))
+            named = re.escape(f"mask has shape {shape}, input has {X.shape}")
+            with pytest.raises(ShapeError, match=named):
+                sequence_forward(cell, X, mask=np.ones(shape))
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3)], ids=["T0", "B0"])

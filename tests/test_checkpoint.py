@@ -43,6 +43,14 @@ def _sample_ckpt(rng):
     )
 
 
+def test_save_refuses_a_layer_count_the_header_cannot_hold(tmp_path):
+    path = tmp_path / "m.ckpt"
+    ckpt = Checkpoint(CellKind.T_RNN, "char", 65536, 1, ["a"], {})
+    with pytest.raises(CheckpointError, match="at most 65535 layers, got 65536"):
+        save_checkpoint(ckpt, path)
+    assert not path.exists()
+
+
 def test_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     ckpt = _sample_ckpt(rng)

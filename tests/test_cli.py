@@ -150,14 +150,14 @@ def test_every_train_flag_reaches_the_config(untrained, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "train", fake_train)
     assert main([
-        "train", "--arch", "t-gru", "--corpus", str(untrained / "c.txt"),
+        "train", "--arch", "rnn", "--corpus", str(untrained / "c.txt"),
         "--layers", "3", "--hidden", "5", "--level", "word", "--seq-len", "7",
         "--batch", "3", "--epochs", "2", "--lr", "0.5", "--lr-decay", "0.75",
         "--decay-start", "4", "--clip", "none", "--dropout", "0.25",
         "--seed", "9", "--init", "identity", "--log-every", "11",
     ]) == 0
     assert seen == [TrainConfig(
-        arch=CellKind.T_GRU, layers=3, hidden=5, level="word", seq_len=7,
+        arch=CellKind.RNN, layers=3, hidden=5, level="word", seq_len=7,
         batch=3, epochs=2, lr=0.5, lr_decay=0.75, decay_start=4, clip=None,
         dropout=0.25, seed=9, init="identity", log_every=11,
     )]
@@ -220,6 +220,10 @@ def test_a_bad_config_fails_before_the_corpus_is_read(tmp_path, monkeypatch, cap
         (["--lr-decay", "2"], "lr_decay must lie in (0, 1]"),
         (["--dropout", "1"], "dropout must lie in [0, 1)"),
         (["--decay-start", "-4"], "decay_start must be at least 0"),
+        (["--arch", "t-lstm", "--init", "identity"],
+         "identity init only applies to the classical rnn"),
+        (["--layers", "65536", "--out", str(tmp_path / "m.ckpt")],
+         "--layers 65536 is more than a checkpoint holds (65535)"),
     ]:
         assert main([*argv, *flags]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -75,6 +75,9 @@ def test_train_config_validation():
     TrainConfig(arch="t_rnn", decay_start=0)
     with pytest.raises(ValueError, match="unknown init scheme 'he'"):
         TrainConfig(arch="t_rnn", init="he")
+    with pytest.raises(ValueError, match="identity init only applies to the classical rnn"):
+        TrainConfig(arch="t_lstm", init="identity")
+    TrainConfig(arch="rnn", init="identity")
     with pytest.raises(ValueError, match="log_every"):
         TrainConfig(arch="t_rnn", log_every=0)
     with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):

@@ -11,7 +11,7 @@ from conftest import spec_tree
 from typedrnn.dsl.builtin import BUILTIN_CELLS, builtin_spec
 from typedrnn.dsl.checker import typecheck
 from typedrnn.dsl.interp import InterpError, interpret_step
-from typedrnn.dsl.nodes import ParseError, pretty
+from typedrnn.dsl.nodes import Affine, ParseError, Ref, children, pretty
 from typedrnn.dsl.parser import parse_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -266,3 +266,49 @@ def test_a_verdict_survives_a_round_trip_and_a_renaming():
         assert swap(typecheck(parse_spec(swap(text))).render()) == verdict.render(), text
         checked += 1
     assert checked >= 500, checked
+
+
+def _reads(e, u, defs) -> bool:
+    """Whether ``e`` reads ``u`` (a port name or an ``Affine``) through
+    references, bindings and non-affine nodes only."""
+    if e is u:
+        return True
+    if isinstance(e, Affine):
+        return False
+    if isinstance(e, Ref):
+        return e.name == u if e.name not in defs else _reads(defs[e.name], u, defs)
+    return any(_reads(c, u, defs) for c in children(e))
+
+
+def test_a_cycle_verdict_names_a_cycle_in_the_dataflow():
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(1500):
+        text = _random_cell(rng)
+        try:
+            spec = parse_spec(text)
+        except ParseError:
+            continue
+        defs = {s.lhs: s.expr for s in spec.stmts}
+        affines, stack = {}, [s.expr for s in spec.stmts]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Affine):
+                affines[f"{e.name}[{e.kind.value}]"] = e
+            stack.extend(children(e))
+        states = {p.name for p in spec.states()}
+        for d in typecheck(spec).diagnostics:
+            if not d.message.startswith("cycle "):
+                continue
+            path = d.message.removeprefix("cycle ").split(" → ")
+            assert path[0] == path[-1] and path[0] in states, (text, d.message)
+            shown = [affines[v] if "[" in v else v for v in path]  # KeyError: no such affine
+            assert any(isinstance(v, Affine) and v.kind.value in ("general", "orthogonal")
+                       for v in shown), (text, d.message)
+            for u, v in zip(shown, shown[1:]):
+                # an affine reads through its operands, a state port through
+                # its next-state expression
+                operands = v.operands if isinstance(v, Affine) else [defs[f"{v}'"]]
+                assert any(_reads(e, u, defs) for e in operands), (text, d.message, u, v)
+            checked += 1
+    assert checked >= 100, checked

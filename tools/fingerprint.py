@@ -25,7 +25,7 @@ at T=10, B=4. Each case line holds one short digest per component:
             outputs and the final h, c and xx
     step    5 ``stack_step`` tokens from stream 0 of that carried state
     bptt    layer 0's ``bptt`` on a (T, B, d) window, with a per-step and
-            with a last-step upstream: its gradients, dX, dX_prev, dh0, dc0
+            with a last-step upstream: its gradients, dX, dh0, dc0
     jac     ``state_jacobian`` of layer 0
 
 A last word-level t-lstm case has a vocabulary wide enough that a window's
@@ -117,7 +117,7 @@ def _layer_digests(layers, config) -> dict[str, str]:
         res = autodiff.bptt(layers[0], X, rng.uniform(-1.0, 1.0, size=shape))
         key = f"{len(shape)}d"
         grads.update({f"{key}.{n}": g for n, g in res.params.items()})
-        grads.update(_arrays(key, res, ("dX", "dX_prev", "dh0", "dc0")))
+        grads.update(_arrays(key, res, ("dX", "dh0", "dc0")))
     jac = autodiff.state_jacobian(layers[0], X[:, 0])
     return {
         "carry": _digest(carry),
